@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +57,15 @@ EXIT_TOLERANCE = 3
 #: test superposition used by the sweep cells
 SWEEP_INITIAL = (math.sqrt(0.3), math.sqrt(0.2), 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(6.0))
 
-KINDS = ("cn", "ensemble", "shor", "design", "sweep")
+#: output formats each kind accepts; the first is its default
+FORMATS = {
+    "cn": ("json", "csv"),
+    "ensemble": ("csv", "json"),
+    "shor": ("json",),
+    "design": ("json",),
+    "sweep": ("csv",),
+}
+KINDS = tuple(FORMATS)
 
 
 class ConfigError(ConfigurationError):
@@ -124,8 +133,59 @@ def _require(doc: Mapping, fields: Sequence[str], problems: list[str]) -> None:
             problems.append(f"{name}: required field missing")
 
 
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _field(doc: Mapping, name: str, problems: list[str], convert=float, default=None):
+    """``convert(doc[name])``, or of ``default`` when the field is absent.
+
+    A value that does not convert, or converts to a non-finite number, is
+    recorded as a problem naming the field and gives None; so does an absent
+    field without a default.
+    """
+    value = doc.get(name, default)
+    if value is None:
+        return None
+    try:
+        converted = convert(value)
+    except (TypeError, ValueError, OverflowError):
+        problems.append(f"{name}: expected numeric value(s), got {reprlib.repr(value)}")
+        return None
+    if not np.all(np.isfinite(converted)):
+        problems.append(f"{name}: must be finite")
+        return None
+    return converted
+
+
+def _axis(name: str, values, problems: list[str]) -> list[float]:
+    """A sweep axis as floats: a non-empty list, strictly positive, sorted ascending."""
+    try:
+        axis = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        axis = None
+    if axis is None or axis.ndim != 1:
+        problems.append(f"{name}: axis must be a list of numbers")
+        return []
+    if not axis.size or not np.all((axis > 0) & (axis < np.inf)):
+        problems.append(f"{name}: axis values must be strictly positive and finite")
+    elif np.any(np.diff(axis) < 0):
+        problems.append(f"{name}: axis must be sorted ascending")
+    return axis.tolist()
+
+
+def _system(doc: Mapping, problems: list[str]) -> SpinSystem | None:
+    try:
+        return system_from_dict(doc["system"])
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        problems.append(f"system: {exc}")
+        return None
+
+
 def parse_config(doc: Mapping) -> ExperimentConfig:
     """Validate a raw config mapping; raises ConfigError listing problems."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError([f"config: expected a JSON object, got {type(doc).__name__}"])
     problems: list[str] = []
     kind = doc.get("kind")
     if kind not in KINDS:
@@ -134,12 +194,7 @@ def parse_config(doc: Mapping) -> ExperimentConfig:
     payload: dict = {}
     if kind in ("cn", "ensemble"):
         _require(doc, ("system", "control", "target"), problems)
-        system = None
-        if "system" in doc:
-            try:
-                system = system_from_dict(doc["system"])
-            except ConfigurationError as exc:
-                problems.append(f"system: {exc}")
+        system = _system(doc, problems) if "system" in doc else None
         if "rabi" not in doc and "exact_2pik" not in doc:
             problems.append("rabi: required field missing (or set exact_2pik)")
         amps_field = "initial_state" if kind == "cn" else "initial_amplitudes"
@@ -152,92 +207,83 @@ def parse_config(doc: Mapping) -> ExperimentConfig:
         initial = None
         if amps_field in doc and dim is not None:
             initial = _pairs_to_complex(doc[amps_field], (dim,), problems, amps_field)
-        if problems:
-            raise ConfigError(problems)
         payload = {
             "system": system,
-            "control": int(doc["control"]),
-            "target": int(doc["target"]),
+            "control": _field(doc, "control", problems, int),
+            "target": _field(doc, "target", problems, int),
             "variant": doc.get("variant", "standard" if kind == "cn" else "complementary"),
-            "rabi": doc.get("rabi"),
-            "exact_2pik": doc.get("exact_2pik"),
-            "phase": float(doc.get("phase", 0.0)),
+            "rabi": _field(doc, "rabi", problems, _float_array),
+            "exact_2pik": _field(doc, "exact_2pik", problems, int),
+            "phase": _field(doc, "phase", problems, default=0.0),
             "initial": initial,
         }
+        if problems:
+            raise ConfigError(problems)
         if kind == "cn":
-            payload["min_fidelity"] = float(doc.get("min_fidelity", 0.99))
+            payload["min_fidelity"] = _field(doc, "min_fidelity", problems, default=0.99)
+            payload["reference"] = None
             if "reference_state" in doc:
                 payload["reference"] = _pairs_to_complex(
                     doc["reference_state"], (system.dim,), problems, "reference_state"
                 )
-            else:
-                payload["reference"] = None
         else:
-            payload["max_abs_deviation"] = float(doc.get("max_abs_deviation", 0.005))
+            payload["max_abs_deviation"] = _field(
+                doc, "max_abs_deviation", problems, default=0.005
+            )
+            payload["reference_active"] = None
             if "reference_active" in doc:
                 payload["reference_active"] = _pairs_to_complex(
                     doc["reference_active"], (4, 4), problems, "reference_active"
                 )
-            else:
-                payload["reference_active"] = None
-            ref_b = doc.get("reference_background_diagonal")
-            payload["reference_background"] = (
-                np.asarray(ref_b, dtype=float) if ref_b is not None else None
+            payload["reference_background"] = _field(
+                doc, "reference_background_diagonal", problems, _float_array
             )
     elif kind == "shor":
         mode = doc.get("mode", "instantaneous")
         if mode not in shor.MODES:
             problems.append(f"mode: must be one of {', '.join(shor.MODES)}")
-        tau1 = float(doc.get("tau1", 0.0))
-        tau2 = float(doc.get("tau2", 0.0))
-        if tau1 < 0 or tau2 < 0:
+        tau1 = _field(doc, "tau1", problems, default=0.0)
+        tau2 = _field(doc, "tau2", problems, default=0.0)
+        if (tau1 is not None and tau1 < 0) or (tau2 is not None and tau2 < 0):
             problems.append("tau1/tau2: delays must be >= 0")
         energies = None
         if doc.get("energies") is not None:
             try:
                 energies = _energies_from_doc(doc["energies"])
-            except ConfigurationError as exc:
+            except (ConfigurationError, TypeError, ValueError) as exc:
                 problems.append(f"energies: {exc}")
         elif mode != "instantaneous":
             problems.append("energies: required for delay modes")
-        if problems:
-            raise ConfigError(problems)
         payload = {
             "mode": mode,
             "delays": (tau1, tau2),
             "energies": energies,
-            "shots": doc.get("shots"),
+            "shots": _field(doc, "shots", problems, int),
         }
+        if payload["shots"] is not None and payload["shots"] < 0:
+            problems.append("shots: must be >= 0")
     elif kind == "design":
-        k = int(doc.get("k", 1))
-        n = int(doc.get("n", 1))
-        if k < 1 or n < 1:
+        k = _field(doc, "k", problems, int, default=1)
+        n = _field(doc, "n", problems, int, default=1)
+        if (k is not None and k < 1) or (n is not None and n < 1):
             problems.append("k/n: must be positive integers")
         if "system" in doc:
             _require(doc, ("control", "target"), problems)
-            system = None
-            try:
-                system = system_from_dict(doc["system"])
-            except ConfigurationError as exc:
-                problems.append(f"system: {exc}")
-            if problems:
-                raise ConfigError(problems)
             payload = {
-                "system": system,
-                "control": int(doc["control"]),
-                "target": int(doc["target"]),
+                "system": _system(doc, problems),
+                "control": _field(doc, "control", problems, int),
+                "target": _field(doc, "target", problems, int),
                 "k": k,
                 "n": n,
             }
         else:
             _require(doc, ("delta_omega",), problems)
-            if problems:
-                raise ConfigError(problems)
-            if float(doc["delta_omega"]) == 0.0:
-                raise ConfigError(["delta_omega: must be nonzero"])
+            delta_omega = _field(doc, "delta_omega", problems)
+            if delta_omega == 0.0:
+                problems.append("delta_omega: must be nonzero")
             payload = {
-                "delta_omega": float(doc["delta_omega"]),
-                "carrier": doc.get("carrier"),
+                "delta_omega": delta_omega,
+                "carrier": _field(doc, "carrier", problems),
                 "k": k,
                 "n": n,
             }
@@ -245,27 +291,23 @@ def parse_config(doc: Mapping) -> ExperimentConfig:
         _require(doc, ("delta_ratios", "j_ratios"), problems)
         if problems:
             raise ConfigError(problems)
-        for name in ("delta_ratios", "j_ratios"):
-            axis = list(doc[name])
-            if not axis or any(v <= 0 for v in axis):
-                problems.append(f"{name}: axis values must be strictly positive")
-            if axis != sorted(axis):
-                problems.append(f"{name}: axis must be sorted ascending")
-        if problems:
-            raise ConfigError(problems)
         payload = {
-            "delta_ratios": [float(v) for v in doc["delta_ratios"]],
-            "j_ratios": [float(v) for v in doc["j_ratios"]],
-            "rabi": float(doc.get("rabi", 0.1)),
-            "base_larmor": float(doc.get("base_larmor", 100.0)),
+            "delta_ratios": _axis("delta_ratios", doc["delta_ratios"], problems),
+            "j_ratios": _axis("j_ratios", doc["j_ratios"], problems),
+            "rabi": _field(doc, "rabi", problems, default=0.1),
+            "base_larmor": _field(doc, "base_larmor", problems, default=100.0),
         }
 
+    output = doc.get("output", {})
+    if not isinstance(output, Mapping):
+        problems.append("output: expected an object with optional path and format")
+        output = {}
+    out, fmt = output.get("path"), output.get("format")
+    if out is not None and not isinstance(out, str):
+        problems.append(f"output.path: expected a string, got {reprlib.repr(out)}")
     if problems:
         raise ConfigError(problems)
-    output = doc.get("output", {})
-    return ExperimentConfig(
-        kind=kind, payload=payload, out=output.get("path"), fmt=output.get("format")
-    )
+    return ExperimentConfig(kind=kind, payload=payload, out=out, fmt=fmt)
 
 
 def _energies_from_doc(doc) -> shor.EnergyTable:
@@ -349,6 +391,12 @@ def _ensemble_csv(r_block: np.ndarray, b_diag: np.ndarray) -> str:
 
 def _run_ensemble(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
     p = cfg.payload
+    summary_path = Path(out).with_suffix(".json") if out is not None and fmt == "csv" else None
+    if summary_path is not None and summary_path == Path(out):
+        raise ConfigError(
+            [f"out: the csv table and its JSON summary would both go to {out}; "
+             "choose another suffix or --format json"]
+        )
     system: SpinSystem = p["system"]
     pulse = _build_gate_pulse(p, system)
     rho = init_deviation(p["initial"])
@@ -393,8 +441,8 @@ def _run_ensemble(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
     else:
         _write_text(table, out)
         summary_text = _json_dumps(summary)
-        if out is not None:
-            Path(out).with_suffix(".json").write_text(summary_text + "\n", encoding="utf-8")
+        if summary_path is not None:
+            summary_path.write_text(summary_text + "\n", encoding="utf-8")
         else:
             sys.stdout.write(summary_text + "\n")
     if code == EXIT_TOLERANCE:
@@ -441,8 +489,8 @@ def _run_shor(
         result["period"] = None
         result["factor"] = None
         result["note"] = str(exc)
-    if p.get("shots"):
-        counts = shor.sample_x(run.x_distribution, int(p["shots"]), seed=seed or 0)
+    if p["shots"]:
+        counts = shor.sample_x(run.x_distribution, p["shots"], seed=seed or 0)
         result["sampled_counts"] = {str(k): v for k, v in sorted(counts.items())}
 
     _write_text(_json_dumps(result), out)
@@ -527,11 +575,11 @@ def run_sweep(
     Axes must be strictly positive and sorted ascending.  Per-cell failures
     are recorded in the row and do not stop the sweep.
     """
-    for name, axis in (("delta_ratios", list(delta_ratios)), ("j_ratios", list(j_ratios))):
-        if not axis or any(v <= 0 for v in axis):
-            raise ConfigError([f"{name}: axis values must be strictly positive"])
-        if axis != sorted(axis):
-            raise ConfigError([f"{name}: axis must be sorted ascending"])
+    problems: list[str] = []
+    delta_ratios = _axis("delta_ratios", delta_ratios, problems)
+    j_ratios = _axis("j_ratios", j_ratios, problems)
+    if problems:
+        raise ConfigError(problems)
     cells = []
     for dr in delta_ratios:
         for jr in j_ratios:
@@ -587,9 +635,12 @@ def run_config(
                 config = json.load(fh)
         cfg = parse_config(config)
     out = out if out is not None else cfg.out
-    fmt = fmt if fmt is not None else (cfg.fmt or _default_format(cfg.kind))
-    if fmt not in ("csv", "json"):
-        raise ConfigError([f"format: must be csv or json (got {fmt!r})"])
+    accepted = FORMATS[cfg.kind]
+    fmt = fmt or cfg.fmt or accepted[0]
+    if fmt not in accepted:
+        raise ConfigError(
+            [f"format: {cfg.kind} output must be {' or '.join(accepted)} (got {fmt!r})"]
+        )
 
     if cfg.kind == "cn":
         return _run_cn(cfg, out, fmt)
@@ -600,10 +651,6 @@ def run_config(
     if cfg.kind == "design":
         return _run_design(cfg, out, fmt)
     return _run_sweep_cmd(cfg, out, fmt)
-
-
-def _default_format(kind: str) -> str:
-    return "csv" if kind in ("ensemble", "sweep") else "json"
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -644,8 +691,8 @@ def _config_from_args(args: argparse.Namespace) -> dict:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if "kind" not in doc:
-            doc["kind"] = _kind_for_command(args.command)
+        if isinstance(doc, dict):
+            doc.setdefault("kind", _kind_for_command(args.command))
         return doc
     if args.command == "run-shor":
         doc: dict = {
@@ -678,11 +725,11 @@ def _kind_for_command(command: str) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        doc = _config_from_args(args)
+        cfg = parse_config(_config_from_args(args))
         expected = _kind_for_command(args.command)
-        if doc.get("kind") != expected:
-            raise ConfigError([f"kind: config is {doc.get('kind')!r}, command needs {expected!r}"])
-        return run_config(doc, out=args.out, fmt=args.fmt, seed=args.seed, trace=args.trace)
+        if cfg.kind != expected:
+            raise ConfigError([f"kind: config is {cfg.kind!r}, command needs {expected!r}"])
+        return run_config(cfg, out=args.out, fmt=args.fmt, seed=args.seed, trace=args.trace)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

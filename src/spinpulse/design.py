@@ -57,6 +57,11 @@ class TwoPiKDesign:
     delta_omega: float
 
     def __post_init__(self):
+        if not (0 < self.rabi < math.inf and 0 < self.duration < math.inf):
+            raise ConfigurationError(
+                f"design needs a finite positive Rabi frequency and duration "
+                f"(got {self.rabi}, {self.duration})"
+            )
         area = self.rabi * self.duration
         if abs(area - math.pi / self.n) > 1e-12 * max(1.0, area):
             raise ConfigurationError("design violates Omega * tau = pi/n")

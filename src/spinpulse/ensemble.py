@@ -32,7 +32,6 @@ BACKGROUND_DIAGONAL = np.array(
     [-0.5, 0.5, 0.5, 0.5, 0.5, -0.5, -0.5, -0.5, -1.0, 0.0, 0.0, 0.0]
 )
 
-HERMITICITY_TOL = 1e-12
 #: relative floor used by deviation_metric for near-zero reference entries
 METRIC_FLOOR = 1e-3
 

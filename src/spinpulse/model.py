@@ -35,14 +35,6 @@ class ConfigurationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def spin_bit(index: int, spin: int, n_spins: int) -> int:
-    """Bit value (0 or 1) of ``spin`` in basis state ``index``.
-
-    Spin 0 is the leftmost qubit and occupies the most significant bit.
-    """
-    return (index >> (n_spins - 1 - spin)) & 1
-
-
 def spin_z_values(n_spins: int) -> np.ndarray:
     """(2^N, N) array of I^z eigenvalues: +1/2 for bit 0, -1/2 for bit 1."""
     dim = 2**n_spins
@@ -212,34 +204,6 @@ def fidelity(a: QuantumState | np.ndarray, b: QuantumState | np.ndarray) -> floa
     return float(abs(np.vdot(va, vb)) ** 2)
 
 
-@dataclass
-class HamiltonianMatrix:
-    """Dense Hermitian matrix with a frame tag.
-
-    frame is ``"lab"`` or ``"rotating"``; a rotating-frame matrix records the
-    carrier it rotates with.
-    """
-
-    entries: np.ndarray
-    frame: str
-    carrier: float = 0.0
-
-    HERMITICITY_TOL = 1e-12
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.frame not in ("lab", "rotating"):
-            raise ConfigurationError(f"unknown frame tag {self.frame!r}")
-        dev = np.max(np.abs(self.entries - self.entries.conj().T))
-        if dev > self.HERMITICITY_TOL:
-            raise ConfigurationError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        self.entries.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonian constructors
 # ---------------------------------------------------------------------------
@@ -250,17 +214,32 @@ def diagonal_energies(system: SpinSystem) -> np.ndarray:
 
     E_n = -sum_k omega_k s_k(n) - 2 sum_{k<m} J_km s_k(n) s_m(n), with
     s = +1/2 for a ground spin and -1/2 for an excited spin.  These are the
-    energies that drive free-evolution phases exp(-i E_n t).
+    energies that drive free-evolution phases exp(-i E_n t).  J is symmetric
+    with zero diagonal, so the pair sum is the full quadratic form s J s.
     """
     s = spin_z_values(system.n_spins)
-    energies = -(s @ system.larmor)
-    for k in range(system.n_spins):
-        for m in range(k + 1, system.n_spins):
-            energies -= 2.0 * system.couplings[k, m] * s[:, k] * s[:, m]
-    return energies
+    return -(s @ system.larmor) - np.einsum("nk,km,nm->n", s, system.couplings, s)
 
 
-def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> HamiltonianMatrix:
+def drive_half(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
+    """(ground, excited) half R of the pulse drive.
+
+    The drive -sum_k Omega_k [cos(a) I^x_k - sin(a) I^y_k] at field angle a
+    equals e^{ia} R + e^{-ia} R^dagger, where R holds -Omega_k/2 at
+    (ground, ground with spin k flipped) for every spin k.  The angle is the
+    phase phi in the rotating frame and w t + phi in the lab frame.
+    """
+    pulse.check_against(system)
+    idx = np.arange(system.dim)
+    r = np.zeros((system.dim, system.dim), dtype=complex)
+    for k, rabi in enumerate(pulse.rabi):
+        mask = 1 << (system.n_spins - 1 - k)
+        ground = idx[(idx & mask) == 0]
+        r[ground, ground | mask] = -0.5 * rabi
+    return r
+
+
+def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
     """Effective Hamiltonian in the frame rotating with the pulse carrier.
 
     H = -sum_k [ (omega_k - omega) I^z_k + Omega_k (cos(phi) I^x_k
@@ -268,29 +247,13 @@ def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> Hamilton
 
     The drive term is time independent here because the lab-frame field is
     circularly polarized; no rotating-wave approximation is involved.  The
-    diagonal carries detunings and Ising shifts only; off-diagonal elements
-    connect single-spin-flip pairs with value -(Omega_k/2) e^{+i phi} on the
-    (ground, excited) side.
+    diagonal is E_n + omega * I^z_total; off-diagonal elements connect
+    single-spin-flip pairs with value -(Omega_k/2) e^{+i phi} on the
+    (ground, excited) side.  Returns a complex Hermitian ndarray.
     """
-    pulse.check_against(system)
-    dim = system.dim
-    s = spin_z_values(system.n_spins)
-    diag = -(s @ (system.larmor - pulse.carrier))
-    for k in range(system.n_spins):
-        for m in range(k + 1, system.n_spins):
-            diag -= 2.0 * system.couplings[k, m] * s[:, k] * s[:, m]
-
-    h = np.diag(diag.astype(complex))
-    drive = -0.5 * np.exp(1j * pulse.phase)
-    idx = np.arange(dim)
-    for k in range(system.n_spins):
-        if pulse.rabi[k] == 0.0:
-            continue
-        mask = 1 << (system.n_spins - 1 - k)
-        ground = idx[(idx & mask) == 0]
-        h[ground, ground | mask] += pulse.rabi[k] * drive
-        h[ground | mask, ground] += pulse.rabi[k] * np.conj(drive)
-    return HamiltonianMatrix(h, frame="rotating", carrier=pulse.carrier)
+    drive = np.exp(1j * pulse.phase) * drive_half(system, pulse)
+    diag = diagonal_energies(system) + pulse.carrier * total_spin_z(system.n_spins)
+    return np.diag(diag) + drive + drive.conj().T
 
 
 def transition_frequency(

@@ -216,8 +216,8 @@ def _stage_matrices(
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; choose one of {MODES}")
     tau1, tau2 = delays
-    if tau1 < 0 or tau2 < 0:
-        raise ConfigurationError("delays must be >= 0")
+    if not (0 <= tau1 < math.inf and 0 <= tau2 < math.inf):
+        raise ConfigurationError(f"delays must be finite and >= 0 (got {tau1}, {tau2})")
     stages = [_superpose_matrix().astype(complex), _oracle_matrix(3, 4).astype(complex), _dft_matrix()]
     if mode == "instantaneous":
         ones = np.ones(DIM)
@@ -229,9 +229,8 @@ def _stage_matrices(
     p2 = np.exp(-1j * e * tau2)
     if mode == "natural-phase":
         # dress each stage at its application time: U -> D(t) U D(t)^+
-        d1 = np.exp(-1j * e * tau1)
-        d2 = np.exp(-1j * e * (tau1 + tau2))
-        stages[1] = d1[:, None] * stages[1] * d1.conj()[None, :]
+        d2 = p1 * p2
+        stages[1] = p1[:, None] * stages[1] * p1.conj()[None, :]
         stages[2] = d2[:, None] * stages[2] * d2.conj()[None, :]
     return stages, [p1, p2]
 

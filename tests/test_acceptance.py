@@ -232,7 +232,7 @@ def test_criterion_7_invariant_suite(rng):
             rabi=rng.uniform(0, 1, size=3),
             duration=1.0,
         )
-        h = build_rotating_hamiltonian(system, pulse).entries
+        h = build_rotating_hamiltonian(system, pulse)
         checks.append(np.max(np.abs(h - h.conj().T)) < 1e-12)
     # trace conservation of ensemble evolution (200 cases)
     ensemble_system = SpinSystem.uniform([100.0, 200.0, 300.0, 400.0], 10.0)

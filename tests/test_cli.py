@@ -3,6 +3,7 @@ exit codes, and sweep determinism."""
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from spinpulse.cli import (
 )
 
 from conftest import GATE_FINAL, GATE_INITIAL
+
+SWEEP_CONFIG = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "sweep.json")
 
 
 def pairs(values):
@@ -157,6 +160,15 @@ class TestRunEnsemble:
         )
         assert code == EXIT_TOLERANCE
 
+    def test_csv_table_and_summary_on_one_path_rejected(self, tmp_path, capsys):
+        config = tmp_path / "ensemble_config.json"
+        config.write_text(json.dumps(ensemble_config()))
+        out = tmp_path / "x.json"
+        code = main(["run-ensemble", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "config error: out:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_format_single_document(self, tmp_path):
         out = tmp_path / "ensemble.json"
         code = run_config(ensemble_config(), out=str(out), fmt="json")
@@ -272,6 +284,28 @@ class TestMainEntryPoint:
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({"kind": "sweep", "delta_ratios": [1.0], "j_ratios": [1.0]}))
         assert main(["run-cn", "--config", str(config)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "argv, doc, field",
+        [
+            (["run-shor"], {"kind": "shor", "tau1": "abc"}, "tau1"),
+            (["run-shor"], {"kind": "shor", "tau1": float("nan")}, "tau1"),
+            (["run-shor"], {"kind": "shor", "output": 5}, "output"),
+            (["run-shor"], [{"kind": "shor"}], "config"),
+            (["sweep"], {"kind": "sweep", "delta_ratios": [1.0, "x"], "j_ratios": [1.0]}, "delta_ratios"),
+            (["run-shor", "--tau1", "nan"], None, "tau1"),
+            (["run-shor", "--format", "csv"], None, "format"),
+            (["design-pulse", "--delta-omega", "2", "--format", "csv"], None, "format"),
+            (["sweep", "--config", SWEEP_CONFIG, "--format", "json"], None, "format"),
+        ],
+    )
+    def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, argv, doc, field):
+        if doc is not None:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(doc))
+            argv = argv + ["--config", str(config)]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"config error: {field}:" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["run-cn", "--config", "/nonexistent.json"]) == EXIT_VALIDATION

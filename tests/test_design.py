@@ -78,6 +78,12 @@ class TestDesign2pik:
         with pytest.raises(ConfigurationError, match="detuning"):
             design_2pik(0.0)
 
+    @pytest.mark.parametrize("delta_omega", [1e-320, np.inf, np.nan])
+    def test_non_finite_design_rejected(self, delta_omega):
+        # 1e-320 gives a denormal Rabi frequency and an infinite duration
+        with pytest.raises(ConfigurationError, match="finite"):
+            design_2pik(delta_omega)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2])
     def test_detuned_spin_returns_home(self, k, n):

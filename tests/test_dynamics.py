@@ -25,7 +25,13 @@ from spinpulse import (
     to_interaction_picture,
 )
 
-from conftest import GATE_FINAL, GATE_INITIAL, random_state, random_system
+from conftest import (
+    GATE_FINAL,
+    GATE_INITIAL,
+    kron_rotating_hamiltonian,
+    random_state,
+    random_system,
+)
 
 
 def integrate_two_level(c0, e_k, e_n, rabi, phase, t_start, duration, n_steps=20000):
@@ -295,19 +301,39 @@ class TestLabHamiltonian:
         from spinpulse import lab_hamiltonian
 
         h = lab_hamiltonian(gate_system, gate_pulse, t=0.37)
-        assert h.frame == "lab"
         np.testing.assert_allclose(
-            np.real(np.diag(h.entries)), diagonal_energies(gate_system), atol=1e-15
+            np.real(np.diag(h)), diagonal_energies(gate_system), atol=1e-15
         )
 
     def test_driven_pair_element_rotates_with_carrier(self, gate_system, gate_pulse):
         from spinpulse import lab_hamiltonian
 
         t = 1.234
-        h = lab_hamiltonian(gate_system, gate_pulse, t).entries
+        h = lab_hamiltonian(gate_system, gate_pulse, t)
         # (ground, excited) element of the target spin: -(Omega/2) e^{+i(wt+phi)}
         expected = -0.05 * np.exp(1j * (gate_pulse.carrier * t + gate_pulse.phase))
         assert h[2, 3] == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_kron_oracle(self, rng):
+        from spinpulse import lab_hamiltonian
+
+        # the lab Hamiltonian at time t is the rotating one of a zero carrier
+        # with the field held at angle w t + phi
+        for n_spins in (1, 2, 3):
+            system = random_system(rng, n_spins)
+            pulse = PulseSpec(
+                carrier=rng.uniform(0, 150),
+                phase=rng.uniform(0, 2 * np.pi),
+                rabi=rng.uniform(0, 1, size=n_spins),
+                duration=1.0,
+            )
+            t = rng.uniform(0, 10)
+            held = PulseSpec(0.0, pulse.carrier * t + pulse.phase, pulse.rabi, 1.0)
+            np.testing.assert_allclose(
+                lab_hamiltonian(system, pulse, t),
+                kron_rotating_hamiltonian(system, held),
+                atol=1e-12,
+            )
 
 
 class TestInteractionPicture:

@@ -211,6 +211,12 @@ class TestRunShor:
         with pytest.raises(ConfigurationError, match="mode"):
             run_shor("adiabatic")
 
+    @pytest.mark.parametrize("mode", ["bare-delay", "natural-phase"])
+    @pytest.mark.parametrize("delays", [(np.nan, 1.0), (1.0, np.inf)])
+    def test_non_finite_delays_rejected(self, mode, delays):
+        with pytest.raises(ConfigurationError, match="finite"):
+            run_shor(mode, delays=delays, energies=EnergyTable.zeros())
+
 
 class TestEnergyTable:
     def test_from_spin_system(self, ensemble_system):
