@@ -734,8 +734,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        # a config, energies or --out path that is missing, a directory or not permitted
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -87,6 +87,11 @@ def design_2pik(delta_omega: float, k: int = 1, n: int = 1) -> TwoPiKDesign:
         raise ConfigurationError("k and n must be positive integers")
     delta = abs(float(delta_omega))
     rabi = delta / math.sqrt((2.0 * n * k) ** 2 - 1.0)
+    if rabi == 0.0:
+        raise ConfigurationError(
+            f"design needs a positive Rabi frequency: |delta_omega| = {delta} "
+            f"with k = {k}, n = {n} underflows it to 0"
+        )
     return TwoPiKDesign(
         rabi=rabi, duration=math.pi / (n * rabi), k=int(k), n=int(n), delta_omega=delta
     )

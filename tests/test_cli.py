@@ -310,6 +310,23 @@ class TestMainEntryPoint:
     def test_missing_config_file(self, capsys):
         assert main(["run-cn", "--config", "/nonexistent.json"]) == EXIT_VALIDATION
 
+    def test_underflowing_design_exits_2(self, capsys):
+        code = main(["design-pulse", "--delta-omega", "1e-320", "--k", "100000"])
+        assert code == EXIT_VALIDATION
+        assert "config error: design needs a positive Rabi frequency" in capsys.readouterr().err
+
+    def test_out_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["run-shor", "--out", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "cn.json"
+        config.write_bytes(b'{"kind": "cn", "\xd0\x00"}')
+        assert main(["run-cn", "--config", str(config)]) == EXIT_VALIDATION
+        assert "config error:" in capsys.readouterr().err
+
     def test_run_shor_flags(self, tmp_path):
         out = tmp_path / "out.json"
         code = main(["run-shor", "--mode", "instantaneous", "--out", str(out)])

@@ -84,6 +84,11 @@ class TestDesign2pik:
         with pytest.raises(ConfigurationError, match="finite"):
             design_2pik(delta_omega)
 
+    def test_underflowing_rabi_rejected(self):
+        # 1e-320 / sqrt(4e10 - 1) is below the smallest denormal, so Omega = 0
+        with pytest.raises(ConfigurationError, match="underflows"):
+            design_2pik(1e-320, k=100000)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2])
     def test_detuned_spin_returns_home(self, k, n):

@@ -4,8 +4,12 @@ lab-frame integrator.
 The closed-form two-level solution is checked against a bespoke RK4
 integration of the driven two-level equations written here in the test (the
 library integrator is not reused for that oracle).  The full-system
-integrator and the exact rotating-frame route check each other.
+integrator and the exact rotating-frame route check each other, and the
+library's block-batched RK4 is pinned to a step-by-step RK4 loop kept here.
 """
+
+import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +26,11 @@ from spinpulse import (
     evolve_pulse,
     fidelity,
     integrate_lab_frame,
+    lab_frame_propagator,
     to_interaction_picture,
 )
+from spinpulse.dynamics import _rk4_propagator
+from spinpulse.model import drive_half
 
 from conftest import (
     GATE_FINAL,
@@ -249,6 +256,63 @@ class TestIntegrateLabFrame:
     def test_default_step_norm_drift(self, gate_system, gate_pulse):
         out = integrate_lab_frame(QuantumState(GATE_INITIAL), gate_system, gate_pulse)
         assert abs(out.norm - 1.0) < 1e-6
+
+
+def rk4_step_loop(diag, half, carrier, phase, t0, span, n_steps):
+    """Reference: the RK4 propagator stepped one step at a time."""
+    y = np.eye(len(diag), dtype=complex)
+    h = span / n_steps
+    d_col = -1j * diag[:, None]
+    up = -1j * half
+    down = -1j * half.conj().T
+
+    def rhs(t, m):
+        c = cmath.exp(1j * (carrier * t + phase))
+        return d_col * m + c * (up @ m) + c.conjugate() * (down @ m)
+
+    t = t0
+    for _ in range(n_steps):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return y
+
+
+class TestRK4Propagator:
+    @pytest.mark.parametrize("n_steps", [1, 31, 32, 33, 67])
+    def test_matches_step_loop(self, gate_system, ensemble_system, rng, n_steps):
+        # block edges at 32 steps, and 67 = 2 * 32 + 3 has odd tree levels
+        for system in (gate_system, ensemble_system):
+            energies = diagonal_energies(system)
+            pulse = PulseSpec(
+                carrier=rng.uniform(50, 150),
+                phase=rng.uniform(0, 2 * np.pi),
+                rabi=rng.uniform(0.05, 0.5, size=system.n_spins),
+                duration=1.0,
+            )
+            half = drive_half(system, pulse)
+            step = 2 * np.pi / np.max(np.abs(energies)) / 400
+            args = (energies, half, pulse.carrier, pulse.phase, rng.uniform(0, 20))
+            blocked = _rk4_propagator(*args, n_steps * step, n_steps)
+            looped = rk4_step_loop(*args, n_steps * step, n_steps)
+            assert np.max(np.abs(blocked - looped)) <= 1e-12
+
+    def test_long_pulse_memory_is_bounded(self, ensemble_system):
+        # a pulse shorter than one carrier period is stepped straight through:
+        # 6000 steps on 16 x 16 matrices, where a stack of every step's
+        # matrices would take over 20 MB per array
+        tau = 0.9 * 2 * np.pi / 75.0
+        pulse = PulseSpec(carrier=75.0, phase=0.2, rabi=[0.1] * 4, duration=tau)
+        tracemalloc.start()
+        try:
+            lab_frame_propagator(ensemble_system, pulse, step=tau / 6000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFrameConsistency:
