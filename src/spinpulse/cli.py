@@ -23,11 +23,13 @@ import csv
 import io
 import json
 import math
+import numbers
 import reprlib
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,15 +59,8 @@ EXIT_TOLERANCE = 3
 #: test superposition used by the sweep cells
 SWEEP_INITIAL = (math.sqrt(0.3), math.sqrt(0.2), 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(6.0))
 
-#: output formats each kind accepts; the first is its default
-FORMATS = {
-    "cn": ("json", "csv"),
-    "ensemble": ("csv", "json"),
-    "shor": ("json",),
-    "design": ("json",),
-    "sweep": ("csv",),
-}
-KINDS = tuple(FORMATS)
+#: default of a field that every config of its kind must set
+REQUIRED = object()
 
 
 class ConfigError(ConfigurationError):
@@ -98,17 +93,6 @@ def _complex_pairs(values) -> list:
     return [_complex_pairs(row) for row in arr]
 
 
-def _pairs_to_complex(doc, shape, problems: list[str], field: str) -> np.ndarray | None:
-    try:
-        arr = np.asarray(doc, dtype=float)
-        if arr.shape != shape + (2,):
-            raise ValueError
-        return arr[..., 0] + 1j * arr[..., 1]
-    except (ValueError, TypeError):
-        problems.append(f"{field}: expected [re, im] pairs of shape {shape}")
-        return None
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -122,195 +106,86 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ConfigurationError(f"{path}: JSON nested too deeply") from None
+
+
 # ---------------------------------------------------------------------------
-# config validation
+# config fields: converters take a JSON value and return the payload value or
+# raise ValueError; checks run once every field of a document has converted
 # ---------------------------------------------------------------------------
 
 
-def _require(doc: Mapping, fields: Sequence[str], problems: list[str]) -> None:
-    for name in fields:
-        if name not in doc:
-            problems.append(f"{name}: required field missing")
+def _real(value, low: float = -math.inf, above: bool = False) -> float:
+    """A finite number >= low (> low if ``above``); bools and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {reprlib.repr(value)}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    if value < low or above and value == low:
+        raise ValueError(f"must be {'>' if above else '>='} {low:g}")
+    return value
 
 
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+def _integer(value, low: int = 0) -> int:
+    """An integer from low to 2**63 - 1; a fraction, bool or string is rejected."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {reprlib.repr(value)}")
+    if not low <= value < 2**63:
+        raise ValueError(f"must be an integer from {low} to 2**63 - 1")
+    return int(value)
 
 
-def _field(doc: Mapping, name: str, problems: list[str], convert=float, default=None):
-    """``convert(doc[name])``, or of ``default`` when the field is absent.
-
-    A value that does not convert, or converts to a non-finite number, is
-    recorded as a problem naming the field and gives None; so does an absent
-    field without a default.
-    """
-    value = doc.get(name, default)
-    if value is None:
-        return None
-    try:
-        converted = convert(value)
-    except (TypeError, ValueError, OverflowError):
-        problems.append(f"{name}: expected numeric value(s), got {reprlib.repr(value)}")
-        return None
-    if not np.all(np.isfinite(converted)):
-        problems.append(f"{name}: must be finite")
-        return None
-    return converted
+def _choice(value, choices: Sequence[str]) -> str:
+    if value not in choices:
+        raise ValueError(f"must be one of {', '.join(choices)} (got {reprlib.repr(value)})")
+    return value
 
 
-def _axis(name: str, values, problems: list[str]) -> list[float]:
+def _reals(value) -> np.ndarray:
+    """A finite float array of any shape, built from numbers only."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"expected numeric value(s), got {reprlib.repr(value)}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("must be finite")
+    return arr
+
+
+def _pairs(value) -> np.ndarray:
+    """[re, im] pairs, innermost, as a complex array."""
+    arr = _reals(value)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ValueError("expected [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _state(value) -> np.ndarray:
+    """[re, im] pairs of a normalized state vector."""
+    return QuantumState(_pairs(value)).amplitudes
+
+
+def _axis(values) -> list[float]:
     """A sweep axis as floats: a non-empty list, strictly positive, sorted ascending."""
-    try:
-        axis = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        axis = None
-    if axis is None or axis.ndim != 1:
-        problems.append(f"{name}: axis must be a list of numbers")
-        return []
-    if not axis.size or not np.all((axis > 0) & (axis < np.inf)):
-        problems.append(f"{name}: axis values must be strictly positive and finite")
-    elif np.any(np.diff(axis) < 0):
-        problems.append(f"{name}: axis must be sorted ascending")
+    axis = _reals(values)
+    if axis.ndim != 1:
+        raise ValueError("axis must be a list of numbers")
+    if not axis.size or not np.all(axis > 0):
+        raise ValueError("axis values must be strictly positive and finite")
+    if np.any(np.diff(axis) < 0):
+        raise ValueError("axis must be sorted ascending")
     return axis.tolist()
 
 
-def _system(doc: Mapping, problems: list[str]) -> SpinSystem | None:
-    try:
-        return system_from_dict(doc["system"])
-    except (ConfigurationError, TypeError, ValueError) as exc:
-        problems.append(f"system: {exc}")
-        return None
-
-
-def parse_config(doc: Mapping) -> ExperimentConfig:
-    """Validate a raw config mapping; raises ConfigError listing problems."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError([f"config: expected a JSON object, got {type(doc).__name__}"])
-    problems: list[str] = []
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        raise ConfigError([f"kind: must be one of {', '.join(KINDS)} (got {kind!r})"])
-
-    payload: dict = {}
-    if kind in ("cn", "ensemble"):
-        _require(doc, ("system", "control", "target"), problems)
-        system = _system(doc, problems) if "system" in doc else None
-        if "rabi" not in doc and "exact_2pik" not in doc:
-            problems.append("rabi: required field missing (or set exact_2pik)")
-        amps_field = "initial_state" if kind == "cn" else "initial_amplitudes"
-        _require(doc, (amps_field,), problems)
-        dim = None
-        if system is not None:
-            dim = 4 if kind == "ensemble" else system.dim
-            if kind == "ensemble" and system.n_spins != 4:
-                problems.append("system: ensemble runs need a 4-spin system")
-        initial = None
-        if amps_field in doc and dim is not None:
-            initial = _pairs_to_complex(doc[amps_field], (dim,), problems, amps_field)
-        payload = {
-            "system": system,
-            "control": _field(doc, "control", problems, int),
-            "target": _field(doc, "target", problems, int),
-            "variant": doc.get("variant", "standard" if kind == "cn" else "complementary"),
-            "rabi": _field(doc, "rabi", problems, _float_array),
-            "exact_2pik": _field(doc, "exact_2pik", problems, int),
-            "phase": _field(doc, "phase", problems, default=0.0),
-            "initial": initial,
-        }
-        if problems:
-            raise ConfigError(problems)
-        if kind == "cn":
-            payload["min_fidelity"] = _field(doc, "min_fidelity", problems, default=0.99)
-            payload["reference"] = None
-            if "reference_state" in doc:
-                payload["reference"] = _pairs_to_complex(
-                    doc["reference_state"], (system.dim,), problems, "reference_state"
-                )
-        else:
-            payload["max_abs_deviation"] = _field(
-                doc, "max_abs_deviation", problems, default=0.005
-            )
-            payload["reference_active"] = None
-            if "reference_active" in doc:
-                payload["reference_active"] = _pairs_to_complex(
-                    doc["reference_active"], (4, 4), problems, "reference_active"
-                )
-            payload["reference_background"] = _field(
-                doc, "reference_background_diagonal", problems, _float_array
-            )
-    elif kind == "shor":
-        mode = doc.get("mode", "instantaneous")
-        if mode not in shor.MODES:
-            problems.append(f"mode: must be one of {', '.join(shor.MODES)}")
-        tau1 = _field(doc, "tau1", problems, default=0.0)
-        tau2 = _field(doc, "tau2", problems, default=0.0)
-        if (tau1 is not None and tau1 < 0) or (tau2 is not None and tau2 < 0):
-            problems.append("tau1/tau2: delays must be >= 0")
-        energies = None
-        if doc.get("energies") is not None:
-            try:
-                energies = _energies_from_doc(doc["energies"])
-            except (ConfigurationError, TypeError, ValueError) as exc:
-                problems.append(f"energies: {exc}")
-        elif mode != "instantaneous":
-            problems.append("energies: required for delay modes")
-        payload = {
-            "mode": mode,
-            "delays": (tau1, tau2),
-            "energies": energies,
-            "shots": _field(doc, "shots", problems, int),
-        }
-        if payload["shots"] is not None and payload["shots"] < 0:
-            problems.append("shots: must be >= 0")
-    elif kind == "design":
-        k = _field(doc, "k", problems, int, default=1)
-        n = _field(doc, "n", problems, int, default=1)
-        if (k is not None and k < 1) or (n is not None and n < 1):
-            problems.append("k/n: must be positive integers")
-        if "system" in doc:
-            _require(doc, ("control", "target"), problems)
-            payload = {
-                "system": _system(doc, problems),
-                "control": _field(doc, "control", problems, int),
-                "target": _field(doc, "target", problems, int),
-                "k": k,
-                "n": n,
-            }
-        else:
-            _require(doc, ("delta_omega",), problems)
-            delta_omega = _field(doc, "delta_omega", problems)
-            if delta_omega == 0.0:
-                problems.append("delta_omega: must be nonzero")
-            payload = {
-                "delta_omega": delta_omega,
-                "carrier": _field(doc, "carrier", problems),
-                "k": k,
-                "n": n,
-            }
-    elif kind == "sweep":
-        _require(doc, ("delta_ratios", "j_ratios"), problems)
-        if problems:
-            raise ConfigError(problems)
-        payload = {
-            "delta_ratios": _axis("delta_ratios", doc["delta_ratios"], problems),
-            "j_ratios": _axis("j_ratios", doc["j_ratios"], problems),
-            "rabi": _field(doc, "rabi", problems, default=0.1),
-            "base_larmor": _field(doc, "base_larmor", problems, default=100.0),
-        }
-
-    output = doc.get("output", {})
-    if not isinstance(output, Mapping):
-        problems.append("output: expected an object with optional path and format")
-        output = {}
-    out, fmt = output.get("path"), output.get("format")
-    if out is not None and not isinstance(out, str):
-        problems.append(f"output.path: expected a string, got {reprlib.repr(out)}")
-    if problems:
-        raise ConfigError(problems)
-    return ExperimentConfig(kind=kind, payload=payload, out=out, fmt=fmt)
-
-
-def _energies_from_doc(doc) -> shor.EnergyTable:
+def _energies(doc) -> shor.EnergyTable:
     if isinstance(doc, Mapping) and "table" in doc:
         return shor.EnergyTable.from_xy_table(doc["table"])
     if isinstance(doc, Mapping) and "n_spins" in doc:
@@ -318,29 +193,61 @@ def _energies_from_doc(doc) -> shor.EnergyTable:
     raise ConfigurationError("expected {'table': 4x4} or a 4-spin system document")
 
 
+def _check_gate(p: dict, problems: list[str], **shapes: tuple) -> None:
+    if p["rabi"] is None and p["exact_2pik"] is None:
+        problems.append("rabi: required field missing (or set exact_2pik)")
+    shapes["rabi"] = (p["system"].n_spins,)
+    problems += [
+        f"{name}: expected shape {shape}, got {p[name].shape}"
+        for name, shape in shapes.items()
+        if p[name] is not None and p[name].shape != shape
+    ]
+
+
+def _check_cn(p: dict, problems: list[str]) -> None:
+    dim = (p["system"].dim,)
+    _check_gate(p, problems, initial_state=dim, reference_state=dim)
+
+
+def _check_ensemble(p: dict, problems: list[str]) -> None:
+    if p["system"].n_spins != 4:
+        problems.append("system: ensemble runs need a 4-spin system")
+    else:
+        _check_gate(p, problems, initial_amplitudes=(4,), reference_active=(4, 4),
+                    reference_background_diagonal=BACKGROUND_DIAGONAL.shape)
+
+
+def _check_shor(p: dict, problems: list[str]) -> None:
+    if p["energies"] is None and p["mode"] != "instantaneous":
+        problems.append("energies: required for delay modes")
+
+
+def _check_design(p: dict, problems: list[str]) -> None:
+    """Either a system with control and target, or a nonzero delta_omega (and a carrier)."""
+    on_system = p["system"] is not None
+    for name in ("control", "target") if on_system else ("delta_omega",):
+        if p[name] is None:
+            problems.append(f"{name}: required field missing")
+    for name in ("delta_omega", "carrier") if on_system else ("control", "target"):
+        if p[name] is not None:
+            problems.append(f"{name}: not used {'with' if on_system else 'without'} system")
+    if p["delta_omega"] == 0.0:
+        problems.append("delta_omega: must be nonzero")
+
+
 # ---------------------------------------------------------------------------
-# runners
+# runners: each takes a validated payload, the output path and the format
 # ---------------------------------------------------------------------------
 
 
-def _build_gate_pulse(payload: Mapping, system: SpinSystem) -> PulseSpec:
-    return cn_pulse(
-        system,
-        control=payload["control"],
-        target=payload["target"],
-        variant=payload["variant"],
-        rabi=payload["rabi"],
-        exact_2pik=payload["exact_2pik"],
-        phase=payload["phase"],
-    )
+def _gate_pulse(p: Mapping) -> PulseSpec:
+    return cn_pulse(variant=p["variant"], **{name: p[name] for name in _GATE_FIELDS})
 
 
-def _run_cn(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
-    p = cfg.payload
+def _run_cn(p: dict, out: str | None, fmt: str) -> int:
     system: SpinSystem = p["system"]
-    pulse = _build_gate_pulse(p, system)
-    state = QuantumState(p["initial"])
-    final = evolve_pulse(state, system, pulse)
+    pulse = _gate_pulse(p)
+    final = evolve_pulse(QuantumState(p["initial_state"]), system, pulse)
     final_int = to_interaction_picture(final, system, pulse.duration)
 
     result = {
@@ -350,8 +257,8 @@ def _run_cn(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
         "final_amplitudes": _complex_pairs(final_int.amplitudes),
     }
     code = EXIT_OK
-    if p["reference"] is not None:
-        fid = fidelity(final_int, QuantumState(p["reference"]))
+    if p["reference_state"] is not None:
+        fid = fidelity(final_int, QuantumState(p["reference_state"]))
         result["fidelity"] = fid
         result["min_fidelity"] = p["min_fidelity"]
         result["passed"] = fid >= p["min_fidelity"]
@@ -389,8 +296,7 @@ def _ensemble_csv(r_block: np.ndarray, b_diag: np.ndarray) -> str:
     return buf.getvalue()
 
 
-def _run_ensemble(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
-    p = cfg.payload
+def _run_ensemble(p: dict, out: str | None, fmt: str) -> int:
     summary_path = Path(out).with_suffix(".json") if out is not None and fmt == "csv" else None
     if summary_path is not None and summary_path == Path(out):
         raise ConfigError(
@@ -398,8 +304,8 @@ def _run_ensemble(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
              "choose another suffix or --format json"]
         )
     system: SpinSystem = p["system"]
-    pulse = _build_gate_pulse(p, system)
-    rho = init_deviation(p["initial"])
+    pulse = _gate_pulse(p)
+    rho = init_deviation(p["initial_amplitudes"])
     evolved = evolve_deviation(rho, system, pulse)
     evolved_int = density_to_interaction_picture(evolved, system, pulse.duration)
     r_block = evolved_int.active_block
@@ -413,13 +319,8 @@ def _run_ensemble(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
     }
     code = EXIT_OK
     if p["reference_active"] is not None:
-        ref_b = (
-            p["reference_background"]
-            if p["reference_background"] is not None
-            else BACKGROUND_DIAGONAL
-        )
         max_abs = float(np.max(np.abs(r_block - p["reference_active"])))
-        max_abs_b = float(np.max(np.abs(b_diag - ref_b)))
+        max_abs_b = float(np.max(np.abs(b_diag - p["reference_background_diagonal"])))
         summary["max_abs_deviation"] = max_abs
         summary["max_abs_deviation_background"] = max_abs_b
         summary["relative_deviation_metric"] = deviation_metric(
@@ -466,10 +367,9 @@ def _trace_csv(trace: shor.ShorTrace) -> str:
 
 
 def _run_shor(
-    cfg: ExperimentConfig, out: str | None, fmt: str, seed: int | None, trace: bool
+    p: dict, out: str | None, fmt: str, seed: int | None = None, trace: bool = False
 ) -> int:
-    p = cfg.payload
-    run = shor.run_shor(p["mode"], delays=p["delays"], energies=p["energies"], trace=trace)
+    run = shor.run_shor(p["mode"], (p["tau1"], p["tau2"]), p["energies"], trace=trace)
     result: dict = {
         "kind": "shor",
         "mode": run.mode,
@@ -503,10 +403,9 @@ def _run_shor(
     return EXIT_OK
 
 
-def _run_design(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
-    p = cfg.payload
-    if "system" in p:
-        system: SpinSystem = p["system"]
+def _run_design(p: dict, out: str | None, fmt: str) -> int:
+    system: SpinSystem | None = p["system"]
+    if system is not None:
         pulse = cn_pulse(
             system, p["control"], p["target"], variant="standard", exact_2pik=p["k"]
         )
@@ -515,7 +414,7 @@ def _run_design(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
         carrier = pulse.carrier
     else:
         design = design_2pik(p["delta_omega"], k=p["k"], n=p["n"])
-        carrier = p.get("carrier")
+        carrier = p["carrier"]
     doc = {
         "omega": carrier,
         "rabi": design.rabi,
@@ -564,6 +463,18 @@ def sweep_cell_deviation(
     return deviation_metric(run(True), run(False))
 
 
+def _sweep_cells(p: Mapping) -> list[SweepCell]:
+    cells = []
+    for dr in p["delta_ratios"]:
+        for jr in p["j_ratios"]:
+            try:
+                deviation = sweep_cell_deviation(dr, jr, p["rabi"], p["base_larmor"])
+                cells.append(SweepCell(dr, jr, deviation))
+            except Exception as exc:  # per-cell isolation
+                cells.append(SweepCell(dr, jr, None, error=str(exc)))
+    return cells
+
+
 def run_sweep(
     delta_ratios: Sequence[float],
     j_ratios: Sequence[float],
@@ -572,23 +483,13 @@ def run_sweep(
 ) -> list[SweepCell]:
     """Evaluate every grid cell; cells are independent and order-insensitive.
 
-    Axes must be strictly positive and sorted ascending.  Per-cell failures
-    are recorded in the row and do not stop the sweep.
+    The arguments are checked as a ``sweep`` config's fields (axes strictly
+    positive and sorted ascending, rabi > 0).  Per-cell failures are recorded
+    in the row and do not stop the sweep.
     """
-    problems: list[str] = []
-    delta_ratios = _axis("delta_ratios", delta_ratios, problems)
-    j_ratios = _axis("j_ratios", j_ratios, problems)
-    if problems:
-        raise ConfigError(problems)
-    cells = []
-    for dr in delta_ratios:
-        for jr in j_ratios:
-            try:
-                deviation = sweep_cell_deviation(dr, jr, rabi=rabi, base_larmor=base_larmor)
-                cells.append(SweepCell(dr, jr, deviation))
-            except Exception as exc:  # per-cell isolation
-                cells.append(SweepCell(dr, jr, None, error=str(exc)))
-    return cells
+    doc = {"kind": "sweep", "delta_ratios": delta_ratios, "j_ratios": j_ratios,
+           "rabi": rabi, "base_larmor": base_larmor}
+    return _sweep_cells(parse_config(doc).payload)
 
 
 def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
@@ -601,18 +502,147 @@ def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
     return buf.getvalue()
 
 
-def _run_sweep_cmd(cfg: ExperimentConfig, out: str | None, fmt: str) -> int:
-    p = cfg.payload
-    cells = run_sweep(
-        p["delta_ratios"], p["j_ratios"], rabi=p["rabi"], base_larmor=p["base_larmor"]
-    )
-    _write_text(sweep_to_csv(cells), out)
+def _run_sweep_cmd(p: dict, out: str | None, fmt: str) -> int:
+    _write_text(sweep_to_csv(_sweep_cells(p)), out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the kind table, dispatch and the command line
 # ---------------------------------------------------------------------------
+
+
+def _seed(text: str) -> int:
+    try:
+        return _integer(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+class Kind(NamedTuple):
+    """Everything the CLI knows about one config kind."""
+
+    command: str
+    formats: tuple[str, ...]  # default first
+    runner: Callable[..., int]  # (payload, out, fmt, **options) -> exit code
+    check: Callable[[dict, list[str]], None] | None  # cross-field check
+    fields: Mapping[str, tuple[Callable, object]]  # name -> (converter, default or REQUIRED)
+    flags: tuple[str, ...] = ()  # fields that are also flags, which win over --config
+    options: Mapping[str, dict] = {}  # run option -> its argparse settings; the runner takes it
+
+
+_POSITIVE = partial(_integer, low=1)
+#: the fields a gate config shares, named as cn_pulse's parameters
+_GATE_FIELDS = {
+    "system": (system_from_dict, REQUIRED),
+    "control": (_integer, REQUIRED),
+    "target": (_integer, REQUIRED),
+    "rabi": (_reals, None),
+    "exact_2pik": (_POSITIVE, None),
+    "phase": (_real, 0.0),
+}
+_VARIANT = partial(_choice, choices=("standard", "complementary"))
+_DELAY = partial(_real, low=0.0)
+
+#: one entry per config kind: validation, defaults, dispatch and the parser read it
+KIND_TABLE: dict[str, Kind] = {
+    "cn": Kind("run-cn", ("json", "csv"), _run_cn, _check_cn, {
+        **_GATE_FIELDS,
+        "variant": (_VARIANT, "standard"),
+        "initial_state": (_state, REQUIRED),
+        "reference_state": (_state, None),
+        "min_fidelity": (_real, 0.99),
+    }),
+    "ensemble": Kind("run-ensemble", ("csv", "json"), _run_ensemble, _check_ensemble, {
+        **_GATE_FIELDS,
+        "variant": (_VARIANT, "complementary"),
+        "initial_amplitudes": (_state, REQUIRED),
+        "reference_active": (_pairs, None),
+        "reference_background_diagonal": (_reals, BACKGROUND_DIAGONAL),
+        "max_abs_deviation": (_real, 0.005),
+    }),
+    "shor": Kind("run-shor", ("json",), _run_shor, _check_shor, {
+        "mode": (partial(_choice, choices=shor.MODES), "instantaneous"),
+        "tau1": (_DELAY, 0.0),
+        "tau2": (_DELAY, 0.0),
+        "energies": (_energies, None),
+        "shots": (_integer, 0),
+    }, flags=("mode", "tau1", "tau2", "energies", "shots"), options={
+        "seed": {"type": _seed, "help": "seed for the --shots sampling (default 0)"},
+        "trace": {"action": "store_true", "help": "also write the path-trace table"},
+    }),
+    "design": Kind("design-pulse", ("json",), _run_design, _check_design, {
+        "system": (system_from_dict, None),
+        "control": (_integer, None),
+        "target": (_integer, None),
+        "delta_omega": (_real, None),
+        "carrier": (_real, None),
+        "k": (_POSITIVE, 1),
+        "n": (_POSITIVE, 1),
+    }, flags=("delta_omega", "k", "n")),
+    "sweep": Kind("sweep", ("csv",), _run_sweep_cmd, None, {
+        "delta_ratios": (_axis, REQUIRED),
+        "j_ratios": (_axis, REQUIRED),
+        "rabi": (partial(_real, low=0.0, above=True), 0.1),
+        "base_larmor": (_real, 100.0),
+    }),
+}
+#: flags that name a JSON file holding the field's value
+_FILE_FLAGS = ("energies",)
+
+
+def _output(value, problems: list[str]) -> tuple[str | None, object]:
+    if not isinstance(value, Mapping):
+        problems.append("output: expected an object with optional path and format")
+        return None, None
+    problems += [
+        f"output.{name}: unknown field" for name in value if name not in ("path", "format")
+    ]
+    out = value.get("path")
+    if out is not None and not isinstance(out, str):
+        problems.append(f"output.path: expected a string, got {reprlib.repr(out)}")
+    return out, value.get("format")
+
+
+def parse_config(doc: Mapping) -> ExperimentConfig:
+    """Validate a raw config mapping against its kind's table entry.
+
+    Unknown fields are rejected, each field goes through its converter (an
+    absent or null field takes its default), then the kind's cross-field
+    check runs.  Raises ConfigError listing the problems found.
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError([f"config: expected a JSON object, got {type(doc).__name__}"])
+    kind = doc.get("kind")
+    spec = KIND_TABLE.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise ConfigError([f"kind: {reprlib.repr(kind)} is not one of {', '.join(KIND_TABLE)}"])
+    problems = [
+        f"{name}: unknown field for kind {kind!r}"
+        for name in doc
+        if name not in spec.fields and name not in ("kind", "output")
+    ]
+    payload: dict = {}
+    for name, (convert, default) in spec.fields.items():
+        value = doc.get(name)
+        if value is None:
+            value = default
+            if value is REQUIRED:
+                problems.append(f"{name}: required field missing")
+                value = None
+        else:
+            try:
+                value = convert(value)
+            except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
+                problems.append(f"{name}: {exc}")
+                value = None
+        payload[name] = value
+    if not problems and spec.check is not None:
+        spec.check(payload, problems)
+    out, fmt = _output(doc.get("output", {}), problems)
+    if problems:
+        raise ConfigError(problems)
+    return ExperimentConfig(kind=kind, payload=payload, out=out, fmt=fmt)
 
 
 def run_config(
@@ -625,40 +655,22 @@ def run_config(
     """Validate and run one experiment config; returns the process exit code.
 
     ``config`` may be a mapping, a path to a JSON document, or an already
-    parsed ExperimentConfig.  Output goes to ``out`` (or stdout).
+    parsed ExperimentConfig.  Output goes to ``out`` (or stdout).  ``seed``
+    and ``trace`` reach only the runners that take them (``shor``).
     """
     if isinstance(config, ExperimentConfig):
         cfg = config
     else:
-        if not isinstance(config, Mapping):
-            with open(config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        cfg = parse_config(config)
+        cfg = parse_config(config if isinstance(config, Mapping) else _read_json(config))
+    spec = KIND_TABLE[cfg.kind]
     out = out if out is not None else cfg.out
-    accepted = FORMATS[cfg.kind]
-    fmt = fmt or cfg.fmt or accepted[0]
-    if fmt not in accepted:
+    fmt = fmt or cfg.fmt or spec.formats[0]
+    if fmt not in spec.formats:
         raise ConfigError(
-            [f"format: {cfg.kind} output must be {' or '.join(accepted)} (got {fmt!r})"]
+            [f"format: {cfg.kind} output must be {' or '.join(spec.formats)} (got {fmt!r})"]
         )
-
-    if cfg.kind == "cn":
-        return _run_cn(cfg, out, fmt)
-    if cfg.kind == "ensemble":
-        return _run_ensemble(cfg, out, fmt)
-    if cfg.kind == "shor":
-        return _run_shor(cfg, out, fmt, seed, trace)
-    if cfg.kind == "design":
-        return _run_design(cfg, out, fmt)
-    return _run_sweep_cmd(cfg, out, fmt)
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    parser.add_argument("--seed", type=int, help="seed for optional sampling")
-    parser.add_argument("--trace", action="store_true", help="emit path-trace table")
+    options = {"seed": seed, "trace": trace}
+    return spec.runner(cfg.payload, out, fmt, **{name: options[name] for name in spec.options})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -666,76 +678,63 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spinpulse", description="Resonant-pulse spin dynamics experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run-cn", "run-ensemble", "sweep"):
-        p = sub.add_parser(name)
-        _add_common_flags(p)
-    p = sub.add_parser("run-shor")
-    _add_common_flags(p)
-    p.add_argument("--mode", choices=shor.MODES, default="instantaneous")
-    p.add_argument("--tau1", type=float, default=0.0)
-    p.add_argument("--tau2", type=float, default=0.0)
-    p.add_argument(
-        "--energies",
-        help="JSON file holding {'table': 4x4} or a 4-spin system to derive from",
-    )
-    p.add_argument("--shots", type=int, help="sample this many measurements")
-    p = sub.add_parser("design-pulse")
-    _add_common_flags(p)
-    p.add_argument("--delta-omega", type=float, dest="delta_omega")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
+    for kind, spec in KIND_TABLE.items():
+        p = sub.add_parser(spec.command)
+        p.set_defaults(kind=kind)
+        p.add_argument("--config", help="path to a JSON experiment config")
+        p.add_argument("--out", help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), dest="fmt")
+        for name in spec.flags:
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                dest=name,
+                metavar="FILE" if name in _FILE_FLAGS else "VALUE",
+                help=f"the {name} field, over any --config value",
+            )
+        for name, settings in spec.options.items():
+            p.add_argument("--" + name, **settings)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> dict:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict):
-            doc.setdefault("kind", _kind_for_command(args.command))
-        return doc
-    if args.command == "run-shor":
-        doc: dict = {
-            "kind": "shor",
-            "mode": args.mode,
-            "tau1": args.tau1,
-            "tau2": args.tau2,
-        }
-        if args.energies:
-            with open(args.energies, "r", encoding="utf-8") as fh:
-                doc["energies"] = json.load(fh)
-        if args.shots:
-            doc["shots"] = args.shots
-        return doc
-    if args.command == "design-pulse" and args.delta_omega is not None:
-        return {"kind": "design", "delta_omega": args.delta_omega, "k": args.k, "n": args.n}
-    raise ConfigError(["config: --config is required for this command"])
+def _flag_value(text: str):
+    """A flag's text as the JSON value it spells (a number, say), else the text."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return text
 
 
-def _kind_for_command(command: str) -> str:
-    return {
-        "run-cn": "cn",
-        "run-ensemble": "ensemble",
-        "run-shor": "shor",
-        "design-pulse": "design",
-        "sweep": "sweep",
-    }[command]
+def _config_from_args(args: argparse.Namespace):
+    """The --config document (or {"kind": ...}) with each set flag laid over it."""
+    kind = args.kind
+    doc = _read_json(args.config) if args.config else {}
+    if isinstance(doc, dict):
+        found = doc.setdefault("kind", kind)
+        if found != kind:
+            raise ConfigError([f"kind: config is {reprlib.repr(found)}, command needs {kind!r}"])
+        for name in KIND_TABLE[kind].flags:
+            text = getattr(args, name)
+            if text is not None:
+                doc[name] = _read_json(text) if name in _FILE_FLAGS else _flag_value(text)
+    return doc
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(_config_from_args(args))
-        expected = _kind_for_command(args.command)
-        if cfg.kind != expected:
-            raise ConfigError([f"kind: config is {cfg.kind!r}, command needs {expected!r}"])
-        return run_config(cfg, out=args.out, fmt=args.fmt, seed=args.seed, trace=args.trace)
+        options = {name: getattr(args, name) for name in KIND_TABLE[args.kind].options}
+        with np.errstate(over="raise", invalid="raise"):  # inputs too large for doubles
+            return run_config(cfg, out=args.out, fmt=args.fmt, **options)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConfigurationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except FloatingPointError as exc:
+        print(f"config error: values too large for double precision ({exc})", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         # a config, energies or --out path that is missing, a directory or not permitted

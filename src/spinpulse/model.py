@@ -291,10 +291,12 @@ def transition_frequency(
 
 
 def system_from_dict(doc: Mapping) -> SpinSystem:
-    """Build a SpinSystem from a mapping with n_spins, larmor, couplings."""
+    """Build a SpinSystem from a mapping with n_spins (1 to 4), larmor, couplings."""
     missing = [k for k in ("n_spins", "larmor", "couplings") if k not in doc]
     if missing:
         raise ConfigurationError(f"system document missing fields: {', '.join(missing)}")
+    if isinstance(doc["n_spins"], bool) or doc["n_spins"] not in range(1, 5):
+        raise ConfigurationError("n_spins must be an integer from 1 to 4 (dimension <= 16)")
     return SpinSystem(int(doc["n_spins"]), doc["larmor"], doc["couplings"])
 
 

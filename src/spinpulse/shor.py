@@ -336,7 +336,5 @@ def sample_x(
 ) -> dict[int, int]:
     """Draw x-measurement counts from an exact distribution (demo output)."""
     probs = np.asarray(distribution, dtype=float)
-    rng = np.random.default_rng(seed)
-    outcomes = rng.choice(len(probs), size=shots, p=probs / probs.sum())
-    values, counts = np.unique(outcomes, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    return {x: int(c) for x, c in enumerate(counts) if c}

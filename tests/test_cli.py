@@ -116,6 +116,60 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="energies"):
             parse_config({"kind": "shor", "mode": "bare-delay", "tau1": 1.0})
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (cn_config(control=0.7), "control"),
+            (cn_config(target=True), "target"),
+            (cn_config(control="0"), "control"),
+            (cn_config(exact_2pik=1.5), "exact_2pik"),
+            ({"kind": "design", "delta_omega": 1.0, "k": 2.7}, "k"),
+            ({"kind": "design", "delta_omega": 1.0, "n": "2"}, "n"),
+            ({"kind": "design", "delta_omega": 1.0, "k": 0}, "k"),
+            ({"kind": "shor", "shots": 64.5}, "shots"),
+            ({"kind": "shor", "shots": True}, "shots"),
+            ({"kind": "shor", "shots": -1}, "shots"),
+            ({"kind": "sweep", "delta_ratios": [30.0], "j_ratios": [5.0], "rabi": 0}, "rabi"),
+            ({"kind": "sweep", "delta_ratios": [30.0], "j_ratios": [5.0], "rabi": -0.1}, "rabi"),
+            (cn_config(rabi=[0.5, "0.1"]), "rabi"),
+            (cn_config(phase="0.5"), "phase"),
+        ],
+    )
+    def test_strict_field_rejected_alone(self, doc, field):
+        # integers reject fractions, bools and strings instead of truncating them
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert [problem.split(":")[0] for problem in exc.value.problems] == [field]
+
+    def test_integral_float_accepted_as_int(self):
+        cfg = parse_config({"kind": "design", "delta_omega": 1.0, "k": 3.0})
+        assert cfg.payload["k"] == 3 and isinstance(cfg.payload["k"], int)
+
+    def test_unknown_fields_named(self):
+        doc = cn_config(rabbi=[0.5, 0.1], output={"path": "x.json", "fmt": "csv"})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert [problem.split(":")[0] for problem in exc.value.problems] == ["rabbi", "output.fmt"]
+
+    def test_design_takes_one_route(self):
+        doc = {
+            "kind": "design",
+            "system": cn_config()["system"],
+            "control": 0,
+            "target": 1,
+            "delta_omega": 10.0,
+        }
+        with pytest.raises(ConfigError, match="delta_omega: not used with system"):
+            parse_config(doc)
+        with pytest.raises(ConfigError, match="control: not used without system"):
+            parse_config({"kind": "design", "delta_omega": 10.0, "control": 0})
+
+    def test_demo_configs_parse(self):
+        for path in sorted(Path(SWEEP_CONFIG).parent.glob("*.json")):
+            doc = json.loads(path.read_text())
+            if "kind" in doc:
+                assert parse_config(doc).kind == doc["kind"]
+
 
 class TestRunCn:
     def test_gate_config_passes(self, tmp_path, capsys):
@@ -297,6 +351,21 @@ class TestMainEntryPoint:
             (["run-shor", "--format", "csv"], None, "format"),
             (["design-pulse", "--delta-omega", "2", "--format", "csv"], None, "format"),
             (["sweep", "--config", SWEEP_CONFIG, "--format", "json"], None, "format"),
+            (["run-cn"], cn_config(initial_state=pairs([0.9, 0, 0, 0])), "initial_state"),
+            (["run-cn"], cn_config(reference_state=pairs([1, 1, 0, 0])), "reference_state"),
+            (
+                ["run-ensemble"],
+                ensemble_config(reference_background_diagonal=[0.0] * 5),
+                "reference_background_diagonal",
+            ),
+            (["design-pulse", "--delta-omega", "1", "--k", "1" + "0" * 300], None, "k"),
+            (["run-shor"], {"kind": "shor", "shots": 1e20}, "shots"),
+            (
+                ["sweep"],
+                {"kind": "sweep", "delta_ratios": [1.0], "j_ratios": [1.0], "rabbi": 1},
+                "rabbi",
+            ),
+            (["design-pulse", "--delta-omega", "1", "--k", "[" * 100000], None, "k"),
         ],
     )
     def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, argv, doc, field):
@@ -306,6 +375,27 @@ class TestMainEntryPoint:
             argv = argv + ["--config", str(config)]
         assert main(argv) == EXIT_VALIDATION
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (
+                ["run-ensemble"],
+                ensemble_config(system={**ensemble_config()["system"], "larmor": [1e308] * 4}),
+            ),
+            (
+                ["run-shor"],
+                {"kind": "shor", "mode": "natural-phase", "tau1": 1e308, "shots": 8,
+                 "energies": {"table": [[1e308] * 4] * 4}},
+            ),
+        ],
+    )
+    def test_overflowing_values_exit_2(self, tmp_path, capsys, argv, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = argv + ["--config", str(config), "--out", str(tmp_path / "r.txt")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "config error: values too large for double precision" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         assert main(["run-cn", "--config", "/nonexistent.json"]) == EXIT_VALIDATION
@@ -321,6 +411,12 @@ class TestMainEntryPoint:
         assert err.startswith("error: ") and str(tmp_path) in err
         assert err.count("\n") == 1
 
+    def test_config_nested_too_deeply(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text('{"kind": "sweep", "delta_ratios": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert main(["sweep", "--config", str(config)]) == EXIT_VALIDATION
+        assert "config error:" in capsys.readouterr().err
+
     def test_config_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "cn.json"
         config.write_bytes(b'{"kind": "cn", "\xd0\x00"}')
@@ -332,6 +428,34 @@ class TestMainEntryPoint:
         code = main(["run-shor", "--mode", "instantaneous", "--out", str(out)])
         assert code == EXIT_OK
         assert json.loads(out.read_text())["factor"] == 2
+
+    @pytest.mark.parametrize(
+        "argv, doc, field, value",
+        [
+            (["run-shor", "--tau1", "2"], {"kind": "shor", "tau1": 1.0}, "tau1", 2.0),
+            (["design-pulse", "--k", "3"], {"kind": "design", "delta_omega": 10.0, "k": 1}, "k", 3),
+        ],
+    )
+    def test_flag_wins_over_config(self, tmp_path, capsys, argv, doc, field, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(config)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)[field] == value
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run-cn", "--trace"],
+            ["run-ensemble", "--seed", "1"],
+            ["design-pulse", "--trace"],
+            ["sweep", "--seed", "3"],
+            ["run-shor", "--seed", "-1"],
+        ],
+    )
+    def test_flag_no_runner_reads_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
 
     def test_design_pulse_flags(self, capsys):
         code = main(["design-pulse", "--delta-omega", "2.0", "--k", "1", "--n", "1"])

@@ -241,6 +241,17 @@ class TestJsonLoading:
         with pytest.raises(ConfigurationError, match="couplings"):
             load_spin_config({"n_spins": 2, "larmor": [1.0, 2.0]})
 
+    @pytest.mark.parametrize("n_spins", [0, 5, 30, 2.5, True, "2", None, [2]])
+    def test_n_spins_outside_1_to_4_rejected(self, n_spins):
+        # a 30-spin document must not reach the (2^30, 30) basis table
+        doc = {"n_spins": n_spins, "larmor": [1.0, 2.0], "couplings": [[0.0, 1.0], [1.0, 0.0]]}
+        with pytest.raises(ConfigurationError, match="n_spins"):
+            load_spin_config(doc)
+
+    def test_integral_float_n_spins_accepted(self):
+        doc = {"n_spins": 2.0, "larmor": [1.0, 2.0], "couplings": [[0.0, 1.0], [1.0, 0.0]]}
+        assert load_spin_config(doc)[0].n_spins == 2
+
     def test_pulse_missing_field_named(self):
         doc = {
             "n_spins": 1,

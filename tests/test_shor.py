@@ -326,3 +326,9 @@ class TestSampling:
         counts = sample_x([0.5, 0.0, 0.5, 0.0], 200, seed=1)
         assert sum(counts.values()) == 200
         assert set(counts) <= {0, 2}
+
+    def test_shot_count_does_not_set_memory(self):
+        # one draw per outcome, not per shot: 10^12 shots must not allocate 8 TB
+        counts = sample_x([0.5, 0.0, 0.5, 0.0], 10**12, seed=3)
+        assert sum(counts.values()) == 10**12
+        assert set(counts) == {0, 2}
