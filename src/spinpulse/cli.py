@@ -14,6 +14,13 @@ resulting density-matrix block against the same pulse with the non-resonant
 spin undriven.  That reference isolates the frequency-separation effect the
 sweep studies; drive-induced phases on the coupled target transition, which
 do not depend on the separation, cancel out.
+
+The grid is evaluated in blocks of cells: the rotating Hamiltonians of a
+block (two per cell, control driven and undriven) are built as one stack
+and exponentiated by one stacked eigensolve, with the same numbers as a
+cell-by-cell evaluation.  A bad cell (an invalid system, or numbers that
+overflow double precision) still yields its own ``error:`` row and is kept
+out of the other cells' arithmetic.
 """
 
 from __future__ import annotations
@@ -38,10 +45,14 @@ from .model import (
     PulseSpec,
     QuantumState,
     SpinSystem,
+    drive_half,
     fidelity,
+    finite_real,
+    finite_reals,
+    ising_diagonal,
     system_from_dict,
 )
-from .dynamics import evolve_pulse, to_interaction_picture
+from .dynamics import evolve_pulse, pulse_propagators, to_interaction_picture
 from .design import cn_pulse, design_2pik
 from .ensemble import (
     BACKGROUND_DIAGONAL,
@@ -120,18 +131,6 @@ def _read_json(path: str):
 # ---------------------------------------------------------------------------
 
 
-def _real(value, low: float = -math.inf, above: bool = False) -> float:
-    """A finite number >= low (> low if ``above``); bools and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"expected a number, got {reprlib.repr(value)}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    if value < low or above and value == low:
-        raise ValueError(f"must be {'>' if above else '>='} {low:g}")
-    return value
-
-
 def _integer(value, low: int = 0) -> int:
     """An integer from low to 2**63 - 1; a fraction, bool or string is rejected."""
     if isinstance(value, bool) or not (
@@ -149,20 +148,9 @@ def _choice(value, choices: Sequence[str]) -> str:
     return value
 
 
-def _reals(value) -> np.ndarray:
-    """A finite float array of any shape, built from numbers only."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"expected numeric value(s), got {reprlib.repr(value)}")
-    arr = arr.astype(float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("must be finite")
-    return arr
-
-
 def _pairs(value) -> np.ndarray:
     """[re, im] pairs, innermost, as a complex array."""
-    arr = _reals(value)
+    arr = finite_reals(value)
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -175,7 +163,7 @@ def _state(value) -> np.ndarray:
 
 def _axis(values) -> list[float]:
     """A sweep axis as floats: a non-empty list, strictly positive, sorted ascending."""
-    axis = _reals(values)
+    axis = finite_reals(values)
     if axis.ndim != 1:
         raise ValueError("axis must be a list of numbers")
     if not axis.size or not np.all(axis > 0):
@@ -440,6 +428,89 @@ class SweepCell:
     error: str | None = None
 
 
+#: grid cells evaluated together; bounds the Hamiltonian and propagator
+#: stacks at a few hundred 4 x 4 matrices, however large the grid
+_SWEEP_BLOCK = 128
+#: the two-spin coupling matrix of a unit Ising constant
+_UNIT_COUPLING = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _sweep_drive(rabi: float) -> tuple[float, np.ndarray]:
+    """Duration and drive halves (control driven, then undriven) of the sweep pulse.
+
+    Both depend on rabi alone, so every cell shares them.  cn_pulse builds
+    them on a stand-in system, so a bad rabi fails as it does there.
+    """
+    stand_in = SpinSystem.uniform([0.0, 0.0], 0.0)
+    pulses = [cn_pulse(stand_in, 0, 1, "standard", rabi=[r, rabi]) for r in (rabi, 0.0)]
+    drive = np.stack([np.exp(1j * p.phase) * drive_half(stand_in, p) for p in pulses])
+    return pulses[0].duration, drive
+
+
+def _block_deviations(
+    delta_ratio: np.ndarray,
+    j_ratio: np.ndarray,
+    rabi: float,
+    base_larmor: float,
+    initial: np.ndarray,
+    pulse: tuple[float, np.ndarray] | str,
+) -> list[float | str]:
+    """Deviation of each cell of a block, or the text of the error that stopped it.
+
+    ``pulse`` is ``_sweep_drive(rabi)``, or the text of its error.  Every
+    cell's two Hamiltonians (control driven and undriven) go through one
+    stacked eigensolve; a cell whose system is invalid, or whose numbers
+    overflow, gets its own error and does not change the other cells.
+    """
+    # overflow is checked cell by cell below, so it must not raise for the block
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = j_ratio * rabi
+        control_larmor = base_larmor + delta_ratio * rabi
+        larmor = np.stack((control_larmor, np.full_like(control_larmor, base_larmor)), 1)
+        valid = np.isfinite(larmor).all(1) & np.isfinite(coupling)
+        out: list = [None] * len(coupling)
+        for i in np.flatnonzero(~valid):
+            try:  # the cell's own SpinSystem raises with the same checks and text
+                SpinSystem.uniform(larmor[i], coupling[i])
+            except ConfigurationError as exc:
+                out[i] = str(exc)
+        if isinstance(pulse, str):
+            return [pulse if v is None else v for v in out]
+        duration, drive = pulse
+        energies = ising_diagonal(larmor[valid], coupling[valid, None, None] * _UNIT_COUPLING)
+        energies = np.repeat(energies, 2, axis=0)  # each cell once per drive setting
+        # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
+        carrier = energies[:, 3] - energies[:, 2]
+        drives = np.tile(drive, (len(carrier) // 2, 1, 1))
+        u = pulse_propagators(energies, carrier, drives, duration)
+        psi = np.exp(1j * energies * duration) * (u @ initial)  # interaction picture
+        rho = psi[:, :, None] * psi.conj()[:, None, :]
+        # a non-finite energy, carrier, propagator or phase makes the deviation NaN
+        deviation = deviation_metric(rho[0::2], rho[1::2])
+    too_large = "values too large for double precision (deviation not finite)"
+    for i, value in zip(np.flatnonzero(valid).tolist(), deviation.tolist()):
+        out[i] = value if math.isfinite(value) else too_large
+    return out
+
+
+def _deviations(
+    delta_ratio: np.ndarray, j_ratio: np.ndarray, rabi: float, base_larmor: float, initial
+) -> list[float | str]:
+    """Deviation of each cell (delta_ratio[i], j_ratio[i]), or its error text, block by block."""
+    initial = QuantumState(np.asarray(initial, dtype=complex)).amplitudes
+    try:
+        pulse = _sweep_drive(rabi)
+    except (ConfigurationError, FloatingPointError) as exc:  # FloatingPointError under main
+        pulse = str(exc)
+    out = []
+    for first in range(0, len(delta_ratio), _SWEEP_BLOCK):
+        block = slice(first, first + _SWEEP_BLOCK)
+        out += _block_deviations(
+            delta_ratio[block], j_ratio[block], rabi, base_larmor, initial, pulse
+        )
+    return out
+
+
 def sweep_cell_deviation(
     delta_ratio: float,
     j_ratio: float,
@@ -447,32 +518,25 @@ def sweep_cell_deviation(
     base_larmor: float = 100.0,
     initial=SWEEP_INITIAL,
 ) -> float:
-    """Deviation of one sweep cell (see module docstring for the protocol)."""
-    coupling = j_ratio * rabi
-    delta = delta_ratio * rabi
-    system = SpinSystem.uniform([base_larmor + delta, base_larmor], coupling)
-    state = QuantumState(np.asarray(initial, dtype=complex))
+    """Deviation of one sweep cell (see module docstring for the protocol).
 
-    def run(drive_control: bool) -> np.ndarray:
-        amplitudes = [rabi if drive_control else 0.0, rabi]
-        pulse = cn_pulse(system, control=0, target=1, variant="standard", rabi=amplitudes)
-        final = evolve_pulse(state, system, pulse)
-        psi = to_interaction_picture(final, system, pulse.duration).amplitudes
-        return np.outer(psi, psi.conj())
-
-    return deviation_metric(run(True), run(False))
+    It is the sweep's block evaluation on a block of one cell; raises
+    ConfigurationError with the cell's error text if the cell fails.
+    """
+    [value] = _deviations(np.array([delta_ratio]), np.array([j_ratio]), rabi, base_larmor, initial)
+    if isinstance(value, str):
+        raise ConfigurationError(value)
+    return value
 
 
 def _sweep_cells(p: Mapping) -> list[SweepCell]:
-    cells = []
-    for dr in p["delta_ratios"]:
-        for jr in p["j_ratios"]:
-            try:
-                deviation = sweep_cell_deviation(dr, jr, p["rabi"], p["base_larmor"])
-                cells.append(SweepCell(dr, jr, deviation))
-            except Exception as exc:  # per-cell isolation
-                cells.append(SweepCell(dr, jr, None, error=str(exc)))
-    return cells
+    grid = [(dr, jr) for dr in p["delta_ratios"] for jr in p["j_ratios"]]
+    delta_ratio, j_ratio = np.array(grid).reshape(-1, 2).T
+    values = _deviations(delta_ratio, j_ratio, p["rabi"], p["base_larmor"], SWEEP_INITIAL)
+    return [
+        SweepCell(dr, jr, None, error=v) if isinstance(v, str) else SweepCell(dr, jr, v)
+        for (dr, jr), v in zip(grid, values)
+    ]
 
 
 def run_sweep(
@@ -537,12 +601,12 @@ _GATE_FIELDS = {
     "system": (system_from_dict, REQUIRED),
     "control": (_integer, REQUIRED),
     "target": (_integer, REQUIRED),
-    "rabi": (_reals, None),
+    "rabi": (finite_reals, None),
     "exact_2pik": (_POSITIVE, None),
-    "phase": (_real, 0.0),
+    "phase": (finite_real, 0.0),
 }
 _VARIANT = partial(_choice, choices=("standard", "complementary"))
-_DELAY = partial(_real, low=0.0)
+_DELAY = partial(finite_real, low=0.0)
 
 #: one entry per config kind: validation, defaults, dispatch and the parser read it
 KIND_TABLE: dict[str, Kind] = {
@@ -551,15 +615,15 @@ KIND_TABLE: dict[str, Kind] = {
         "variant": (_VARIANT, "standard"),
         "initial_state": (_state, REQUIRED),
         "reference_state": (_state, None),
-        "min_fidelity": (_real, 0.99),
+        "min_fidelity": (finite_real, 0.99),
     }),
     "ensemble": Kind("run-ensemble", ("csv", "json"), _run_ensemble, _check_ensemble, {
         **_GATE_FIELDS,
         "variant": (_VARIANT, "complementary"),
         "initial_amplitudes": (_state, REQUIRED),
         "reference_active": (_pairs, None),
-        "reference_background_diagonal": (_reals, BACKGROUND_DIAGONAL),
-        "max_abs_deviation": (_real, 0.005),
+        "reference_background_diagonal": (finite_reals, BACKGROUND_DIAGONAL),
+        "max_abs_deviation": (finite_real, 0.005),
     }),
     "shor": Kind("run-shor", ("json",), _run_shor, _check_shor, {
         "mode": (partial(_choice, choices=shor.MODES), "instantaneous"),
@@ -575,16 +639,16 @@ KIND_TABLE: dict[str, Kind] = {
         "system": (system_from_dict, None),
         "control": (_integer, None),
         "target": (_integer, None),
-        "delta_omega": (_real, None),
-        "carrier": (_real, None),
+        "delta_omega": (finite_real, None),
+        "carrier": (finite_real, None),
         "k": (_POSITIVE, 1),
         "n": (_POSITIVE, 1),
     }, flags=("delta_omega", "k", "n")),
     "sweep": Kind("sweep", ("csv",), _run_sweep_cmd, None, {
         "delta_ratios": (_axis, REQUIRED),
         "j_ratios": (_axis, REQUIRED),
-        "rabi": (partial(_real, low=0.0, above=True), 0.1),
-        "base_larmor": (_real, 100.0),
+        "rabi": (partial(finite_real, low=0.0, above=True), 0.1),
+        "base_larmor": (finite_real, 100.0),
     }),
 }
 #: flags that name a JSON file holding the field's value

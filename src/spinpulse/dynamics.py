@@ -6,7 +6,8 @@ Three routes are provided and cross-checked against each other:
   carrier, exponentiate the time-independent rotating-frame Hamiltonian by
   Hermitian eigendecomposition, transform back to the lab frame.  Because
   the drive is circularly polarized the frame transformation is exact, not
-  a rotating-wave approximation.
+  a rotating-wave approximation.  ``pulse_propagators`` does this for a
+  stack of pulses with one stacked eigensolve; one pulse is a stack of one.
 * ``integrate_lab_frame`` — independent oracle: fixed-step RK4 on the
   explicitly time-dependent lab-frame Schrodinger equation.  The RK4 step
   matrices are evaluated in blocks from H(t) at the RK4 nodes and
@@ -27,13 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    ConfigurationError,
     DelaySpec,
     PulseSpec,
     QuantumState,
     SpinSystem,
-    build_rotating_hamiltonian,
     diagonal_energies,
     drive_half,
+    rotating_hamiltonian,
     total_spin_z,
 )
 
@@ -82,22 +84,66 @@ def _require_normalized(state: QuantumState) -> None:
         raise ValueError(f"input state is not normalized (|norm - 1| = {drift:.3e})")
 
 
+def pulse_propagators(
+    energies: np.ndarray,
+    carrier: np.ndarray,
+    drive: np.ndarray,
+    duration: float,
+    t_start: float = 0.0,
+) -> np.ndarray:
+    """Exact lab-frame propagators of a stack of n pulses.
+
+    Each is U = exp(+i w t1 Z) exp(-i H_rot tau) exp(-i w t0 Z) with Z the
+    total I^z, t0 = t_start, t1 = t_start + duration and H_rot the
+    rotating-frame Hamiltonian that ``model.rotating_hamiltonian`` builds
+    from the Ising diagonal ``energies`` (n, dim), the carrier w (n,) and
+    the drive half ``drive`` (n, dim, dim).  All Hamiltonians go through one
+    stacked eigensolve.
+
+    Returns U (n, dim, dim).  A pulse whose energies or carrier are not
+    finite is left out of the eigensolve and its U is NaN; a U can also
+    come out non-finite when its phases overflow.  Overflow never raises
+    here, whatever numpy's error state, so one pulse cannot stop the others:
+    callers check the U (or what they compute from it) for finiteness.
+    """
+    n, dim = energies.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
+        if not ok.all():
+            energies, carrier, drive = energies[ok], carrier[ok], drive[ok]
+        vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, drive))
+        u = (vecs * np.exp(-1j * vals * duration)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
+        z = total_spin_z(int(np.log2(dim)))
+        u = (
+            np.exp(np.multiply.outer(1j * carrier * (t_start + duration), z))[:, :, None]
+            * u
+            * np.exp(np.multiply.outer(-1j * carrier * t_start, z))[:, None, :]
+        )
+    if len(u) < n:
+        u_ok, u = u, np.full((n, dim, dim), np.nan, dtype=complex)
+        u[ok] = u_ok
+    return u
+
+
 def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0) -> np.ndarray:
     """Exact lab-frame propagator of one pulse starting at absolute time t_start.
 
     U = exp(+i w t1 Z) exp(-i H_rot tau) exp(-i w t0 Z) with Z the total I^z
-    and H_rot the rotating-frame Hamiltonian; t1 = t_start + duration.
+    and H_rot the rotating-frame Hamiltonian; t1 = t_start + duration.  It is
+    ``pulse_propagators`` on a stack of one.  Raises ConfigurationError if
+    the energies, the carrier or U are not finite.
     """
-    h = build_rotating_hamiltonian(system, pulse)
-    vals, vecs = np.linalg.eigh(h)
-    u_rot = (vecs * np.exp(-1j * vals * pulse.duration)) @ vecs.conj().T
-    z = total_spin_z(system.n_spins)
-    t_end = t_start + pulse.duration
-    return (
-        np.exp(1j * pulse.carrier * t_end * z)[:, None]
-        * u_rot
-        * np.exp(-1j * pulse.carrier * t_start * z)[None, :]
+    drive = np.exp(1j * pulse.phase) * drive_half(system, pulse)
+    [u] = pulse_propagators(
+        diagonal_energies(system)[None], np.array([pulse.carrier]), drive[None], pulse.duration,
+        t_start,
     )
+    if not np.isfinite(u).all():
+        raise ConfigurationError(
+            "values too large for double precision (pulse energies, carrier or propagator"
+            " not finite)"
+        )
+    return u
 
 
 def evolve_pulse(

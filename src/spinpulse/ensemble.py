@@ -115,17 +115,20 @@ def to_interaction_picture(
     return DeviationDensityMatrix(phases[:, None] * rho.entries * phases.conj()[None, :])
 
 
-def deviation_metric(r_obtained, r_reference, floor: float = METRIC_FLOOR) -> float:
+def deviation_metric(r_obtained, r_reference, floor: float = METRIC_FLOOR):
     """Worst-case relative entry deviation between two complex blocks.
 
     max over entries of |obtained - reference| / max(|reference|, floor).
     The comparison is on complex entries, so a global phase between
     otherwise identical blocks registers as a real deviation; compare
-    physically fixed blocks (e.g. interaction-picture ones).
+    physically fixed blocks (e.g. interaction-picture ones).  Stacks of
+    blocks (..., m, m) give an array with one metric per block; a single
+    pair of blocks gives a float.
     """
     a = np.asarray(r_obtained, dtype=complex)
     b = np.asarray(r_reference, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     scale = np.maximum(np.abs(b), floor)
-    return float(np.max(np.abs(a - b) / scale))
+    metric = np.max(np.abs(a - b) / scale, axis=(-2, -1))
+    return float(metric) if metric.ndim == 0 else metric

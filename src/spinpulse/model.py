@@ -19,7 +19,11 @@ Conventions (fixed throughout the package):
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,21 +35,68 @@ class ConfigurationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# numeric fields of config documents: bools and strings are not numbers
+# ---------------------------------------------------------------------------
+
+
+def finite_real(value, low: float = -math.inf, above: bool = False) -> float:
+    """A finite number >= low (> low if ``above``); raises ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"expected a number, got {reprlib.repr(value)}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    if value < low or above and value == low:
+        raise ValueError(f"must be {'>' if above else '>='} {low:g}")
+    return value
+
+
+def _holds_bool(value) -> bool:
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, (bool, np.bool_))
+
+
+def finite_reals(value) -> np.ndarray:
+    """A finite float array of any shape, built from numbers only; raises ValueError otherwise."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or _holds_bool(value):
+        raise ValueError(f"expected numeric value(s), got {reprlib.repr(value)}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("must be finite")
+    return arr
+
+
+# ---------------------------------------------------------------------------
 # basis utilities
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def spin_z_values(n_spins: int) -> np.ndarray:
-    """(2^N, N) array of I^z eigenvalues: +1/2 for bit 0, -1/2 for bit 1."""
+    """(2^N, N) array of I^z eigenvalues: +1/2 for bit 0, -1/2 for bit 1 (read-only, cached)."""
     dim = 2**n_spins
     idx = np.arange(dim)
     bits = (idx[:, None] >> (n_spins - 1 - np.arange(n_spins))[None, :]) & 1
-    return 0.5 - bits.astype(float)
+    s = 0.5 - bits.astype(float)
+    s.setflags(write=False)
+    return s
 
 
+@functools.lru_cache(maxsize=8)
 def total_spin_z(n_spins: int) -> np.ndarray:
-    """Diagonal of the total I^z operator over the 2^N basis."""
-    return spin_z_values(n_spins).sum(axis=1)
+    """Diagonal of the total I^z operator over the 2^N basis (read-only, cached)."""
+    z = spin_z_values(n_spins).sum(axis=1)
+    z.setflags(write=False)
+    return z
+
+
+@functools.lru_cache(maxsize=8)
+def _spin_flips(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (ground, excited, spin) of every single-spin flip (cached)."""
+    ground, spin = np.nonzero(spin_z_values(n_spins) > 0)
+    return ground, ground | (1 << (n_spins - 1 - spin)), spin
 
 
 def basis_label(index: int, n_spins: int) -> str:
@@ -209,16 +260,26 @@ def fidelity(a: QuantumState | np.ndarray, b: QuantumState | np.ndarray) -> floa
 # ---------------------------------------------------------------------------
 
 
-def diagonal_energies(system: SpinSystem) -> np.ndarray:
-    """Lab-frame eigenenergies E_n of the drive-free Ising Hamiltonian.
+def ising_diagonal(larmor: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """Lab-frame eigenenergies E_n of drive-free Ising Hamiltonians.
 
     E_n = -sum_k omega_k s_k(n) - 2 sum_{k<m} J_km s_k(n) s_m(n), with
-    s = +1/2 for a ground spin and -1/2 for an excited spin.  These are the
-    energies that drive free-evolution phases exp(-i E_n t).  J is symmetric
+    s = +1/2 for a ground spin and -1/2 for an excited spin.  J is symmetric
     with zero diagonal, so the pair sum is the full quadratic form s J s.
+    ``larmor`` (..., N) and ``couplings`` (..., N, N) may carry leading
+    batch axes, which broadcast; the result is (..., 2^N).
     """
-    s = spin_z_values(system.n_spins)
-    return -(s @ system.larmor) - np.einsum("nk,km,nm->n", s, system.couplings, s)
+    s = spin_z_values(np.shape(larmor)[-1])
+    return -(larmor @ s.T) - np.einsum("nk,...km,nm->...n", s, couplings, s)
+
+
+def diagonal_energies(system: SpinSystem) -> np.ndarray:
+    """Lab-frame eigenenergies E_n of the system's drive-free Ising Hamiltonian.
+
+    These are the energies that drive free-evolution phases exp(-i E_n t);
+    see ``ising_diagonal`` for the formula.
+    """
+    return ising_diagonal(system.larmor, system.couplings)
 
 
 def drive_half(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
@@ -230,13 +291,24 @@ def drive_half(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
     phase phi in the rotating frame and w t + phi in the lab frame.
     """
     pulse.check_against(system)
-    idx = np.arange(system.dim)
+    ground, excited, spin = _spin_flips(system.n_spins)
     r = np.zeros((system.dim, system.dim), dtype=complex)
-    for k, rabi in enumerate(pulse.rabi):
-        mask = 1 << (system.n_spins - 1 - k)
-        ground = idx[(idx & mask) == 0]
-        r[ground, ground | mask] = -0.5 * rabi
+    r[ground, excited] = -0.5 * pulse.rabi[spin]
     return r
+
+
+def rotating_hamiltonian(energies: np.ndarray, carrier, drive: np.ndarray) -> np.ndarray:
+    """Rotating-frame Hamiltonians diag(E + omega I^z_total) + D + D^dagger.
+
+    ``energies`` (..., dim) are Ising diagonals E, ``carrier`` (...) the
+    carrier frequencies omega and ``drive`` (..., dim, dim) the drive half
+    D = e^{i phi} R (see ``drive_half``), with the same leading batch axes.
+    """
+    dim = np.shape(energies)[-1]
+    h = drive + np.swapaxes(drive.conj(), -1, -2)
+    idx = np.arange(dim)
+    h[..., idx, idx] += energies + np.multiply.outer(carrier, total_spin_z(int(np.log2(dim))))
+    return h
 
 
 def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
@@ -252,8 +324,7 @@ def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> np.ndarr
     (ground, excited) side.  Returns a complex Hermitian ndarray.
     """
     drive = np.exp(1j * pulse.phase) * drive_half(system, pulse)
-    diag = diagonal_energies(system) + pulse.carrier * total_spin_z(system.n_spins)
-    return np.diag(diag) + drive + drive.conj().T
+    return rotating_hamiltonian(diagonal_energies(system), pulse.carrier, drive)
 
 
 def transition_frequency(
@@ -290,26 +361,41 @@ def transition_frequency(
 # ---------------------------------------------------------------------------
 
 
+def _field(doc: Mapping, name: str, convert, default=None):
+    """``doc[name]`` (``default`` if absent) through ``convert``, errors named by field."""
+    try:
+        return convert(doc.get(name, default))
+    except ValueError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None
+
+
 def system_from_dict(doc: Mapping) -> SpinSystem:
-    """Build a SpinSystem from a mapping with n_spins (1 to 4), larmor, couplings."""
+    """Build a SpinSystem from a mapping with n_spins (1 to 4), larmor, couplings.
+
+    Frequencies and couplings must be numbers: strings and bools are rejected.
+    """
     missing = [k for k in ("n_spins", "larmor", "couplings") if k not in doc]
     if missing:
         raise ConfigurationError(f"system document missing fields: {', '.join(missing)}")
     if isinstance(doc["n_spins"], bool) or doc["n_spins"] not in range(1, 5):
         raise ConfigurationError("n_spins must be an integer from 1 to 4 (dimension <= 16)")
-    return SpinSystem(int(doc["n_spins"]), doc["larmor"], doc["couplings"])
+    larmor = _field(doc, "larmor", finite_reals)
+    return SpinSystem(int(doc["n_spins"]), larmor, _field(doc, "couplings", finite_reals))
 
 
 def pulse_from_dict(doc: Mapping) -> PulseSpec:
-    """Build a PulseSpec from a mapping with carrier, phase, rabi, duration."""
+    """Build a PulseSpec from a mapping with carrier, phase, rabi, duration.
+
+    Every field must be numeric: strings and bools are rejected.
+    """
     missing = [k for k in ("carrier", "rabi", "duration") if k not in doc]
     if missing:
         raise ConfigurationError(f"pulse document missing fields: {', '.join(missing)}")
     return PulseSpec(
-        carrier=float(doc["carrier"]),
-        phase=float(doc.get("phase", 0.0)),
-        rabi=doc["rabi"],
-        duration=float(doc["duration"]),
+        carrier=_field(doc, "carrier", finite_real),
+        phase=_field(doc, "phase", finite_real, 0.0),
+        rabi=_field(doc, "rabi", finite_reals),
+        duration=_field(doc, "duration", finite_real),
     )
 
 

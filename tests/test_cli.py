@@ -1,19 +1,40 @@
 """Tests for the batch runner: config validation, subcommand outputs,
-exit codes, and sweep determinism."""
+exit codes, and sweep determinism.
 
+The block-batched sweep is pinned to the per-cell loop it replaced, kept
+here as ``reference_cell_deviation``: one system, two pulses and two
+eigensolves per cell.
+"""
+
+import contextlib
 import csv
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinpulse import run_config, run_sweep, sweep_to_csv
+from spinpulse import (
+    ConfigurationError,
+    SpinSystem,
+    build_rotating_hamiltonian,
+    cn_pulse,
+    deviation_metric,
+    diagonal_energies,
+    run_config,
+    run_sweep,
+    sweep_to_csv,
+    total_spin_z,
+)
 from spinpulse.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
+    SWEEP_INITIAL,
     ConfigError,
+    SweepCell,
     main,
     parse_config,
     sweep_cell_deviation,
@@ -231,6 +252,14 @@ class TestRunEnsemble:
         assert "active_block" in doc and "background_diagonal" in doc
 
 
+def test_overflowing_ensemble_is_a_configuration_error():
+    # the energies overflow; eigh raised LinAlgError on them before
+    doc = ensemble_config(system={**ensemble_config()["system"], "larmor": [1e308] * 4})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConfigurationError, match="double precision"):
+            run_config(doc)
+
+
 class TestRunShor:
     def test_instantaneous_result(self, tmp_path):
         out = tmp_path / "shor.json"
@@ -326,6 +355,142 @@ class TestSweep:
         assert len(rows) == 3
 
 
+def reference_cell_deviation(delta_ratio, j_ratio, rabi=0.1, base_larmor=100.0):
+    """The sweep cell as it was computed before batching, one cell at a time."""
+    system = SpinSystem.uniform([base_larmor + delta_ratio * rabi, base_larmor], j_ratio * rabi)
+    z = total_spin_z(2)
+    rhos = []
+    for drive_control in (True, False):
+        amplitudes = [rabi if drive_control else 0.0, rabi]
+        pulse = cn_pulse(system, control=0, target=1, variant="standard", rabi=amplitudes)
+        vals, vecs = np.linalg.eigh(build_rotating_hamiltonian(system, pulse))
+        u_rot = (vecs * np.exp(-1j * vals * pulse.duration)) @ vecs.conj().T
+        t_start, t_end = 0.0, pulse.duration
+        u = (
+            np.exp(1j * pulse.carrier * t_end * z)[:, None]
+            * u_rot
+            * np.exp(-1j * pulse.carrier * t_start * z)[None, :]
+        )
+        final = u @ np.asarray(SWEEP_INITIAL, dtype=complex)
+        psi = np.exp(1j * diagonal_energies(system) * t_end) * final
+        rhos.append(np.outer(psi, psi.conj()))
+    return deviation_metric(rhos[0], rhos[1])
+
+
+def reference_sweep(delta_ratios, j_ratios, rabi=0.1, base_larmor=100.0):
+    cells = []
+    for dr in delta_ratios:
+        for jr in j_ratios:
+            try:
+                cells.append(SweepCell(dr, jr, reference_cell_deviation(dr, jr, rabi, base_larmor)))
+            except Exception as exc:
+                cells.append(SweepCell(dr, jr, None, error=str(exc)))
+    return cells
+
+
+def random_axis(rng, count, low, high):
+    return sorted(set(np.exp(rng.uniform(np.log(low), np.log(high), count)).tolist()))
+
+
+def main_sweep_csv(tmp_path, doc):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"kind": "sweep", **doc}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", "--config", str(config)])
+    return code, out.getvalue()
+
+
+#: delta_ratio 1e308 overflows the Larmor frequency and j_ratio 1e308 the
+#: coupling at rabi 10; delta_ratio 1e307 is finite but near the edge
+HOSTILE_GRID = {"delta_ratios": [30.0, 1e307, 1e308], "j_ratios": [5.0, 1e308], "rabi": 10.0}
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize(
+        "n_delta, n_j", [(1, 1), (1, 30), (30, 1), (30, 30), (1, 127), (128, 1), (3, 43)]
+    )
+    def test_matches_per_cell_loop(self, n_delta, n_j):
+        rng = np.random.default_rng([n_delta, n_j])
+        delta_ratios = random_axis(rng, n_delta, 10.0, 1000.0)
+        j_ratios = random_axis(rng, n_j, 1.0, 100.0)
+        rabi, base = rng.uniform(0.05, 0.2), rng.uniform(80.0, 120.0)
+        cells = run_sweep(delta_ratios, j_ratios, rabi, base)
+        reference = reference_sweep(delta_ratios, j_ratios, rabi, base)
+        assert len(cells) == len(reference) == len(delta_ratios) * len(j_ratios)
+        for cell, ref in zip(cells, reference):
+            assert (cell.delta_ratio, cell.j_ratio, cell.error) == (
+                ref.delta_ratio, ref.j_ratio, ref.error
+            )
+            assert abs(cell.deviation - ref.deviation) <= 1e-12
+
+    def test_hostile_grid_rows(self, tmp_path):
+        expected = sweep_to_csv(reference_sweep(**HOSTILE_GRID))
+        rows = [row.split(",", 2)[2] for row in expected.splitlines()[1:]]
+        assert rows[1] == rows[3] == "error: couplings must be finite"
+        assert rows[4] == rows[5] == "error: larmor frequencies must be finite"
+        assert np.isfinite(float(rows[0])) and np.isfinite(float(rows[2]))
+        assert sweep_to_csv(run_sweep(**HOSTILE_GRID)) == expected
+        assert main_sweep_csv(tmp_path, HOSTILE_GRID) == (EXIT_OK, expected)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"delta_ratios": [1e308], "j_ratios": [5.0, 1e308], "rabi": 10.0},  # no valid cell
+            {"delta_ratios": [30.0, 300.0], "j_ratios": [5.0], "rabi": 1e-320},  # tau overflows
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_failing_cells_match_per_cell_loop(self, tmp_path, doc):
+        expected = reference_sweep(**doc)
+        assert all(cell.error for cell in expected)
+        assert run_sweep(**doc) == expected
+        # main raises on overflow, as the loop does cell by cell
+        with np.errstate(over="raise", invalid="raise"):
+            expected = sweep_to_csv(reference_sweep(**doc))
+        assert main_sweep_csv(tmp_path, doc) == (EXIT_OK, expected)
+
+    def test_overflowing_cell_fails_alone(self, tmp_path):
+        # at rabi 0.1 the delta_ratio 1.5e308 cell has finite inputs, but its
+        # phases overflow; the other cells must come out as they do without it
+        doc = {"delta_ratios": [30.0, 300.0, 1.5e308], "j_ratios": [5.0, 50.0], "rabi": 0.1}
+        cells = run_sweep(**doc)
+        alone = run_sweep([30.0, 300.0], [5.0, 50.0], rabi=0.1)
+        assert cells[:4] == alone
+        for overflow in cells[4:]:
+            assert overflow.deviation is None
+            assert overflow.error.startswith("values too large for double precision")
+        # main raises on overflow, which must not stop the other cells
+        assert main_sweep_csv(tmp_path, doc) == (EXIT_OK, sweep_to_csv(cells))
+        with pytest.raises(ConfigurationError, match="double precision"):
+            sweep_cell_deviation(1.5e308, 5.0, rabi=0.1)
+
+    @pytest.mark.parametrize(
+        "rabi, base_larmor, j_ratio",
+        [
+            (10.0, 1.7e308, 1e307),  # E_00 overflows
+            (1.0, 5.7e307, 5e305),  # finite propagators, but E_00 * tau overflows
+        ],
+    )
+    def test_overflowing_numbers_fail_alone(self, rabi, base_larmor, j_ratio):
+        cells = run_sweep([1.0], [1.0, j_ratio], rabi=rabi, base_larmor=base_larmor)
+        assert cells[0].deviation == sweep_cell_deviation(1.0, 1.0, rabi, base_larmor)
+        assert cells[1].error == "values too large for double precision (deviation not finite)"
+
+    def test_memory_is_bounded_by_the_block(self):
+        # 900 cells, two 4 x 4 stacks each; one stack for the whole grid
+        # peaks above 2.5 MB
+        axis = np.geomspace(10.0, 1000.0, 30).tolist()
+        run_sweep(axis[:2], axis[:2])
+        tracemalloc.start()
+        try:
+            run_sweep(axis, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestMainEntryPoint:
     def test_validation_exit_code(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -375,6 +540,15 @@ class TestMainEntryPoint:
             argv = argv + ["--config", str(config)]
         assert main(argv) == EXIT_VALIDATION
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_system_number_as_text_exits_2(self, tmp_path, capsys):
+        system = {**cn_config()["system"], "larmor": ["500", 100.0]}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cn_config(system=system)))
+        assert main(["run-cn", "--config", str(config)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("config error: system: larmor: expected numeric value(s)")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, doc",

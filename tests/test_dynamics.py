@@ -3,7 +3,8 @@ lab-frame integrator.
 
 The closed-form two-level solution is checked against a bespoke RK4
 integration of the driven two-level equations written here in the test (the
-library integrator is not reused for that oracle).  The full-system
+library integrator is not reused for that oracle); its blocked, tree-multiplied
+steps are pinned to a step-by-step loop kept here as well.  The full-system
 integrator and the exact rotating-frame route check each other, and the
 library's block-batched RK4 is pinned to a step-by-step RK4 loop kept here.
 """
@@ -15,21 +16,24 @@ import numpy as np
 import pytest
 
 from spinpulse import (
+    ConfigurationError,
     DelaySpec,
     PulseSpec,
     QuantumState,
     SpinSystem,
     analytic_two_level,
     apply_sequence,
+    cn_pulse,
     diagonal_energies,
     evolve_delay,
     evolve_pulse,
     fidelity,
     integrate_lab_frame,
     lab_frame_propagator,
+    pulse_propagator,
     to_interaction_picture,
 )
-from spinpulse.dynamics import _rk4_propagator
+from spinpulse.dynamics import _rk4_propagator, pulse_propagators
 from spinpulse.model import drive_half
 
 from conftest import (
@@ -41,17 +45,55 @@ from conftest import (
 )
 
 
-def integrate_two_level(c0, e_k, e_n, rabi, phase, t_start, duration, n_steps=20000):
-    """Oracle: RK4 on the driven pair equations, vectorized over draws.
+def integrate_two_level(c0, e_k, e_n, rabi, phase, t_start, duration, n_steps=20000, block=1000):
+    """Oracle: RK4 on the driven pair equations, vectorized over draws and steps.
 
     i dC_k/dt = E_k C_k - (Omega/2) e^{+i(w t + phi)} C_n
     i dC_n/dt = E_n C_n - (Omega/2) e^{-i(w t + phi)} C_k,  w = E_n - E_k
+
+    The equations are linear, i dC/dt = H(t) C, so an RK4 step is the 2 x 2
+    matrix M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with A = -i H, K1 = A(t),
+    K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2) and
+    K4 = A(t + h)(I + h K3).  The step matrices of ``block`` steps are built
+    at once for every draw and multiplied pairwise, later steps on the left.
     """
+    c0, e_k, e_n, rabi, phase, t_start = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v)) for v in (c0, e_k, e_n, rabi, phase, t_start))
+    )
+    omega = (e_n - e_k)[:, None]
+    h = duration / n_steps
+
+    def a_at(t):
+        drive = 0.5 * rabi[:, None] * np.exp(1j * (omega * t + phase[:, None]))
+        a = np.empty(t.shape + (2, 2), dtype=complex)
+        a[..., 0, 0] = -1j * e_k[:, None]
+        a[..., 0, 1] = 1j * drive
+        a[..., 1, 0] = 1j * np.conj(drive)
+        a[..., 1, 1] = -1j * e_n[:, None]
+        return a
+
+    def tree_product(m):
+        while m.shape[1] > 1:
+            odd = m.shape[1] % 2
+            paired = m[:, 1::2] @ m[:, 0 : m.shape[1] - odd : 2]
+            m = np.concatenate((paired, m[:, -1:]), axis=1) if odd else paired
+        return m[:, 0]
+
+    y = np.tile(np.eye(2, dtype=complex), (len(c0), 1, 1))
+    for first in range(0, n_steps, block):
+        t = t_start[:, None] + h * np.arange(first, min(first + block, n_steps))
+        a_mid, a_end = a_at(t + h / 2), a_at(t + h)
+        k1 = a_at(t)
+        k2 = a_mid + h / 2 * a_mid @ k1
+        k3 = a_mid + h / 2 * a_mid @ k2
+        k4 = a_end + h * a_end @ k3
+        y = tree_product(np.eye(2) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)) @ y
+    return np.array([y[:, 0, 0] * c0, y[:, 1, 0] * c0])
+
+
+def integrate_two_level_step_loop(c0, e_k, e_n, rabi, phase, t_start, duration, n_steps):
+    """The step-by-step RK4 loop that ``integrate_two_level`` replaces."""
     c = np.array([np.asarray(c0, dtype=complex), np.zeros_like(np.asarray(c0, dtype=complex))])
-    e_k = np.asarray(e_k, dtype=float)
-    e_n = np.asarray(e_n, dtype=float)
-    rabi = np.asarray(rabi, dtype=float)
-    phase = np.asarray(phase, dtype=float)
     omega = e_n - e_k
 
     def rhs(t, y):
@@ -107,6 +149,24 @@ class TestAnalyticTwoLevel:
             )
             assert abs(result.c_k - numeric[0, i]) < 1e-8
             assert abs(result.c_n - numeric[1, i]) < 1e-8
+
+    @pytest.mark.parametrize("n_steps, block", [(1, 1000), (7, 3), (200, 64), (333, 1000)])
+    def test_blocked_oracle_matches_step_loop(self, rng, n_steps, block):
+        n_draws = 5
+        e_k = rng.uniform(-5, 5, n_draws)
+        args = (
+            np.exp(1j * rng.uniform(0, 2 * np.pi, n_draws)),
+            e_k,
+            e_k + rng.uniform(1, 8, n_draws),
+            rng.uniform(0.2, 1.5, n_draws),
+            rng.uniform(0, 2 * np.pi, n_draws),
+            rng.uniform(0, 3, n_draws),
+            2.0,
+            n_steps,
+        )
+        blocked = integrate_two_level(*args, block=block)
+        looped = integrate_two_level_step_loop(*args)
+        assert np.max(np.abs(blocked - looped)) <= 1e-12
 
     def test_generated_phase_relation(self, rng):
         # phase(C_n) = pi/2 - phi - E_n t_end (mod 2pi) for natural-phase input
@@ -210,6 +270,48 @@ class TestEvolvePulse:
         bad = QuantumState(GATE_INITIAL * 1.1, check=False)
         with pytest.raises(ValueError, match="normalized"):
             evolve_pulse(bad, gate_system, gate_pulse)
+
+    def test_overflowing_propagator_rejected(self):
+        # finite inputs whose phases overflow: four NaN amplitudes before
+        system = SpinSystem(2, [1e308, -1e308], [[0, 5], [5, 0]])
+        pulse = cn_pulse(system, 0, 1, rabi=[0.5, 0.1])
+        with pytest.raises(ConfigurationError, match="double precision"):
+            evolve_pulse(QuantumState(GATE_INITIAL), system, pulse)
+
+    def test_non_finite_energies_rejected(self):
+        system = SpinSystem(2, [1.7e308] * 2, [[0, 1e308], [1e308, 0]])  # E_00 overflows
+        pulse = PulseSpec(carrier=95.0, phase=0.0, rabi=[0.1, 0.1], duration=1.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConfigurationError, match="double precision"):
+                pulse_propagator(system, pulse)
+
+
+class TestPulsePropagators:
+    def test_stack_matches_one_pulse_at_a_time(self, rng):
+        systems = [random_system(rng, 3) for _ in range(5)]
+        pulses = [
+            PulseSpec(rng.uniform(10, 150), rng.uniform(0, 2 * np.pi), rng.uniform(0, 0.5, 3), 2.5)
+            for _ in systems
+        ]
+        energies = np.array([diagonal_energies(s) for s in systems])
+        carrier = np.array([p.carrier for p in pulses])
+        drive = np.array([np.exp(1j * p.phase) * drive_half(s, p) for s, p in zip(systems, pulses)])
+        u = pulse_propagators(energies, carrier, drive, 2.5, t_start=1.25)
+        for i, (system, pulse) in enumerate(zip(systems, pulses)):
+            assert np.array_equal(u[i], pulse_propagator(system, pulse, t_start=1.25))
+
+    def test_bad_pulse_fails_alone(self, gate_system, gate_pulse):
+        # one pulse with an infinite energy, one with a NaN carrier (both
+        # kept out of the eigensolve) and one whose phases overflow
+        energies = np.tile(diagonal_energies(gate_system), (4, 1))
+        energies[1, 2] = np.inf
+        carrier = np.array([gate_pulse.carrier, gate_pulse.carrier, np.nan, 1e308])
+        drive = np.tile(drive_half(gate_system, gate_pulse), (4, 1, 1))
+        with np.errstate(over="raise", invalid="raise"):
+            u = pulse_propagators(energies, carrier, drive, gate_pulse.duration)
+        assert np.array_equal(u[0], pulse_propagator(gate_system, gate_pulse))
+        assert [bool(np.isfinite(m).all()) for m in u] == [True, False, False, False]
+        assert np.all(np.isnan(u[1:3]))
 
 
 class TestIntegrateLabFrame:

@@ -171,6 +171,13 @@ class TestDeviationMetric:
         with pytest.raises(ValueError, match="shape"):
             deviation_metric(np.eye(2), np.eye(3))
 
+    def test_stack_gives_one_metric_per_block(self):
+        a = np.stack([R_BEFORE, R_AFTER, R_AFTER * np.exp(1j * 0.3)])
+        b = np.stack([R_AFTER] * 3)
+        metrics = deviation_metric(a.reshape(3, 1, 4, 4), b.reshape(3, 1, 4, 4))
+        assert metrics.shape == (3, 1)
+        assert metrics[:, 0].tolist() == [deviation_metric(x, R_AFTER) for x in a]
+
 
 class TestDeviationMatrixType:
     def test_non_hermitian_rejected(self):

@@ -252,6 +252,32 @@ class TestJsonLoading:
         doc = {"n_spins": 2.0, "larmor": [1.0, 2.0], "couplings": [[0.0, 1.0], [1.0, 0.0]]}
         assert load_spin_config(doc)[0].n_spins == 2
 
+    @pytest.mark.parametrize(
+        "system_fields, pulse_fields, field",
+        [
+            ({"larmor": ["1.5"]}, {}, "larmor"),
+            ({"larmor": [True]}, {}, "larmor"),
+            ({"couplings": [[0.0, "5"], [5.0, 0.0]]}, {}, "couplings"),
+            ({"couplings": [[False, 5.0], [5.0, 0.0]]}, {}, "couplings"),
+            ({}, {"carrier": "95"}, "carrier"),
+            ({}, {"phase": True}, "phase"),
+            ({}, {"duration": "3"}, "duration"),
+            ({}, {"rabi": [0.5, "0.1"]}, "rabi"),
+            ({}, {"rabi": [0.5, True]}, "rabi"),
+        ],
+    )
+    def test_strings_and_bools_rejected(self, system_fields, pulse_fields, field):
+        pulse = {"carrier": 95.0, "phase": 0.0, "rabi": [0.5, 0.1], "duration": 3.0}
+        doc = {
+            "n_spins": 2,
+            "larmor": [500.0, 100.0],
+            "couplings": [[0.0, 5.0], [5.0, 0.0]],
+            "pulses": [{**pulse, **pulse_fields}],
+            **system_fields,
+        }
+        with pytest.raises(ConfigurationError, match=f"^{field}: expected"):
+            load_spin_config(doc)
+
     def test_pulse_missing_field_named(self):
         doc = {
             "n_spins": 1,
