@@ -9,9 +9,13 @@ Three routes are provided and cross-checked against each other:
   a rotating-wave approximation.  ``pulse_propagators`` does this for a
   stack of pulses with one stacked eigensolve; one pulse is a stack of one.
 * ``integrate_lab_frame`` — independent oracle: fixed-step RK4 on the
-  explicitly time-dependent lab-frame Schrodinger equation.  The RK4 step
-  matrices are evaluated in blocks from H(t) at the RK4 nodes and
-  tree-multiplied; the result is the same RK4 as a step-by-step loop.
+  explicitly time-dependent lab-frame Schrodinger equation.  H(t) enters
+  only through its lab-frame form at the RK4 nodes.  An RK4 step matrix is
+  a Laurent polynomial of degree 4 in the drive phase factor
+  c_j = e^{i(w t_j + phi)} at the step's start; its nine matrix
+  coefficients are multiplied out once per interval, each block of steps
+  is one product of the c_j powers with them, and the blocks are
+  tree-multiplied.  The result is the same RK4 as a step-by-step loop.
 * ``analytic_two_level`` — closed-form resonant solution for one driven
   pair of levels.
 
@@ -23,6 +27,7 @@ a global clock.  States themselves stay pure value objects.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,36 +269,64 @@ def _tree_product(m: np.ndarray) -> np.ndarray:
     return m[0]
 
 
-def _rk4_step_matrices(
-    basis: np.ndarray, carrier: float, phase: float, t0: float, h: float, first: int, count: int
-) -> np.ndarray:
-    """Stack of the RK4 step matrices of steps first .. first + count - 1.
+def _rk4_laurent_coefficients(basis: np.ndarray, carrier: float, h: float) -> np.ndarray:
+    """Matrices B_m, m = -4 .. 4, of the RK4 step M_j = sum_m c_j^m B_m.
 
     An RK4 step is linear in Y, so it is the matrix
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with A = -i H, K1 = A(t),
     K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2) and
-    K4 = A(t + h)(I + h K3).  ``basis`` stacks the three matrices that A(t)
-    combines with the coefficients (1, c, conj c).
+    K4 = A(t + h)(I + h K3).  ``basis`` stacks a-, a0 and a+ with
+    A(t) = conj(c) a- + a0 + c a+, c = e^{i(w t + phi)}.  At step j the
+    nodes t_j, t_j + h/2 and t_j + h have c = c_j e^{iws} for s = 0, h/2, h,
+    and conj(c_j) = 1/c_j, so each K is a Laurent polynomial in c_j whose
+    coefficients depend on (E, R, w, h) only.  Returns the B_m flattened,
+    shape (9, dim * dim).
     """
     dim = basis.shape[-1]
-    # the steps' edges t0 + j h, then their midpoints
-    j = np.arange(first, first + count + 1)
-    times = np.concatenate((t0 + h * j, t0 + h * (j[:-1] + 0.5)))
-    c = np.exp(1j * (carrier * times + phase))
-    coefficients = np.stack((np.ones_like(c), c, c.conj()), axis=1)
-    a = (coefficients @ basis.reshape(3, -1)).reshape(-1, dim, dim)
-    a_edge, a_mid = a[: count + 1], a[count + 1 :]
-    # K' = A (I + s K) = A + s A K, in place; m gathers K1 + 2 K2 + 2 K3 + K4
-    k = a_edge[:-1]
-    m = k.copy()
-    for a_node, s, weight in ((a_mid, h / 2, 2.0), (a_mid, h / 2, 2.0), (a_edge[1:], h, 1.0)):
-        k = a_node @ k
-        k *= s
-        k += a_node
-        m += weight * k
+    orders = np.arange(-1, 2)[:, None, None]
+    mid, end = (basis * np.exp(1j * carrier * s * orders) for s in (h / 2, h))
+    k = basis
+    m = np.zeros((9, dim, dim), dtype=complex)
+    m[3:6] = k
+    for a, s, weight in ((mid, h / 2, 2.0), (mid, h / 2, 2.0), (end, h, 1.0)):
+        # K' = A + s A K; (A K)_m = sum_i a_i K_(m - i) is one degree higher
+        products = s * (a[:, None] @ k)  # products[i, l] = s a_i K_l
+        n = len(k)
+        k = np.zeros((n + 2, dim, dim), dtype=complex)
+        for i in range(3):
+            k[i : i + n] += products[i]
+        degree = len(k) // 2
+        k[degree - 1 : degree + 2] += a
+        m[4 - degree : 5 + degree] += weight * k
     m *= h / 6.0
-    m += np.eye(dim)
-    return m
+    m[4] += np.eye(dim)
+    return m.reshape(9, -1)
+
+
+def _rk4_step_blocks(
+    diag: np.ndarray,
+    half: np.ndarray,
+    carrier: float,
+    phase: float,
+    t0: float,
+    span: float,
+    n_steps: int,
+) -> Iterator[np.ndarray]:
+    """The RK4 step matrices over [t0, t0 + span], ``_RK4_BLOCK`` steps at a time.
+
+    Each block's stack (count, dim, dim) is the product of the steps'
+    c_j^m, m = -4 .. 4, with the B_m of ``_rk4_laurent_coefficients``.
+    """
+    dim = len(diag)
+    # A(t) = -i H(t) is (conj c, 1, c) times these three matrices
+    basis = -1j * np.stack((half.conj().T, np.diag(diag), half))
+    h = span / n_steps
+    b = _rk4_laurent_coefficients(basis, carrier, h)
+    powers = np.arange(-4, 5)
+    for first in range(0, n_steps, _RK4_BLOCK):
+        j = np.arange(first, min(first + _RK4_BLOCK, n_steps))
+        c_powers = np.exp(1j * np.multiply.outer(carrier * (t0 + h * j) + phase, powers))
+        yield (c_powers @ b).reshape(-1, dim, dim)
 
 
 def _rk4_propagator(
@@ -308,20 +341,33 @@ def _rk4_propagator(
     """RK4 propagator for i dY/dt = H(t) Y over [t0, t0 + span].
 
     H(t) = diag(E) + c R + conj(c) R^dagger with c = e^{i(w t + phi)} and R
-    the drive half from ``drive_half``.  The steps are taken in blocks of
-    ``_RK4_BLOCK``: a block's step matrices are built in one pass from H at
-    the RK4 nodes and multiplied as a pairwise tree.  This is the same RK4
-    as stepping Y one step at a time, up to rounding.
+    the drive half from ``drive_half``.  Each step matrix is a Laurent
+    polynomial in its c_j (``_rk4_laurent_coefficients``), whose nine
+    coefficients are built once per call from H at the RK4 nodes.  The steps
+    are taken in blocks of ``_RK4_BLOCK``: one (count x 9) @ (9 x dim^2)
+    product gives a block's step matrices, which are multiplied as a
+    pairwise tree.  This is the same RK4 as stepping Y one step at a time,
+    up to rounding.
     """
-    dim = len(diag)
-    # A(t) = -i H(t) is (1, c, conj c) times these three matrices
-    basis = -1j * np.stack((np.diag(diag), half, half.conj().T))
-    h = span / n_steps
-    y = np.eye(dim, dtype=complex)
-    for first in range(0, n_steps, _RK4_BLOCK):
-        count = min(_RK4_BLOCK, n_steps - first)
-        y = _tree_product(_rk4_step_matrices(basis, carrier, phase, t0, h, first, count)) @ y
+    y = np.eye(len(diag), dtype=complex)
+    for steps in _rk4_step_blocks(diag, half, carrier, phase, t0, span, n_steps):
+        y = _tree_product(steps) @ y
     return y
+
+
+def _count(span: float, unit: float, rounding) -> int:
+    """rounding(span / unit), a step or period count, as an int.
+
+    Raises ConfigurationError if the count is not finite, as when an energy
+    near the double-precision limit makes the step subnormal.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        count = rounding(np.float64(span) / unit)
+    if not np.isfinite(count):
+        raise ConfigurationError(
+            f"values too large for double precision ({span:.3e} / {unit:.3e} steps or periods)"
+        )
+    return int(count)
 
 
 def lab_frame_propagator(
@@ -332,19 +378,31 @@ def lab_frame_propagator(
     The lab Hamiltonian is periodic in the carrier period, so the RK4
     propagator is built over a single period and composed by matrix powers;
     the remainder interval is stepped directly.  This keeps the fixed-step
-    error budget while making long pulses cheap.  Within an interval the RK4
-    step matrices are evaluated in blocks and tree-multiplied, which gives
-    the same RK4 as stepping one step at a time, up to rounding.
+    error budget while making long pulses cheap.  Within an interval every
+    RK4 step matrix is a Laurent polynomial in the drive phase factor
+    e^{i(w t + phi)} at the step's start, with coefficients built once from
+    H at the RK4 nodes; blocks of step matrices come from one product with
+    those coefficients and are tree-multiplied.  This gives the same RK4 as
+    stepping one step at a time, up to rounding.
 
     ``step`` must resolve the fastest oscillation: at most
-    (shortest period) / 20, default (shortest period) / 400.
+    (shortest period) / 20, default (shortest period) / 400.  Raises
+    ConfigurationError if the carrier or phase is not finite, or if the
+    energies or the step or period counts overflow double precision.
     """
+    if not (np.isfinite(pulse.carrier) and np.isfinite(pulse.phase)):
+        raise ConfigurationError(
+            f"carrier and phase must be finite (got {pulse.carrier}, {pulse.phase})"
+        )
     half = drive_half(system, pulse)
     energies = diagonal_energies(system)
-    w_max = max(np.max(np.abs(energies)), abs(pulse.carrier)) + np.max(pulse.rabi, initial=0.0)
+    with np.errstate(over="ignore"):
+        w_max = max(np.max(np.abs(energies)), abs(pulse.carrier)) + np.max(pulse.rabi, initial=0.0)
     t_min = 2 * np.pi / w_max
     if step is None:
         step = t_min / DEFAULT_STEP_DIVISOR
+    elif not step > 0:
+        raise ValueError(f"step must be > 0, got {step}")
     max_step = t_min / MAX_STEP_DIVISOR
     if step > max_step:
         raise ValueError(
@@ -357,17 +415,17 @@ def lab_frame_propagator(
 
     period = 2 * np.pi / abs(carrier) if carrier != 0.0 else np.inf
     if period < tau:
-        n_periods = int(np.floor(tau / period))
+        n_periods = _count(tau, period, np.floor)
         remainder = tau - n_periods * period
-        n1 = max(1, int(np.ceil(period / step)))
+        n1 = max(1, _count(period, step, np.ceil))
         u_period = _rk4_propagator(energies, half, carrier, pulse.phase, t_start, period, n1)
         u = np.linalg.matrix_power(u_period, n_periods)
         if remainder > 0:
-            n2 = max(1, int(np.ceil(remainder / step)))
+            n2 = max(1, _count(remainder, step, np.ceil))
             # H(t_start + n_periods*period + s) = H(t_start + s): periodic drive
             u = _rk4_propagator(energies, half, carrier, pulse.phase, t_start, remainder, n2) @ u
         return u
-    n_steps = max(1, int(np.ceil(tau / step)))
+    n_steps = max(1, _count(tau, step, np.ceil))
     return _rk4_propagator(energies, half, carrier, pulse.phase, t_start, tau, n_steps)
 
 

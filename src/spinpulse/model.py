@@ -277,9 +277,16 @@ def diagonal_energies(system: SpinSystem) -> np.ndarray:
     """Lab-frame eigenenergies E_n of the system's drive-free Ising Hamiltonian.
 
     These are the energies that drive free-evolution phases exp(-i E_n t);
-    see ``ising_diagonal`` for the formula.
+    see ``ising_diagonal`` for the formula.  Raises ConfigurationError if
+    they overflow double precision.
     """
-    return ising_diagonal(system.larmor, system.couplings)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = ising_diagonal(system.larmor, system.couplings)
+    if not np.isfinite(energies).all():
+        raise ConfigurationError(
+            "values too large for double precision (Ising energies not finite)"
+        )
+    return energies
 
 
 def drive_half(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:

@@ -211,7 +211,8 @@ def _stage_matrices(
     """Stage unitaries and the inter-stage phase diagonals for a mode.
 
     Returns (stages, phases) with stages = [U1, U2, U3] applied in order and
-    phases = [p1, p2] diagonal factors applied after stages 1 and 2.
+    phases = [p1, p2] diagonal factors applied after stages 1 and 2.  Raises
+    ConfigurationError if a delay phase overflows double precision.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; choose one of {MODES}")
@@ -224,9 +225,11 @@ def _stage_matrices(
         return stages, [ones, ones]
     if energies is None:
         raise ConfigurationError(f"mode {mode!r} requires an energy table")
-    e = energies.values
-    p1 = np.exp(-1j * e * tau1)
-    p2 = np.exp(-1j * e * tau2)
+    with np.errstate(over="ignore"):
+        angles = np.multiply.outer((tau1, tau2), energies.values)
+    if not np.isfinite(angles).all():
+        raise ConfigurationError("values too large for double precision (delay phases not finite)")
+    p1, p2 = np.exp(-1j * angles)
     if mode == "natural-phase":
         # dress each stage at its application time: U -> D(t) U D(t)^+
         d2 = p1 * p2
@@ -244,7 +247,8 @@ def run_shor(
     """Run the three-stage pipeline from |00,00> in the given timing mode.
 
     Returns the final state, the exact measurement distribution over x
-    (marginal over y), and optionally the path-term decomposition.
+    (marginal over y), and optionally the path-term decomposition.  Raises
+    ConfigurationError if delays x energies overflow double precision.
     """
     stages, phases = _stage_matrices(mode, delays, energies)
     psi = np.zeros(DIM, dtype=complex)

@@ -5,6 +5,9 @@ products of single-spin operators, deliberately avoiding the bit-arithmetic
 route the library uses, so the two constructions check each other.
 """
 
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +60,16 @@ def kron_lab_energies(system: SpinSystem) -> np.ndarray:
     """Oracle: drive-free lab energies via tensor products."""
     zero_pulse = PulseSpec(carrier=0.0, phase=0.0, rabi=np.zeros(system.n_spins), duration=1.0)
     return np.real(np.diag(kron_rotating_hamiltonian(system, zero_pulse)))
+
+
+@contextlib.contextmanager
+def warnings_are_errors(error_state: str = "warn"):
+    """numpy's overflow, invalid and divide errors set to ``error_state``; any
+    warning raised inside is an error."""
+    with np.errstate(over=error_state, invalid=error_state, divide=error_state):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
 
 
 def random_system(rng: np.random.Generator, n_spins: int) -> SpinSystem:

@@ -6,7 +6,9 @@ integration of the driven two-level equations written here in the test (the
 library integrator is not reused for that oracle); its blocked, tree-multiplied
 steps are pinned to a step-by-step loop kept here as well.  The full-system
 integrator and the exact rotating-frame route check each other, and the
-library's block-batched RK4 is pinned to a step-by-step RK4 loop kept here.
+library's block-batched RK4 is pinned to a step-by-step RK4 loop kept here;
+its Laurent-built step matrices are pinned to step matrices built node by
+node from A(t) at the RK4 nodes, also kept here.
 """
 
 import cmath
@@ -33,7 +35,7 @@ from spinpulse import (
     pulse_propagator,
     to_interaction_picture,
 )
-from spinpulse.dynamics import _rk4_propagator, pulse_propagators
+from spinpulse.dynamics import _RK4_BLOCK, _rk4_propagator, _rk4_step_blocks, pulse_propagators
 from spinpulse.model import drive_half
 
 from conftest import (
@@ -42,6 +44,7 @@ from conftest import (
     kron_rotating_hamiltonian,
     random_state,
     random_system,
+    warnings_are_errors,
 )
 
 
@@ -359,6 +362,33 @@ class TestIntegrateLabFrame:
         out = integrate_lab_frame(QuantumState(GATE_INITIAL), gate_system, gate_pulse)
         assert abs(out.norm - 1.0) < 1e-6
 
+    @pytest.mark.parametrize(
+        "larmor, carrier, phase, rabi, duration",
+        [
+            ([1e308, -1e308], 100.0, 0.0, 0.1, 1.0),  # subnormal step: OverflowError before
+            ([1e308, 1e308], 100.0, 0.0, 0.1, 1.0),  # E_00 overflows
+            ([1.7e308, -1.7e308], 100.0, 0.0, 1e308, 1.0),  # the fastest frequency overflows
+            ([1.0, 2.0], 1e308, 0.0, 0.1, 1e308),  # the period count overflows
+            ([1.0, 2.0], np.inf, 0.0, 0.1, 1.0),
+            ([1.0, 2.0], 100.0, np.inf, 0.1, 1.0),  # phase inf % 2 pi is NaN
+        ],
+    )
+    @pytest.mark.parametrize("error_state", ["warn", "raise"])
+    def test_non_finite_input_is_a_configuration_error(
+        self, larmor, carrier, phase, rabi, duration, error_state
+    ):
+        system = SpinSystem(2, larmor, [[0, 5], [5, 0]])
+        pulse = PulseSpec(carrier=carrier, phase=phase, rabi=[rabi, 0.1], duration=duration)
+        with warnings_are_errors(error_state):
+            with pytest.raises(ConfigurationError, match="double precision|finite"):
+                lab_frame_propagator(system, pulse)
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan])
+    def test_non_positive_step_refused(self, gate_system, gate_pulse, step):
+        # a negative step used to give one RK4 step over the whole pulse
+        with pytest.raises(ValueError, match="step must be > 0"):
+            lab_frame_propagator(gate_system, gate_pulse, step=step)
+
 
 def rk4_step_loop(diag, half, carrier, phase, t0, span, n_steps):
     """Reference: the RK4 propagator stepped one step at a time."""
@@ -383,7 +413,62 @@ def rk4_step_loop(diag, half, carrier, phase, t0, span, n_steps):
     return y
 
 
+def rk4_step_matrices_by_nodes(basis, carrier, phase, t0, h, first, count):
+    """Reference: the step matrices of steps first .. first + count - 1, node by node.
+
+    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with A = -i H, K1 = A(t),
+    K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2) and
+    K4 = A(t + h)(I + h K3).  ``basis`` stacks the three matrices that A(t)
+    combines with the coefficients (1, c, conj c).
+    """
+    dim = basis.shape[-1]
+    # the steps' edges t0 + j h, then their midpoints
+    j = np.arange(first, first + count + 1)
+    times = np.concatenate((t0 + h * j, t0 + h * (j[:-1] + 0.5)))
+    c = np.exp(1j * (carrier * times + phase))
+    coefficients = np.stack((np.ones_like(c), c, c.conj()), axis=1)
+    a = (coefficients @ basis.reshape(3, -1)).reshape(-1, dim, dim)
+    a_edge, a_mid = a[: count + 1], a[count + 1 :]
+    # K' = A (I + s K) = A + s A K, in place; m gathers K1 + 2 K2 + 2 K3 + K4
+    k = a_edge[:-1]
+    m = k.copy()
+    for a_node, s, weight in ((a_mid, h / 2, 2.0), (a_mid, h / 2, 2.0), (a_edge[1:], h, 1.0)):
+        k = a_node @ k
+        k *= s
+        k += a_node
+        m += weight * k
+    m *= h / 6.0
+    m += np.eye(dim)
+    return m
+
+
 class TestRK4Propagator:
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_steps", [1, 31, 32, 33])  # around the 32-step block edge
+    def test_laurent_steps_match_node_steps(self, rng, n_spins, n_steps):
+        system = random_system(rng, n_spins)
+        energies = diagonal_energies(system)
+        pulse = PulseSpec(
+            carrier=rng.uniform(20, 200),
+            phase=rng.uniform(0, 2 * np.pi),
+            rabi=rng.uniform(0.05, 0.5, size=n_spins),
+            duration=1.0,
+        )
+        half = drive_half(system, pulse)
+        span = n_steps * 2 * np.pi / np.max(np.abs(energies)) / 400
+        t0 = rng.uniform(0, 1e3)
+        blocks = list(
+            _rk4_step_blocks(energies, half, pulse.carrier, pulse.phase, t0, span, n_steps)
+        )
+        assert [len(b) for b in blocks] == [
+            min(_RK4_BLOCK, n_steps - first) for first in range(0, n_steps, _RK4_BLOCK)
+        ]
+        basis = -1j * np.stack((np.diag(energies), half, half.conj().T))
+        by_nodes = rk4_step_matrices_by_nodes(
+            basis, pulse.carrier, pulse.phase, t0, span / n_steps, 0, n_steps
+        )
+        assert np.max(np.abs(np.concatenate(blocks) - by_nodes)) <= 1e-13
+
     @pytest.mark.parametrize("n_steps", [1, 31, 32, 33, 67])
     def test_matches_step_loop(self, gate_system, ensemble_system, rng, n_steps):
         # block edges at 32 steps, and 67 = 2 * 32 + 3 has odd tree levels

@@ -17,6 +17,7 @@ from spinpulse import (
     QuantumState,
     SpinSystem,
     build_rotating_hamiltonian,
+    cn_pulse,
     diagonal_energies,
     load_spin_config,
     spin_z_values,
@@ -24,7 +25,12 @@ from spinpulse import (
     transition_frequency,
 )
 
-from conftest import kron_lab_energies, kron_rotating_hamiltonian, random_system
+from conftest import (
+    kron_lab_energies,
+    kron_rotating_hamiltonian,
+    random_system,
+    warnings_are_errors,
+)
 
 
 class TestSpinSystem:
@@ -181,6 +187,17 @@ class TestDiagonalEnergies:
             np.testing.assert_allclose(
                 diagonal_energies(system), kron_lab_energies(system), atol=1e-12
             )
+
+    @pytest.mark.parametrize("error_state", ["warn", "raise"])
+    def test_overflow_is_a_configuration_error(self, error_state):
+        # four Larmor terms of 1e308 sum past the double-precision limit; a
+        # matmul overflow warning came before the error
+        system = SpinSystem(4, [1e308] * 4, np.zeros((4, 4)))
+        with warnings_are_errors(error_state):
+            with pytest.raises(ConfigurationError, match="double precision"):
+                diagonal_energies(system)
+            with pytest.raises(ConfigurationError, match="double precision"):
+                cn_pulse(system, 0, 1)
 
     def test_differences_reproduce_transition_frequencies(self, rng):
         system = random_system(rng, 3)

@@ -25,7 +25,7 @@ from spinpulse import (
     trace_paths,
 )
 
-from conftest import random_state
+from conftest import random_state, warnings_are_errors
 
 index_of = register_index
 
@@ -216,6 +216,15 @@ class TestRunShor:
     def test_non_finite_delays_rejected(self, mode, delays):
         with pytest.raises(ConfigurationError, match="finite"):
             run_shor(mode, delays=delays, energies=EnergyTable.zeros())
+
+    @pytest.mark.parametrize("mode", ["bare-delay", "natural-phase"])
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_overflowing_delay_phases_rejected(self, mode, trace):
+        # finite delays whose phases overflow: two warnings and [nan nan nan nan] before
+        energies = EnergyTable(np.full(16, 10.0))
+        with warnings_are_errors():
+            with pytest.raises(ConfigurationError, match="double precision"):
+                run_shor(mode, delays=(1e308, 1.0), energies=energies, trace=trace)
 
 
 class TestEnergyTable:
