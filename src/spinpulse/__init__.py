@@ -76,9 +76,19 @@ from .shor import (
     superpose_x,
     trace_paths,
 )
-from .cli import run_config, run_sweep, sweep_cell_deviation, sweep_to_csv
+from .sweep import run_sweep, sweep_cell_deviation
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the command line (argparse, csv) loads only when one of its names is used
+    if name in ("run_config", "sweep_to_csv"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ConfigurationError",

@@ -5,22 +5,11 @@ Subcommands: ``run-cn``, ``run-ensemble``, ``run-shor``, ``design-pulse``,
 failure against a provided reference.  Outputs are deterministic for
 identical configs and seeds.
 
-The ``sweep`` command maps the parameter region in which a single pulse
-still acts as a clean CN gate.  Each cell builds a two-spin system with
-frequency separation delta = (delta_ratio) * Omega and coupling
-J = (j_ratio) * Omega, applies the standard CN pi-pulse to a fixed test
-superposition, and reports the worst-case relative entry deviation of the
-resulting density-matrix block against the same pulse with the non-resonant
-spin undriven.  That reference isolates the frequency-separation effect the
-sweep studies; drive-induced phases on the coupled target transition, which
-do not depend on the separation, cancel out.
-
-The grid is evaluated in blocks of cells: the rotating Hamiltonians of a
-block (two per cell, control driven and undriven) are built as one stack
-and exponentiated by one stacked eigensolve, with the same numbers as a
-cell-by-cell evaluation.  A bad cell (an invalid system, or numbers that
-overflow double precision) still yields its own ``error:`` row and is kept
-out of the other cells' arithmetic.
+This module is the command line only: it validates config documents,
+dispatches each kind to the library and formats the results as text.  The
+sweep kernel lives in ``spinpulse.sweep``.  ``import spinpulse`` does not
+load this module; the first use of ``spinpulse.run_config`` or
+``spinpulse.sweep_to_csv`` does.
 """
 
 from __future__ import annotations
@@ -29,14 +18,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import numbers
 import reprlib
 import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,14 +33,12 @@ from .model import (
     PulseSpec,
     QuantumState,
     SpinSystem,
-    drive_half,
     fidelity,
     finite_real,
     finite_reals,
-    ising_diagonal,
     system_from_dict,
 )
-from .dynamics import evolve_pulse, pulse_propagators, to_interaction_picture
+from .dynamics import evolve_pulse, to_interaction_picture
 from .design import cn_pulse, design_2pik
 from .ensemble import (
     BACKGROUND_DIAGONAL,
@@ -62,13 +48,11 @@ from .ensemble import (
     to_interaction_picture as density_to_interaction_picture,
 )
 from . import shor
+from .sweep import SweepCell, axis, positive, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
-
-#: test superposition used by the sweep cells
-SWEEP_INITIAL = (math.sqrt(0.3), math.sqrt(0.2), 1.0 / math.sqrt(3.0), 1.0 / math.sqrt(6.0))
 
 #: default of a field that every config of its kind must set
 REQUIRED = object()
@@ -111,6 +95,14 @@ def _write_text(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _json_dumps(doc) -> str:
@@ -159,18 +151,6 @@ def _pairs(value) -> np.ndarray:
 def _state(value) -> np.ndarray:
     """[re, im] pairs of a normalized state vector."""
     return QuantumState(_pairs(value)).amplitudes
-
-
-def _axis(values) -> list[float]:
-    """A sweep axis as floats: a non-empty list, strictly positive, sorted ascending."""
-    axis = finite_reals(values)
-    if axis.ndim != 1:
-        raise ValueError("axis must be a list of numbers")
-    if not axis.size or not np.all(axis > 0):
-        raise ValueError("axis values must be strictly positive and finite")
-    if np.any(np.diff(axis) < 0):
-        raise ValueError("axis must be sorted ascending")
-    return axis.tolist()
 
 
 def _energies(doc) -> shor.EnergyTable:
@@ -253,12 +233,9 @@ def _run_cn(p: dict, out: str | None, fmt: str) -> int:
         if not result["passed"]:
             code = EXIT_TOLERANCE
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["state", "re", "im"])
-        for idx, amp in enumerate(final_int.amplitudes):
-            writer.writerow([idx, f"{amp.real:.12e}", f"{amp.imag:.12e}"])
-        _write_text(buf.getvalue(), out)
+        amplitudes = final_int.amplitudes
+        rows = ([i, f"{a.real:.12e}", f"{a.imag:.12e}"] for i, a in enumerate(amplitudes))
+        _write_text(_csv(["state", "re", "im"], rows), out)
         if "fidelity" in result:
             print(f"fidelity = {result['fidelity']:.6f} (min {result['min_fidelity']})")
     else:
@@ -273,15 +250,10 @@ def _run_cn(p: dict, out: str | None, fmt: str) -> int:
 
 
 def _ensemble_csv(r_block: np.ndarray, b_diag: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["row", "col", "re", "im"])
-    for i in range(4):
-        for j in range(4):
-            writer.writerow([i, j, f"{r_block[i, j].real:.12e}", f"{r_block[i, j].imag:.12e}"])
-    for i, value in enumerate(b_diag):
-        writer.writerow([4 + i, 4 + i, f"{value:.12e}", f"{0.0:.12e}"])
-    return buf.getvalue()
+    rows = [[i, j, f"{r_block[i, j].real:.12e}", f"{r_block[i, j].imag:.12e}"]
+            for i in range(4) for j in range(4)]
+    rows += [[4 + i, 4 + i, f"{value:.12e}", f"{0.0:.12e}"] for i, value in enumerate(b_diag)]
+    return _csv(["row", "col", "re", "im"], rows)
 
 
 def _run_ensemble(p: dict, out: str | None, fmt: str) -> int:
@@ -344,14 +316,12 @@ def _run_ensemble(p: dict, out: str | None, fmt: str) -> int:
 
 
 def _trace_csv(trace: shor.ShorTrace) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["final_state", "path", "phase", "magnitude"])
-    for index in sorted(trace.terms):
-        for term in trace.terms[index]:
-            path = ">".join(str(s) for s in term.states)
-            writer.writerow([index, path, f"{term.phase:.12e}", f"{term.magnitude:.12e}"])
-    return buf.getvalue()
+    rows = (
+        [index, ">".join(map(str, term.states)), f"{term.phase:.12e}", f"{term.magnitude:.12e}"]
+        for index in sorted(trace.terms)
+        for term in trace.terms[index]
+    )
+    return _csv(["final_state", "path", "phase", "magnitude"], rows)
 
 
 def _run_shor(
@@ -415,159 +385,18 @@ def _run_design(p: dict, out: str | None, fmt: str) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    delta_ratio: float
-    j_ratio: float
-    deviation: float | None
-    error: str | None = None
-
-
-#: grid cells evaluated together; bounds the Hamiltonian and propagator
-#: stacks at a few hundred 4 x 4 matrices, however large the grid
-_SWEEP_BLOCK = 128
-#: the two-spin coupling matrix of a unit Ising constant
-_UNIT_COUPLING = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _sweep_drive(rabi: float) -> tuple[float, np.ndarray]:
-    """Duration and drive halves (control driven, then undriven) of the sweep pulse.
-
-    Both depend on rabi alone, so every cell shares them.  cn_pulse builds
-    them on a stand-in system, so a bad rabi fails as it does there.
-    """
-    stand_in = SpinSystem.uniform([0.0, 0.0], 0.0)
-    pulses = [cn_pulse(stand_in, 0, 1, "standard", rabi=[r, rabi]) for r in (rabi, 0.0)]
-    drive = np.stack([np.exp(1j * p.phase) * drive_half(stand_in, p) for p in pulses])
-    return pulses[0].duration, drive
-
-
-def _block_deviations(
-    delta_ratio: np.ndarray,
-    j_ratio: np.ndarray,
-    rabi: float,
-    base_larmor: float,
-    initial: np.ndarray,
-    pulse: tuple[float, np.ndarray] | str,
-) -> list[float | str]:
-    """Deviation of each cell of a block, or the text of the error that stopped it.
-
-    ``pulse`` is ``_sweep_drive(rabi)``, or the text of its error.  Every
-    cell's two Hamiltonians (control driven and undriven) go through one
-    stacked eigensolve; a cell whose system is invalid, or whose numbers
-    overflow, gets its own error and does not change the other cells.
-    """
-    # overflow is checked cell by cell below, so it must not raise for the block
-    with np.errstate(over="ignore", invalid="ignore"):
-        coupling = j_ratio * rabi
-        control_larmor = base_larmor + delta_ratio * rabi
-        larmor = np.stack((control_larmor, np.full_like(control_larmor, base_larmor)), 1)
-        valid = np.isfinite(larmor).all(1) & np.isfinite(coupling)
-        out: list = [None] * len(coupling)
-        for i in np.flatnonzero(~valid):
-            try:  # the cell's own SpinSystem raises with the same checks and text
-                SpinSystem.uniform(larmor[i], coupling[i])
-            except ConfigurationError as exc:
-                out[i] = str(exc)
-        if isinstance(pulse, str):
-            return [pulse if v is None else v for v in out]
-        duration, drive = pulse
-        energies = ising_diagonal(larmor[valid], coupling[valid, None, None] * _UNIT_COUPLING)
-        energies = np.repeat(energies, 2, axis=0)  # each cell once per drive setting
-        # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
-        carrier = energies[:, 3] - energies[:, 2]
-        drives = np.tile(drive, (len(carrier) // 2, 1, 1))
-        u = pulse_propagators(energies, carrier, drives, duration)
-        psi = np.exp(1j * energies * duration) * (u @ initial)  # interaction picture
-        rho = psi[:, :, None] * psi.conj()[:, None, :]
-        # a non-finite energy, carrier, propagator or phase makes the deviation NaN
-        deviation = deviation_metric(rho[0::2], rho[1::2])
-    too_large = "values too large for double precision (deviation not finite)"
-    for i, value in zip(np.flatnonzero(valid).tolist(), deviation.tolist()):
-        out[i] = value if math.isfinite(value) else too_large
-    return out
-
-
-def _deviations(
-    delta_ratio: np.ndarray, j_ratio: np.ndarray, rabi: float, base_larmor: float, initial
-) -> list[float | str]:
-    """Deviation of each cell (delta_ratio[i], j_ratio[i]), or its error text, block by block."""
-    initial = QuantumState(np.asarray(initial, dtype=complex)).amplitudes
-    try:
-        pulse = _sweep_drive(rabi)
-    except (ConfigurationError, FloatingPointError) as exc:  # FloatingPointError under main
-        pulse = str(exc)
-    out = []
-    for first in range(0, len(delta_ratio), _SWEEP_BLOCK):
-        block = slice(first, first + _SWEEP_BLOCK)
-        out += _block_deviations(
-            delta_ratio[block], j_ratio[block], rabi, base_larmor, initial, pulse
-        )
-    return out
-
-
-def sweep_cell_deviation(
-    delta_ratio: float,
-    j_ratio: float,
-    rabi: float = 0.1,
-    base_larmor: float = 100.0,
-    initial=SWEEP_INITIAL,
-) -> float:
-    """Deviation of one sweep cell (see module docstring for the protocol).
-
-    It is the sweep's block evaluation on a block of one cell; raises
-    ConfigurationError with the cell's error text if the cell fails.
-    """
-    [value] = _deviations(np.array([delta_ratio]), np.array([j_ratio]), rabi, base_larmor, initial)
-    if isinstance(value, str):
-        raise ConfigurationError(value)
-    return value
-
-
-def _sweep_cells(p: Mapping) -> list[SweepCell]:
-    grid = [(dr, jr) for dr in p["delta_ratios"] for jr in p["j_ratios"]]
-    delta_ratio, j_ratio = np.array(grid).reshape(-1, 2).T
-    values = _deviations(delta_ratio, j_ratio, p["rabi"], p["base_larmor"], SWEEP_INITIAL)
-    return [
-        SweepCell(dr, jr, None, error=v) if isinstance(v, str) else SweepCell(dr, jr, v)
-        for (dr, jr), v in zip(grid, values)
-    ]
-
-
-def run_sweep(
-    delta_ratios: Sequence[float],
-    j_ratios: Sequence[float],
-    rabi: float = 0.1,
-    base_larmor: float = 100.0,
-) -> list[SweepCell]:
-    """Evaluate every grid cell; cells are independent and order-insensitive.
-
-    The arguments are checked as a ``sweep`` config's fields (axes strictly
-    positive and sorted ascending, rabi > 0).  Per-cell failures are recorded
-    in the row and do not stop the sweep.
-    """
-    doc = {"kind": "sweep", "delta_ratios": delta_ratios, "j_ratios": j_ratios,
-           "rabi": rabi, "base_larmor": base_larmor}
-    return _sweep_cells(parse_config(doc).payload)
-
-
 def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["delta_ratio", "j_ratio", "deviation"])
-    for cell in cells:
-        value = f"{cell.deviation:.12e}" if cell.deviation is not None else f"error: {cell.error}"
-        writer.writerow([f"{cell.delta_ratio:g}", f"{cell.j_ratio:g}", value])
-    return buf.getvalue()
+    """The cells of ``run_sweep`` as CSV; a failed cell's deviation reads ``error: <text>``."""
+    rows = (
+        [f"{c.delta_ratio:g}", f"{c.j_ratio:g}",
+         f"{c.deviation:.12e}" if c.deviation is not None else f"error: {c.error}"]
+        for c in cells
+    )
+    return _csv(["delta_ratio", "j_ratio", "deviation"], rows)
 
 
 def _run_sweep_cmd(p: dict, out: str | None, fmt: str) -> int:
-    _write_text(sweep_to_csv(_sweep_cells(p)), out)
+    _write_text(sweep_to_csv(run_sweep(**p)), out)
     return EXIT_OK
 
 
@@ -645,9 +474,9 @@ KIND_TABLE: dict[str, Kind] = {
         "n": (_POSITIVE, 1),
     }, flags=("delta_omega", "k", "n")),
     "sweep": Kind("sweep", ("csv",), _run_sweep_cmd, None, {
-        "delta_ratios": (_axis, REQUIRED),
-        "j_ratios": (_axis, REQUIRED),
-        "rabi": (partial(finite_real, low=0.0, above=True), 0.1),
+        "delta_ratios": (axis, REQUIRED),
+        "j_ratios": (axis, REQUIRED),
+        "rabi": (positive, 0.1),
         "base_larmor": (finite_real, 100.0),
     }),
 }

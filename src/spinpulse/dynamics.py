@@ -38,7 +38,6 @@ from .model import (
     PulseSpec,
     QuantumState,
     SpinSystem,
-    diagonal_energies,
     drive_half,
     rotating_hamiltonian,
     total_spin_z,
@@ -140,8 +139,7 @@ def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0)
     """
     drive = np.exp(1j * pulse.phase) * drive_half(system, pulse)
     [u] = pulse_propagators(
-        diagonal_energies(system)[None], np.array([pulse.carrier]), drive[None], pulse.duration,
-        t_start,
+        system.energies[None], np.array([pulse.carrier]), drive[None], pulse.duration, t_start
     )
     if not np.isfinite(u).all():
         raise ConfigurationError(
@@ -176,7 +174,7 @@ def evolve_delay(
     """
     _require_normalized(state)
     tau = delay.duration if isinstance(delay, DelaySpec) else float(DelaySpec(delay).duration)
-    phases = np.exp(-1j * diagonal_energies(system) * tau)
+    phases = np.exp(-1j * system.energies * tau)
     return QuantumState(phases * state.amplitudes, check=False)
 
 
@@ -186,7 +184,7 @@ def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) ->
     Amplitudes in this picture are constant under free evolution, which makes
     them directly comparable against ideal gate actions.
     """
-    phases = np.exp(1j * diagonal_energies(system) * t)
+    phases = np.exp(1j * system.energies * t)
     return QuantumState(phases * state.amplitudes, check=False)
 
 
@@ -256,7 +254,7 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float) -> np.ndarra
     lab-frame integrator steps through.  Returns a complex Hermitian ndarray.
     """
     drive = np.exp(1j * (pulse.carrier * t + pulse.phase)) * drive_half(system, pulse)
-    return np.diag(diagonal_energies(system)) + drive + drive.conj().T
+    return np.diag(system.energies) + drive + drive.conj().T
 
 
 def _tree_product(m: np.ndarray) -> np.ndarray:
@@ -387,15 +385,11 @@ def lab_frame_propagator(
 
     ``step`` must resolve the fastest oscillation: at most
     (shortest period) / 20, default (shortest period) / 400.  Raises
-    ConfigurationError if the carrier or phase is not finite, or if the
-    energies or the step or period counts overflow double precision.
+    ConfigurationError if the energies or the step or period counts
+    overflow double precision.
     """
-    if not (np.isfinite(pulse.carrier) and np.isfinite(pulse.phase)):
-        raise ConfigurationError(
-            f"carrier and phase must be finite (got {pulse.carrier}, {pulse.phase})"
-        )
     half = drive_half(system, pulse)
-    energies = diagonal_energies(system)
+    energies = system.energies
     with np.errstate(over="ignore"):
         w_max = max(np.max(np.abs(energies)), abs(pulse.carrier)) + np.max(pulse.rabi, initial=0.0)
     t_min = 2 * np.pi / w_max

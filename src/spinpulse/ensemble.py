@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem, diagonal_energies
+from .model import ConfigurationError, PulseSpec, SpinSystem
 from .dynamics import pulse_propagator
 
 N_SPINS = 4
@@ -43,7 +43,7 @@ class DeviationDensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
+        self.entries = np.array(self.entries, dtype=complex)
         if self.entries.shape != (DIM, DIM):
             raise ConfigurationError(f"deviation matrix must be {DIM}x{DIM}")
         dev = np.max(np.abs(self.entries - self.entries.conj().T))
@@ -111,7 +111,7 @@ def to_interaction_picture(
     the energy differences, making them comparable against ideal gate
     targets.
     """
-    phases = np.exp(1j * diagonal_energies(system) * t)
+    phases = np.exp(1j * system.energies * t)
     return DeviationDensityMatrix(phases[:, None] * rho.entries * phases.conj()[None, :])
 
 

@@ -63,7 +63,7 @@ def finite_reals(value) -> np.ndarray:
     if arr.dtype.kind not in "iuf" or _holds_bool(value):
         raise ValueError(f"expected numeric value(s), got {reprlib.repr(value)}")
     arr = arr.astype(float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("must be finite")
     return arr
 
@@ -109,12 +109,13 @@ def basis_label(index: int, n_spins: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpinSystem:
     """N spins with Larmor frequencies and symmetric Ising couplings.
 
     ``couplings`` is a full symmetric matrix with zero diagonal; entry
-    (k, n) is the Ising constant J_kn shared by spins k and n.
+    (k, n) is the Ising constant J_kn shared by spins k and n.  A system is
+    immutable: its arrays are read-only copies of the caller's.
     """
 
     n_spins: int
@@ -124,8 +125,10 @@ class SpinSystem:
     def __post_init__(self):
         if self.n_spins < 1:
             raise ConfigurationError("n_spins must be a positive integer")
-        self.larmor = np.asarray(self.larmor, dtype=float)
-        self.couplings = np.asarray(self.couplings, dtype=float)
+        for name in ("larmor", "couplings"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if self.larmor.shape != (self.n_spins,):
             raise ConfigurationError(
                 f"larmor must have length {self.n_spins}, got shape {self.larmor.shape}"
@@ -142,12 +145,26 @@ class SpinSystem:
             raise ConfigurationError("couplings must be symmetric")
         if not np.allclose(np.diag(self.couplings), 0.0, atol=1e-12):
             raise ConfigurationError("couplings must have zero diagonal")
-        self.larmor.setflags(write=False)
-        self.couplings.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return 2**self.n_spins
+
+    @functools.cached_property
+    def energies(self) -> np.ndarray:
+        """Lab-frame eigenenergies E_n (read-only), computed once, on first use.
+
+        See ``ising_diagonal`` for the formula.  Raises ConfigurationError if
+        they overflow double precision.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            energies = ising_diagonal(self.larmor, self.couplings)
+        if not np.isfinite(energies).all():
+            raise ConfigurationError(
+                "values too large for double precision (Ising energies not finite)"
+            )
+        energies.setflags(write=False)
+        return energies
 
     @classmethod
     def uniform(cls, larmor: Sequence[float], coupling: float) -> "SpinSystem":
@@ -155,7 +172,7 @@ class SpinSystem:
         n = len(larmor)
         j = np.full((n, n), float(coupling))
         np.fill_diagonal(j, 0.0)
-        return cls(n, np.asarray(larmor, dtype=float), j)
+        return cls(n, larmor, j)
 
 
 @dataclass
@@ -175,13 +192,17 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self):
-        self.rabi = np.asarray(self.rabi, dtype=float)
+        self.rabi = np.array(self.rabi, dtype=float)
         if self.rabi.ndim != 1:
             raise ConfigurationError("rabi must be a 1-d sequence")
         if np.any(self.rabi < 0) or not np.all(np.isfinite(self.rabi)):
             raise ConfigurationError("rabi frequencies must be finite and >= 0")
         if not (self.duration > 0 and np.isfinite(self.duration)):
             raise ConfigurationError("pulse duration must be strictly positive")
+        if not (math.isfinite(self.carrier) and math.isfinite(self.phase)):
+            raise ConfigurationError(
+                f"carrier and phase must be finite (got {self.carrier}, {self.phase})"
+            )
         self.phase = float(self.phase) % (2 * np.pi)
         self.rabi.setflags(write=False)
 
@@ -213,7 +234,7 @@ class QuantumState:
     NORM_TOL = 1e-9
 
     def __init__(self, amplitudes: Sequence[complex], check: bool = True):
-        amps = np.asarray(amplitudes, dtype=complex)
+        amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size == 0 or (amps.size & (amps.size - 1)):
             raise ValueError("amplitudes must be a 1-d vector of length 2^N")
         if check:
@@ -276,17 +297,11 @@ def ising_diagonal(larmor: np.ndarray, couplings: np.ndarray) -> np.ndarray:
 def diagonal_energies(system: SpinSystem) -> np.ndarray:
     """Lab-frame eigenenergies E_n of the system's drive-free Ising Hamiltonian.
 
-    These are the energies that drive free-evolution phases exp(-i E_n t);
-    see ``ising_diagonal`` for the formula.  Raises ConfigurationError if
-    they overflow double precision.
+    These are the energies that drive free-evolution phases exp(-i E_n t):
+    ``system.energies``, computed once per system.  Raises
+    ConfigurationError if they overflow double precision.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = ising_diagonal(system.larmor, system.couplings)
-    if not np.isfinite(energies).all():
-        raise ConfigurationError(
-            "values too large for double precision (Ising energies not finite)"
-        )
-    return energies
+    return system.energies
 
 
 def drive_half(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
@@ -331,7 +346,7 @@ def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> np.ndarr
     (ground, excited) side.  Returns a complex Hermitian ndarray.
     """
     drive = np.exp(1j * pulse.phase) * drive_half(system, pulse)
-    return rotating_hamiltonian(diagonal_energies(system), pulse.carrier, drive)
+    return rotating_hamiltonian(system.energies, pulse.carrier, drive)
 
 
 def transition_frequency(
@@ -353,7 +368,7 @@ def transition_frequency(
             f"spectator assignment must cover every non-target spin exactly "
             f"(missing {missing}, unexpected {extra})"
         )
-    energies = diagonal_energies(system)
+    energies = system.energies
     ground = 0
     for spin, bit in spectator_state.items():
         if bit not in (0, 1):
@@ -372,7 +387,7 @@ def _field(doc: Mapping, name: str, convert, default=None):
     """``doc[name]`` (``default`` if absent) through ``convert``, errors named by field."""
     try:
         return convert(doc.get(name, default))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{name}: {exc}") from None
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigurationError, QuantumState, SpinSystem, diagonal_energies
+from .model import ConfigurationError, QuantumState, SpinSystem
 
 N_QUBITS = 4
 DIM = 16
@@ -68,7 +68,7 @@ class EnergyTable:
     source: str = "explicit-config"
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != (DIM,):
             raise ConfigurationError(f"energy table must hold {DIM} values")
         if not np.all(np.isfinite(values)):
@@ -96,7 +96,7 @@ class EnergyTable:
         """Energies of a physical four-spin register."""
         if system.n_spins != N_QUBITS:
             raise ConfigurationError("energy table derivation needs a 4-spin system")
-        return cls(diagonal_energies(system), source="derived-from-spin-system")
+        return cls(system.energies, source="derived-from-spin-system")
 
 
 # ---------------------------------------------------------------------------

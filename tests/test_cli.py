@@ -32,13 +32,12 @@ from spinpulse.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
-    SWEEP_INITIAL,
     ConfigError,
     SweepCell,
     main,
     parse_config,
-    sweep_cell_deviation,
 )
+from spinpulse.sweep import SWEEP_INITIAL, sweep_cell_deviation
 
 from conftest import GATE_FINAL, GATE_INITIAL
 
@@ -342,6 +341,20 @@ class TestSweep:
         for dr in (300.0, 30.0):
             for jr in (50.0, 5.0):
                 assert sweep_cell_deviation(dr, jr) == forward[(dr, jr)]
+
+    @pytest.mark.parametrize(
+        "args, problem",
+        [
+            (([300.0, 30.0], [5.0]), "delta_ratios: axis must be sorted"),
+            (([30.0], [0.0]), "j_ratios: axis values must be strictly positive"),
+            (([30.0], [5.0], 0.0), "rabi: must be > 0"),
+            (([30.0], [5.0], 10**400), "rabi: int too large"),
+            (([30.0], [5.0], 0.1, "100"), "base_larmor: expected a number"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, args, problem):
+        with pytest.raises(ConfigurationError, match=f"^{problem}"):
+            run_sweep(*args)
 
     def test_degradation_toward_small_separation(self):
         assert sweep_cell_deviation(30.0, 5.0) > sweep_cell_deviation(300.0, 5.0)

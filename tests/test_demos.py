@@ -1,5 +1,6 @@
-"""Smoke tests: every narrative demo, and ``python -m spinpulse``, run to completion
-from the repo root."""
+"""Smoke tests in a fresh interpreter from the repo root: every narrative demo and
+every ``python -m spinpulse`` subcommand run to completion, and a bare
+``import spinpulse`` leaves the command line unloaded."""
 
 import os
 import subprocess
@@ -26,7 +27,31 @@ def test_demo_runs(demo):
     assert result.returncode == 0, result.stderr
 
 
-def test_python_m_spinpulse_runs_the_sweep():
-    result = run("-m", "spinpulse", "sweep", "--config", "demos/configs/sweep.json")
+#: each subcommand's arguments on the demo configs
+COMMANDS = {
+    "run-cn": ["--config", "demos/configs/cn.json"],
+    "run-ensemble": ["--config", "demos/configs/ensemble.json"],
+    "run-shor": ["--mode", "bare-delay", "--energies", "demos/configs/shor_energies.json"],
+    "design-pulse": ["--config", "demos/configs/design.json"],
+    "sweep": ["--config", "demos/configs/sweep.json"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_python_m_spinpulse_runs(command):
+    result = run("-m", "spinpulse", command, *COMMANDS[command])
     assert (result.returncode, result.stderr) == (0, "")
-    assert len(result.stdout.splitlines()) == 9  # the header and 8 cells
+    if command == "sweep":
+        assert len(result.stdout.splitlines()) == 9  # the header and 8 cells
+
+
+def test_import_spinpulse_loads_no_command_line():
+    script = """
+import sys, spinpulse
+print(sorted(name for name in ("argparse", "csv", "spinpulse.cli") if name in sys.modules))
+print(spinpulse.run_config.__module__, spinpulse.sweep_to_csv.__module__)
+print(hasattr(spinpulse, "no_such_name"))
+"""
+    result = run("-c", script)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == ["[]", "spinpulse.cli spinpulse.cli", "False"]

@@ -378,9 +378,9 @@ class TestIntegrateLabFrame:
         self, larmor, carrier, phase, rabi, duration, error_state
     ):
         system = SpinSystem(2, larmor, [[0, 5], [5, 0]])
-        pulse = PulseSpec(carrier=carrier, phase=phase, rabi=[rabi, 0.1], duration=duration)
         with warnings_are_errors(error_state):
             with pytest.raises(ConfigurationError, match="double precision|finite"):
+                pulse = PulseSpec(carrier=carrier, phase=phase, rabi=[rabi, 0.1], duration=duration)
                 lab_frame_propagator(system, pulse)
 
     @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan])

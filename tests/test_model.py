@@ -5,6 +5,7 @@ independent Kronecker-product oracle, drive-free energies, transition
 frequencies, and the JSON loaders.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,17 +14,26 @@ import pytest
 from spinpulse import (
     ConfigurationError,
     DelaySpec,
+    DeviationDensityMatrix,
+    EnergyTable,
     PulseSpec,
     QuantumState,
     SpinSystem,
     build_rotating_hamiltonian,
     cn_pulse,
     diagonal_energies,
+    evolve_delay,
+    evolve_pulse,
+    init_deviation,
+    lab_frame_propagator,
     load_spin_config,
+    model,
     spin_z_values,
+    to_interaction_picture,
     total_spin_z,
     transition_frequency,
 )
+from spinpulse.ensemble import to_interaction_picture as density_to_interaction_picture
 
 from conftest import (
     kron_lab_energies,
@@ -59,6 +69,35 @@ class TestSpinSystem:
         assert np.all(system.couplings[~np.eye(3, dtype=bool)] == 7.0)
         assert np.all(np.diag(system.couplings) == 0.0)
 
+    def test_frozen_with_read_only_energies(self, gate_system):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate_system.larmor = np.array([1.0, 2.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gate_system.energies = np.zeros(4)
+        with pytest.raises(ValueError, match="read-only"):
+            gate_system.energies[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "build, name, value, dtype",
+    [
+        (lambda a: SpinSystem(2, a, [[0, 5], [5, 0]]), "larmor", [100.0, 50.0], float),
+        (lambda a: SpinSystem(2, [100.0, 50.0], a), "couplings", [[0, 5], [5, 0]], float),
+        (lambda a: PulseSpec(95.0, 0.0, a, 1.0), "rabi", [0.5, 0.1], float),
+        (QuantumState, "amplitudes", [0.6, 0.8j], complex),
+        (EnergyTable, "values", np.arange(16.0), float),
+        (DeviationDensityMatrix, "entries", np.eye(16), complex),
+    ],
+    ids=["larmor", "couplings", "rabi", "amplitudes", "energy-table", "deviation"],
+)
+def test_constructors_copy_the_callers_array(build, name, value, dtype):
+    caller = np.array(value, dtype=dtype)
+    built = build(caller)
+    kept = getattr(built, name).copy()
+    assert caller.flags.writeable
+    caller += 1.0
+    np.testing.assert_array_equal(getattr(built, name), kept)
+
 
 class TestPulseSpec:
     def test_negative_rabi_rejected(self):
@@ -73,6 +112,11 @@ class TestPulseSpec:
         pulse = PulseSpec(95.0, 0.0, [0.1], 1.0)
         with pytest.raises(ConfigurationError, match="Rabi"):
             pulse.check_against(gate_system)
+
+    @pytest.mark.parametrize("carrier, phase", [(np.inf, 0.0), (95.0, np.inf), (np.nan, 0.0)])
+    def test_non_finite_carrier_or_phase_rejected(self, carrier, phase):
+        with pytest.raises(ConfigurationError, match="carrier and phase must be finite"):
+            PulseSpec(carrier, phase, [0.1, 0.1], 1.0)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -199,6 +243,22 @@ class TestDiagonalEnergies:
             with pytest.raises(ConfigurationError, match="double precision"):
                 cn_pulse(system, 0, 1)
 
+    def test_computed_once_per_system(self, monkeypatch, ensemble_system):
+        calls = []
+        ising_diagonal = model.ising_diagonal
+        monkeypatch.setattr(
+            model, "ising_diagonal", lambda *args: calls.append(args) or ising_diagonal(*args)
+        )
+        system = ensemble_system
+        pulse = cn_pulse(system, 0, 1, rabi=[0.1] * 4)
+        state = evolve_pulse(QuantumState.basis(4, 0), system, pulse)
+        evolve_delay(state, system, 1.0)
+        to_interaction_picture(state, system, 1.0)
+        density_to_interaction_picture(init_deviation([1.0, 0, 0, 0]), system, 1.0)
+        lab_frame_propagator(system, PulseSpec(pulse.carrier, 0.0, pulse.rabi, 0.05))
+        EnergyTable.from_spin_system(system)
+        assert len(calls) == 1
+
     def test_differences_reproduce_transition_frequencies(self, rng):
         system = random_system(rng, 3)
         energies = diagonal_energies(system)
@@ -293,6 +353,16 @@ class TestJsonLoading:
             **system_fields,
         }
         with pytest.raises(ConfigurationError, match=f"^{field}: expected"):
+            load_spin_config(doc)
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        doc = {
+            "n_spins": 1,
+            "larmor": [1.0],
+            "couplings": [[0.0]],
+            "pulses": [{"carrier": 10**400, "rabi": [0.1], "duration": 1.0}],
+        }
+        with pytest.raises(ConfigurationError, match="^carrier: int too large"):
             load_spin_config(doc)
 
     def test_pulse_missing_field_named(self):
