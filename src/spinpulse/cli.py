@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import numbers
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -29,6 +28,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .model import (
+    REQUIRED,
+    ConfigError,
     ConfigurationError,
     PulseSpec,
     QuantumState,
@@ -36,6 +37,9 @@ from .model import (
     fidelity,
     finite_real,
     finite_reals,
+    integer,
+    read_fields,
+    read_json,
     system_from_dict,
 )
 from .dynamics import evolve_pulse, to_interaction_picture
@@ -48,22 +52,11 @@ from .ensemble import (
     to_interaction_picture as density_to_interaction_picture,
 )
 from . import shor
-from .sweep import SweepCell, axis, positive, run_sweep
+from .sweep import SWEEP_FIELDS, SweepCell, run_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
-
-#: default of a field that every config of its kind must set
-REQUIRED = object()
-
-
-class ConfigError(ConfigurationError):
-    """Config document failed validation; carries per-field problems."""
-
-    def __init__(self, problems: Sequence[str]):
-        self.problems = list(problems)
-        super().__init__("invalid config: " + "; ".join(self.problems))
 
 
 @dataclass
@@ -109,29 +102,11 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ConfigurationError(f"{path}: JSON nested too deeply") from None
-
-
 # ---------------------------------------------------------------------------
 # config fields: converters take a JSON value and return the payload value or
-# raise ValueError; checks run once every field of a document has converted
+# raise ValueError (see ``model.read_fields``); checks run once every field of
+# a document has converted
 # ---------------------------------------------------------------------------
-
-
-def _integer(value, low: int = 0) -> int:
-    """An integer from low to 2**63 - 1; a fraction, bool or string is rejected."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"expected an integer, got {reprlib.repr(value)}")
-    if not low <= value < 2**63:
-        raise ValueError(f"must be an integer from {low} to 2**63 - 1")
-    return int(value)
 
 
 def _choice(value, choices: Sequence[str]) -> str:
@@ -154,11 +129,10 @@ def _state(value) -> np.ndarray:
 
 
 def _energies(doc) -> shor.EnergyTable:
-    if isinstance(doc, Mapping) and "table" in doc:
-        return shor.EnergyTable.from_xy_table(doc["table"])
+    """An energies document: a 4-spin system document, else {"table": 4x4}."""
     if isinstance(doc, Mapping) and "n_spins" in doc:
         return shor.EnergyTable.from_spin_system(system_from_dict(doc))
-    raise ConfigurationError("expected {'table': 4x4} or a 4-spin system document")
+    return read_fields(doc, {"table": (shor.EnergyTable.from_xy_table, REQUIRED)})["table"]
 
 
 def _check_gate(p: dict, problems: list[str], **shapes: tuple) -> None:
@@ -407,7 +381,7 @@ def _run_sweep_cmd(p: dict, out: str | None, fmt: str) -> int:
 
 def _seed(text: str) -> int:
     try:
-        return _integer(int(text))
+        return integer(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -424,12 +398,12 @@ class Kind(NamedTuple):
     options: Mapping[str, dict] = {}  # run option -> its argparse settings; the runner takes it
 
 
-_POSITIVE = partial(_integer, low=1)
+_POSITIVE = partial(integer, low=1)
 #: the fields a gate config shares, named as cn_pulse's parameters
 _GATE_FIELDS = {
     "system": (system_from_dict, REQUIRED),
-    "control": (_integer, REQUIRED),
-    "target": (_integer, REQUIRED),
+    "control": (integer, REQUIRED),
+    "target": (integer, REQUIRED),
     "rabi": (finite_reals, None),
     "exact_2pik": (_POSITIVE, None),
     "phase": (finite_real, 0.0),
@@ -459,26 +433,21 @@ KIND_TABLE: dict[str, Kind] = {
         "tau1": (_DELAY, 0.0),
         "tau2": (_DELAY, 0.0),
         "energies": (_energies, None),
-        "shots": (_integer, 0),
+        "shots": (integer, 0),
     }, flags=("mode", "tau1", "tau2", "energies", "shots"), options={
         "seed": {"type": _seed, "help": "seed for the --shots sampling (default 0)"},
         "trace": {"action": "store_true", "help": "also write the path-trace table"},
     }),
     "design": Kind("design-pulse", ("json",), _run_design, _check_design, {
         "system": (system_from_dict, None),
-        "control": (_integer, None),
-        "target": (_integer, None),
+        "control": (integer, None),
+        "target": (integer, None),
         "delta_omega": (finite_real, None),
         "carrier": (finite_real, None),
         "k": (_POSITIVE, 1),
         "n": (_POSITIVE, 1),
     }, flags=("delta_omega", "k", "n")),
-    "sweep": Kind("sweep", ("csv",), _run_sweep_cmd, None, {
-        "delta_ratios": (axis, REQUIRED),
-        "j_ratios": (axis, REQUIRED),
-        "rabi": (positive, 0.1),
-        "base_larmor": (finite_real, 100.0),
-    }),
+    "sweep": Kind("sweep", ("csv",), _run_sweep_cmd, None, SWEEP_FIELDS),
 }
 #: flags that name a JSON file holding the field's value
 _FILE_FLAGS = ("energies",)
@@ -500,9 +469,9 @@ def _output(value, problems: list[str]) -> tuple[str | None, object]:
 def parse_config(doc: Mapping) -> ExperimentConfig:
     """Validate a raw config mapping against its kind's table entry.
 
-    Unknown fields are rejected, each field goes through its converter (an
-    absent or null field takes its default), then the kind's cross-field
-    check runs.  Raises ConfigError listing the problems found.
+    The kind's fields are read by ``model.read_fields`` (unknown fields are
+    rejected, an absent or null field takes its default), then the kind's
+    cross-field check runs.  Raises ConfigError listing the problems found.
     """
     if not isinstance(doc, Mapping):
         raise ConfigError([f"config: expected a JSON object, got {type(doc).__name__}"])
@@ -510,28 +479,15 @@ def parse_config(doc: Mapping) -> ExperimentConfig:
     spec = KIND_TABLE.get(kind) if isinstance(kind, str) else None
     if spec is None:
         raise ConfigError([f"kind: {reprlib.repr(kind)} is not one of {', '.join(KIND_TABLE)}"])
-    problems = [
-        f"{name}: unknown field for kind {kind!r}"
-        for name in doc
-        if name not in spec.fields and name not in ("kind", "output")
-    ]
-    payload: dict = {}
-    for name, (convert, default) in spec.fields.items():
-        value = doc.get(name)
-        if value is None:
-            value = default
-            if value is REQUIRED:
-                problems.append(f"{name}: required field missing")
-                value = None
-        else:
-            try:
-                value = convert(value)
-            except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
-                problems.append(f"{name}: {exc}")
-                value = None
-        payload[name] = value
-    if not problems and spec.check is not None:
-        spec.check(payload, problems)
+    problems: list[str] = []
+    try:
+        payload = read_fields({k: v for k, v in doc.items() if k not in ("kind", "output")},
+                              spec.fields)
+    except ConfigError as exc:
+        problems = exc.problems
+    else:
+        if spec.check is not None:
+            spec.check(payload, problems)
     out, fmt = _output(doc.get("output", {}), problems)
     if problems:
         raise ConfigError(problems)
@@ -554,7 +510,7 @@ def run_config(
     if isinstance(config, ExperimentConfig):
         cfg = config
     else:
-        cfg = parse_config(config if isinstance(config, Mapping) else _read_json(config))
+        cfg = parse_config(config if isinstance(config, Mapping) else read_json(config))
     spec = KIND_TABLE[cfg.kind]
     out = out if out is not None else cfg.out
     fmt = fmt or cfg.fmt or spec.formats[0]
@@ -600,7 +556,7 @@ def _flag_value(text: str):
 def _config_from_args(args: argparse.Namespace):
     """The --config document (or {"kind": ...}) with each set flag laid over it."""
     kind = args.kind
-    doc = _read_json(args.config) if args.config else {}
+    doc = read_json(args.config) if args.config else {}
     if isinstance(doc, dict):
         found = doc.setdefault("kind", kind)
         if found != kind:
@@ -608,7 +564,7 @@ def _config_from_args(args: argparse.Namespace):
         for name in KIND_TABLE[kind].flags:
             text = getattr(args, name)
             if text is not None:
-                doc[name] = _read_json(text) if name in _FILE_FLAGS else _flag_value(text)
+                doc[name] = read_json(text) if name in _FILE_FLAGS else _flag_value(text)
     return doc
 
 
@@ -623,7 +579,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConfigurationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:

@@ -53,6 +53,8 @@ MAX_STEP_DIVISOR = 20
 #: RK4 steps built and multiplied together; bounds the step stacks at a few
 #: dozen dim x dim matrices, however long the interval
 _RK4_BLOCK = 32
+#: most RK4 steps one interval (a carrier period, or a shorter pulse) may take
+MAX_RK4_STEPS = 10**7
 
 
 @dataclass
@@ -84,7 +86,7 @@ class TwoLevelAmplitudes:
 
 def _require_normalized(state: QuantumState) -> None:
     drift = abs(state.norm - 1.0)
-    if drift > QuantumState.NORM_TOL:
+    if not drift <= QuantumState.NORM_TOL:  # NaN fails too
         raise ValueError(f"input state is not normalized (|norm - 1| = {drift:.3e})")
 
 
@@ -174,8 +176,21 @@ def evolve_delay(
     """
     _require_normalized(state)
     tau = delay.duration if isinstance(delay, DelaySpec) else float(DelaySpec(delay).duration)
-    phases = np.exp(-1j * system.energies * tau)
-    return QuantumState(phases * state.amplitudes, check=False)
+    return QuantumState(free_evolution_phases(system, tau) * state.amplitudes, check=False)
+
+
+def free_evolution_phases(system: SpinSystem, t: float) -> np.ndarray:
+    """The phase factors exp(-i E_n t) of free evolution for a time t.
+
+    Raises ConfigurationError if E_n t overflows double precision.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = system.energies * t
+    if not np.isfinite(angles).all():
+        raise ConfigurationError(
+            "values too large for double precision (free-evolution phases not finite)"
+        )
+    return np.exp(-1j * angles)
 
 
 def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) -> QuantumState:
@@ -184,8 +199,7 @@ def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) ->
     Amplitudes in this picture are constant under free evolution, which makes
     them directly comparable against ideal gate actions.
     """
-    phases = np.exp(1j * system.energies * t)
-    return QuantumState(phases * state.amplitudes, check=False)
+    return QuantumState(free_evolution_phases(system, -t) * state.amplitudes, check=False)
 
 
 def analytic_two_level(
@@ -345,8 +359,14 @@ def _rk4_propagator(
     are taken in blocks of ``_RK4_BLOCK``: one (count x 9) @ (9 x dim^2)
     product gives a block's step matrices, which are multiplied as a
     pairwise tree.  This is the same RK4 as stepping Y one step at a time,
-    up to rounding.
+    up to rounding.  Raises ConfigurationError, before any step, if
+    n_steps exceeds ``MAX_RK4_STEPS``.
     """
+    if n_steps > MAX_RK4_STEPS:
+        raise ConfigurationError(
+            f"{n_steps:.3e} RK4 steps over one interval, more than MAX_RK4_STEPS"
+            f" = {MAX_RK4_STEPS:.0e}"
+        )
     y = np.eye(len(diag), dtype=complex)
     for steps in _rk4_step_blocks(diag, half, carrier, phase, t0, span, n_steps):
         y = _tree_product(steps) @ y
@@ -386,7 +406,8 @@ def lab_frame_propagator(
     ``step`` must resolve the fastest oscillation: at most
     (shortest period) / 20, default (shortest period) / 400.  Raises
     ConfigurationError if the energies or the step or period counts
-    overflow double precision.
+    overflow double precision, or if an interval needs more than
+    ``MAX_RK4_STEPS`` steps (checked before any step is taken).
     """
     half = drive_half(system, pulse)
     energies = system.energies

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigurationError, PulseSpec, SpinSystem
-from .dynamics import pulse_propagator
+from .dynamics import free_evolution_phases, pulse_propagator
 
 N_SPINS = 4
 DIM = 16
@@ -36,7 +36,7 @@ BACKGROUND_DIAGONAL = np.array(
 METRIC_FLOOR = 1e-3
 
 
-@dataclass
+@dataclass(eq=False)
 class DeviationDensityMatrix:
     """Traceless 16x16 deviation density matrix, active block in indices 0..3."""
 
@@ -47,7 +47,7 @@ class DeviationDensityMatrix:
         if self.entries.shape != (DIM, DIM):
             raise ConfigurationError(f"deviation matrix must be {DIM}x{DIM}")
         dev = np.max(np.abs(self.entries - self.entries.conj().T))
-        if dev > 1e-9:
+        if not dev <= 1e-9:  # NaN fails too
             raise ConfigurationError(f"deviation matrix is not Hermitian ({dev:.3e})")
         self.entries.setflags(write=False)
 
@@ -76,7 +76,7 @@ def init_deviation(active_amplitudes) -> DeviationDensityMatrix:
     amps = np.asarray(active_amplitudes, dtype=complex)
     if amps.shape != (ACTIVE_DIM,):
         raise ConfigurationError(f"active amplitudes must be a length-{ACTIVE_DIM} vector")
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:
         raise ConfigurationError("active amplitudes must be normalized")
     rho = np.zeros((DIM, DIM), dtype=complex)
     rho[:ACTIVE_DIM, :ACTIVE_DIM] = np.outer(amps, amps.conj())
@@ -111,7 +111,7 @@ def to_interaction_picture(
     the energy differences, making them comparable against ideal gate
     targets.
     """
-    phases = np.exp(1j * system.energies * t)
+    phases = free_evolution_phases(system, -t)
     return DeviationDensityMatrix(phases[:, None] * rho.entries * phases.conj()[None, :])
 
 

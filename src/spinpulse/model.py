@@ -25,7 +25,7 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,8 +34,17 @@ class ConfigurationError(ValueError):
     """Raised when a system, pulse, or config document is inconsistent."""
 
 
+class ConfigError(ConfigurationError):
+    """A JSON document failed validation; carries one ``<field>: <problem>`` per problem."""
+
+    def __init__(self, problems: Sequence[str]):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
+
+
 # ---------------------------------------------------------------------------
-# numeric fields of config documents: bools and strings are not numbers
+# fields of JSON documents: converters take a JSON value and return the field's
+# value or raise ValueError; bools and strings are not numbers
 # ---------------------------------------------------------------------------
 
 
@@ -49,6 +58,17 @@ def finite_real(value, low: float = -math.inf, above: bool = False) -> float:
     if value < low or above and value == low:
         raise ValueError(f"must be {'>' if above else '>='} {low:g}")
     return value
+
+
+def integer(value, low: int = 0, high: int = 2**63 - 1) -> int:
+    """An integer from low to high; a fraction, bool or string is rejected."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"expected an integer, got {reprlib.repr(value)}")
+    if not low <= value <= high:
+        raise ValueError(f"must be an integer from {low} to {high}")
+    return int(value)
 
 
 def _holds_bool(value) -> bool:
@@ -109,7 +129,7 @@ def basis_label(index: int, n_spins: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinSystem:
     """N spins with Larmor frequencies and symmetric Ising couplings.
 
@@ -175,7 +195,7 @@ class SpinSystem:
         return cls(n, larmor, j)
 
 
-@dataclass
+@dataclass(eq=False)
 class PulseSpec:
     """One circularly polarized resonant pulse.
 
@@ -239,7 +259,7 @@ class QuantumState:
             raise ValueError("amplitudes must be a 1-d vector of length 2^N")
         if check:
             drift = abs(np.linalg.norm(amps) - 1.0)
-            if drift > self.NORM_TOL:
+            if not drift <= self.NORM_TOL:  # NaN fails too
                 raise ValueError(f"state is not normalized (|norm - 1| = {drift:.3e})")
         self.amplitudes = amps
         self.amplitudes.setflags(write=False)
@@ -379,46 +399,80 @@ def transition_frequency(
 
 
 # ---------------------------------------------------------------------------
-# JSON loading
+# JSON documents: one file reader, one field reader, one field table per kind
 # ---------------------------------------------------------------------------
 
+#: default of a field that every document of its kind must set
+REQUIRED = object()
 
-def _field(doc: Mapping, name: str, convert, default=None):
-    """``doc[name]`` (``default`` if absent) through ``convert``, errors named by field."""
+
+def read_json(source):
+    """The JSON document in a file (a path or an open file); a file that is not UTF-8
+    JSON, or is nested too deeply to parse, raises ConfigurationError naming it."""
     try:
-        return convert(doc.get(name, default))
-    except (ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{name}: {exc}") from None
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (RecursionError, ValueError) as exc:  # too deep, not JSON, not UTF-8
+        raise ConfigurationError(f"{getattr(source, 'name', source)}: {exc}") from None
+
+
+def read_fields(doc, fields: Mapping[str, tuple[Callable, object]]) -> dict:
+    """The fields of a JSON object, each value through its field's converter.
+
+    ``fields`` maps each field name to (converter, default or REQUIRED); an
+    absent or null field takes its default.  Raises ConfigError with one
+    ``<field>: <problem>`` per unknown field, missing required field or
+    converter error; a nested document's problems carry its field's name.
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError([f"expected a JSON object, got {type(doc).__name__}"])
+    problems = [f"{name}: unknown field" for name in doc if name not in fields]
+    values = {}
+    for name, (convert, default) in fields.items():
+        value = doc.get(name)
+        try:
+            if value is not None:
+                values[name] = convert(value)
+            elif default is REQUIRED:
+                problems.append(f"{name}: required field missing")
+            else:
+                values[name] = default
+        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
+            problems += [f"{name}: {problem}" for problem in getattr(exc, "problems", [exc])]
+    if problems:
+        raise ConfigError(problems)
+    return values
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list, got {reprlib.repr(value)}")
+    return value
+
+
+_SYSTEM_FIELDS = {
+    "n_spins": (functools.partial(integer, low=1, high=4), REQUIRED),  # dimension <= 16
+    "larmor": (finite_reals, REQUIRED),
+    "couplings": (finite_reals, REQUIRED),
+}
+_PULSE_FIELDS = {
+    "carrier": (finite_real, REQUIRED),
+    "phase": (finite_real, 0.0),
+    "rabi": (finite_reals, REQUIRED),
+    "duration": (finite_real, REQUIRED),
+}
 
 
 def system_from_dict(doc: Mapping) -> SpinSystem:
-    """Build a SpinSystem from a mapping with n_spins (1 to 4), larmor, couplings.
-
-    Frequencies and couplings must be numbers: strings and bools are rejected.
-    """
-    missing = [k for k in ("n_spins", "larmor", "couplings") if k not in doc]
-    if missing:
-        raise ConfigurationError(f"system document missing fields: {', '.join(missing)}")
-    if isinstance(doc["n_spins"], bool) or doc["n_spins"] not in range(1, 5):
-        raise ConfigurationError("n_spins must be an integer from 1 to 4 (dimension <= 16)")
-    larmor = _field(doc, "larmor", finite_reals)
-    return SpinSystem(int(doc["n_spins"]), larmor, _field(doc, "couplings", finite_reals))
+    """A SpinSystem from a document with n_spins (1 to 4), larmor and couplings."""
+    return SpinSystem(**read_fields(doc, _SYSTEM_FIELDS))
 
 
 def pulse_from_dict(doc: Mapping) -> PulseSpec:
-    """Build a PulseSpec from a mapping with carrier, phase, rabi, duration.
-
-    Every field must be numeric: strings and bools are rejected.
-    """
-    missing = [k for k in ("carrier", "rabi", "duration") if k not in doc]
-    if missing:
-        raise ConfigurationError(f"pulse document missing fields: {', '.join(missing)}")
-    return PulseSpec(
-        carrier=_field(doc, "carrier", finite_real),
-        phase=_field(doc, "phase", finite_real, 0.0),
-        rabi=_field(doc, "rabi", finite_reals),
-        duration=_field(doc, "duration", finite_real),
-    )
+    """A PulseSpec from a document with carrier, phase (default 0), rabi and duration."""
+    return PulseSpec(**read_fields(doc, _PULSE_FIELDS))
 
 
 def load_spin_config(source) -> tuple[SpinSystem, list[PulseSpec]]:
@@ -426,17 +480,14 @@ def load_spin_config(source) -> tuple[SpinSystem, list[PulseSpec]]:
 
     ``source`` may be a path, an open file object, or an already-parsed
     mapping.  Schema: ``{n_spins, larmor[], couplings[][], pulses[]}`` where
-    each pulse has ``{carrier, phase, rabi[], duration}``.
+    each pulse has ``{carrier, phase, rabi[], duration}``; the document and
+    each pulse follow ``read_fields``' rules.
     """
-    if isinstance(source, Mapping):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    system = system_from_dict(doc)
-    pulses = [pulse_from_dict(p) for p in doc.get("pulses", [])]
+    doc = source if isinstance(source, Mapping) else read_json(source)
+    fields = read_fields(doc, {**_SYSTEM_FIELDS, "pulses": (_json_list, ())})
+    pulse_docs = fields.pop("pulses")
+    system = SpinSystem(**fields)
+    pulses = [pulse_from_dict(p) for p in pulse_docs]
     for p in pulses:
         p.check_against(system)
     return system, pulses

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ConfigurationError, QuantumState, SpinSystem
+from .model import ConfigurationError, QuantumState, SpinSystem, finite_reals
 
 N_QUBITS = 4
 DIM = 16
@@ -60,7 +60,7 @@ def register_values(index: int) -> tuple[int, int]:
     return divmod(index, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyTable:
     """Energy E_xy of each register state, indexed by basis index 4x + y."""
 
@@ -85,8 +85,8 @@ class EnergyTable:
 
     @classmethod
     def from_xy_table(cls, table) -> "EnergyTable":
-        """Table given as rows over x, columns over y."""
-        arr = np.asarray(table, dtype=float)
+        """Table given as rows over x, columns over y; strings and bools are rejected."""
+        arr = finite_reals(table)
         if arr.shape != (X_VALUES, X_VALUES):
             raise ConfigurationError("x/y energy table must be 4x4")
         return cls(arr.reshape(DIM), source="explicit-config")
@@ -185,7 +185,7 @@ class ShorTrace:
         return complex(sum(t.contribution for t in self.terms.get(index, ())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShorRun:
     """Result of one pipeline run."""
 
@@ -315,7 +315,7 @@ def extract_period(
     probs = np.asarray(distribution, dtype=float)
     if probs.shape != (X_VALUES,):
         raise ValueError(f"distribution must have {X_VALUES} entries")
-    if abs(probs.sum() - 1.0) > 1e-6:
+    if not abs(probs.sum() - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError("distribution must be normalized")
     support = np.flatnonzero(probs > tol)
     nonzero = support[support > 0]

@@ -28,14 +28,15 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
+    REQUIRED,
     ConfigurationError,
     QuantumState,
     SpinSystem,
-    _field,
     drive_half,
     finite_real,
     finite_reals,
     ising_diagonal,
+    read_fields,
 )
 from .dynamics import pulse_propagators
 from .design import cn_pulse
@@ -67,8 +68,13 @@ def axis(values) -> list[float]:
     return values.tolist()
 
 
-#: a strictly positive finite number, such as the sweep's rabi
-positive = partial(finite_real, low=0.0, above=True)
+#: a sweep's arguments, which are also the ``sweep`` config's fields
+SWEEP_FIELDS = {
+    "delta_ratios": (axis, REQUIRED),
+    "j_ratios": (axis, REQUIRED),
+    "rabi": (partial(finite_real, low=0.0, above=True), 0.1),
+    "base_larmor": (finite_real, 100.0),
+}
 
 #: grid cells evaluated together; bounds the Hamiltonian and propagator
 #: stacks at a few hundred 4 x 4 matrices, however large the grid
@@ -166,23 +172,22 @@ def sweep_cell_deviation(
 def run_sweep(
     delta_ratios: Sequence[float],
     j_ratios: Sequence[float],
-    rabi: float = 0.1,
-    base_larmor: float = 100.0,
+    rabi: float | None = None,
+    base_larmor: float | None = None,
 ) -> list[SweepCell]:
     """Evaluate every grid cell; cells are independent and order-insensitive.
 
-    The arguments are checked as a ``sweep`` config's fields (axes strictly
-    positive and sorted ascending, rabi > 0); a bad one raises
-    ConfigurationError.  Per-cell failures are recorded in the row and do
+    The arguments are read as a ``sweep`` config's fields (``SWEEP_FIELDS``:
+    axes strictly positive and sorted ascending, rabi > 0, default 0.1,
+    base_larmor default 100); a bad one raises ConfigurationError, and None
+    takes the default.  Per-cell failures are recorded in the row and do
     not stop the sweep.
     """
-    args = {"delta_ratios": delta_ratios, "j_ratios": j_ratios, "rabi": rabi,
-            "base_larmor": base_larmor}
-    delta_ratios, j_ratios = (_field(args, name, axis) for name in ("delta_ratios", "j_ratios"))
-    grid = [(dr, jr) for dr in delta_ratios for jr in j_ratios]
-    rabi, base_larmor = _field(args, "rabi", positive), _field(args, "base_larmor", finite_real)
+    args = read_fields({"delta_ratios": delta_ratios, "j_ratios": j_ratios, "rabi": rabi,
+                        "base_larmor": base_larmor}, SWEEP_FIELDS)
+    grid = [(dr, jr) for dr in args["delta_ratios"] for jr in args["j_ratios"]]
     delta_ratio, j_ratio = np.array(grid).reshape(-1, 2).T
-    values = _deviations(delta_ratio, j_ratio, rabi, base_larmor)
+    values = _deviations(delta_ratio, j_ratio, args["rabi"], args["base_larmor"])
     return [
         SweepCell(dr, jr, None, error=v) if isinstance(v, str) else SweepCell(dr, jr, v)
         for (dr, jr), v in zip(grid, values)

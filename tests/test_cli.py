@@ -18,12 +18,14 @@ import pytest
 
 from spinpulse import (
     ConfigurationError,
+    EnergyTable,
     SpinSystem,
     build_rotating_hamiltonian,
     cn_pulse,
     deviation_metric,
     diagonal_energies,
     run_config,
+    run_shor,
     run_sweep,
     sweep_to_csv,
     total_spin_z,
@@ -32,12 +34,13 @@ from spinpulse.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
+    KIND_TABLE,
     ConfigError,
     SweepCell,
     main,
     parse_config,
 )
-from spinpulse.sweep import SWEEP_INITIAL, sweep_cell_deviation
+from spinpulse.sweep import SWEEP_FIELDS, SWEEP_INITIAL, sweep_cell_deviation
 
 from conftest import GATE_FINAL, GATE_INITIAL
 
@@ -170,6 +173,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert [problem.split(":")[0] for problem in exc.value.problems] == ["rabbi", "output.fmt"]
+
+    def test_nested_document_problems_carry_its_field(self):
+        system = {**cn_config()["system"], "rabbi": 1, "larmor": None}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(cn_config(system=system))
+        assert exc.value.problems == [
+            "system: rabbi: unknown field", "system: larmor: required field missing"
+        ]
+
+    def test_sweep_fields_are_run_sweeps_arguments(self):
+        assert KIND_TABLE["sweep"].fields is SWEEP_FIELDS
+        cells = run_sweep([30.0], [5.0], rabi=None, base_larmor=None)
+        assert cells == run_sweep([30.0], [5.0], rabi=0.1, base_larmor=100.0)
 
     def test_design_takes_one_route(self):
         doc = {
@@ -603,6 +619,38 @@ class TestMainEntryPoint:
         config.write_text('{"kind": "sweep", "delta_ratios": ' + "[" * 100000 + "]" * 100000 + "}")
         assert main(["sweep", "--config", str(config)]) == EXIT_VALIDATION
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "energies, problems",
+        [
+            ({"table": [["1", "2", "3", "4"], [True, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4]]},
+             ["table: expected numeric value(s)"]),
+            ({"table": [[1, 2, 3, 4]] * 4, "tabel": 1}, ["tabel: unknown field"]),
+            ({"tabel": [[1, 2, 3, 4]] * 4},
+             ["tabel: unknown field", "table: required field missing"]),
+        ],
+    )
+    def test_bad_energies_file_exits_2_naming_it(self, tmp_path, capsys, energies, problems):
+        # a string, bool or stray key in the energies file used to exit 0
+        path = tmp_path / "energies.json"
+        path.write_text(json.dumps(energies))
+        argv = ["run-shor", "--mode", "bare-delay", "--tau1", "1", "--tau2", "1"]
+        assert main(argv + ["--energies", str(path)]) == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(problems)
+        for line, problem in zip(lines, problems):
+            assert line.startswith(f"config error: energies: {problem}")
+
+    @pytest.mark.parametrize("mode", ["bare-delay", "natural-phase"])
+    def test_energies_from_a_system_document(self, tmp_path, capsys, mode):
+        system = ensemble_config()["system"]
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system))
+        argv = ["run-shor", "--mode", mode, "--tau1", "0.3", "--tau2", "0.7"]
+        assert main(argv + ["--energies", str(path)]) == EXIT_OK
+        energies = EnergyTable.from_spin_system(SpinSystem(**system))
+        expected = run_shor(mode, (0.3, 0.7), energies).x_distribution
+        np.testing.assert_array_equal(json.loads(capsys.readouterr().out)["x_distribution"], expected)
 
     def test_config_not_utf8(self, tmp_path, capsys):
         config = tmp_path / "cn.json"

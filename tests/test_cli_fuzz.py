@@ -19,6 +19,24 @@ DEMO_CONFIGS = {
     if "kind" in doc
 }
 ENERGIES = str(CONFIG_DIR / "shor_energies.json")
+#: (command, config, the field holding a nested document or None): an unknown
+#: field is added at the top level or inside that nested document
+UNKNOWN_FIELD_CASES = [
+    *((KIND_TABLE[kind].command, doc, None) for kind, doc in DEMO_CONFIGS.items()),
+    ("run-cn", DEMO_CONFIGS["cn"], "system"),
+    ("run-ensemble", DEMO_CONFIGS["ensemble"], "system"),
+    (
+        "design-pulse",
+        {"kind": "design", "system": DEMO_CONFIGS["cn"]["system"], "control": 0, "target": 1},
+        "system",
+    ),
+    (
+        "run-shor",
+        {"kind": "shor", "mode": "bare-delay", "tau1": 1.0,
+         "energies": json.loads(Path(ENERGIES).read_text())},
+        "energies",
+    ),
+]
 #: the value-taking flags of each subcommand, drawn with arbitrary values
 FLAGS = {
     "run-shor": ("--mode", "--tau1", "--tau2", "--shots", "--seed"),
@@ -66,19 +84,22 @@ def test_demo_config_with_one_field_replaced(kind, data, value):
     assert "Traceback" not in err
 
 
-@settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(sorted(DEMO_CONFIGS)), data=st.data(), value=JSON_VALUES)
-def test_unknown_field_exits_2_naming_it(kind, data, value):
-    spec = KIND_TABLE[kind]
-    name = data.draw(
-        st.text(min_size=1, max_size=8).filter(
-            lambda s: s not in spec.fields and s not in ("kind", "output")
-        ),
-        label="name",
-    )
-    code, err = run_main([spec.command], {**DEMO_CONFIGS[kind], name: value})
+@settings(max_examples=45, deadline=None)
+@given(case=st.sampled_from(UNKNOWN_FIELD_CASES), data=st.data(), value=JSON_VALUES)
+def test_unknown_field_exits_2_naming_it(case, data, value):
+    command, doc, nested = case
+    if nested is None:
+        known, prefix = {*KIND_TABLE[doc["kind"]].fields, "kind", "output"}, ""
+    else:  # an energies document with n_spins is a system document
+        known, prefix = {*doc[nested], "n_spins"}, f"{nested}: "
+    name = data.draw(st.text(min_size=1, max_size=8).filter(lambda s: s not in known), label="name")
+    if nested is None:
+        doc = {**doc, name: value}
+    else:
+        doc = {**doc, nested: {**doc[nested], name: value}}
+    code, err = run_main([command], doc)
     assert code == 2
-    assert f"config error: {name}: unknown field" in err
+    assert f"config error: {prefix}{name}: unknown field" in err
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,10 +14,12 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run(*args):
+    """A fresh interpreter with the tier-1 suite's warning filter: a RuntimeWarning fails it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
 
 

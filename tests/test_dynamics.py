@@ -12,6 +12,7 @@ node from A(t) at the RK4 nodes, also kept here.
 """
 
 import cmath
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from spinpulse import (
     to_interaction_picture,
 )
 from spinpulse.dynamics import _RK4_BLOCK, _rk4_propagator, _rk4_step_blocks, pulse_propagators
+from spinpulse.ensemble import init_deviation, to_interaction_picture as density_to_interaction_picture
 from spinpulse.model import drive_half
 
 from conftest import (
@@ -232,6 +234,25 @@ class TestEvolveDelay:
         joined = evolve_delay(state, gate_system, t1 + t2)
         np.testing.assert_allclose(split.amplitudes, joined.amplitudes, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "evolve",
+        [
+            lambda state, system, t: evolve_delay(state, system, t),
+            lambda state, system, t: to_interaction_picture(state, system, t),
+            lambda state, system, t: density_to_interaction_picture(
+                init_deviation([1.0, 0.0, 0.0, 0.0]), SpinSystem.uniform([1e300] * 4, 1.0), t
+            ),
+        ],
+        ids=["evolve-delay", "interaction-picture", "density-interaction-picture"],
+    )
+    def test_overflowing_phases_are_a_configuration_error(self, evolve):
+        # finite energies of ~1e300 times t = 1e10 overflow; this returned
+        # all-NaN values after two RuntimeWarnings
+        system = SpinSystem.uniform([1e300, 5e299], 1.0)
+        with warnings_are_errors():
+            with pytest.raises(ConfigurationError, match="free-evolution phases not finite"):
+                evolve(QuantumState.basis(2, 0), system, 1e10)
+
 
 class TestEvolvePulse:
     def test_cn_gate_on_superposition(self, gate_system, gate_pulse):
@@ -382,6 +403,14 @@ class TestIntegrateLabFrame:
             with pytest.raises(ConfigurationError, match="double precision|finite"):
                 pulse = PulseSpec(carrier=carrier, phase=phase, rabi=[rabi, 0.1], duration=duration)
                 lab_frame_propagator(system, pulse)
+
+    def test_step_count_bounded_before_stepping(self):
+        # about 3e12 RK4 steps per carrier period: this ran until killed
+        system = SpinSystem(2, [1e12, 5e11], [[0, 5], [5, 0]])
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="MAX_RK4_STEPS"):
+            lab_frame_propagator(system, PulseSpec(100.0, 0.0, [0.1, 0.1], 1.0))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan])
     def test_non_positive_step_refused(self, gate_system, gate_pulse, step):

@@ -22,12 +22,15 @@ from spinpulse import (
     build_rotating_hamiltonian,
     cn_pulse,
     diagonal_energies,
+    dynamics,
     evolve_delay,
     evolve_pulse,
+    extract_period,
     init_deviation,
     lab_frame_propagator,
     load_spin_config,
     model,
+    run_shor,
     spin_z_values,
     to_interaction_picture,
     total_spin_z,
@@ -97,6 +100,41 @@ def test_constructors_copy_the_callers_array(build, name, value, dtype):
     assert caller.flags.writeable
     caller += 1.0
     np.testing.assert_array_equal(getattr(built, name), kept)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SpinSystem.uniform([1.0, 2.0], 1.0),
+        lambda: PulseSpec(95.0, 0.0, [0.5, 0.1], 1.0),
+        EnergyTable.zeros,
+        lambda: DeviationDensityMatrix(np.eye(16)),
+        lambda: run_shor("bare-delay", (1.0, 1.0), EnergyTable.zeros()),
+    ],
+    ids=["system", "pulse", "energy-table", "deviation", "shor-run"],
+)
+def test_array_holders_compare_and_hash_by_identity(build):
+    # the generated __eq__ compared array fields as a tuple and raised
+    a, b = build(), build()
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1 and hash(a) != hash(b)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: QuantumState([np.nan, 0.0]),
+        lambda: dynamics._require_normalized(QuantumState([np.nan, 0.0], check=False)),
+        lambda: DeviationDensityMatrix(np.full((16, 16), np.nan)),
+        lambda: init_deviation([np.nan, 0.0, 0.0, 0.0]),
+        lambda: extract_period([np.nan, 0.5, 0.5, 0.0]),
+    ],
+    ids=["state", "require-normalized", "deviation", "init-deviation", "extract-period"],
+)
+def test_nan_fails_the_tolerance_checks(call):
+    # a check written as `error > tol` lets NaN through
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestPulseSpec:
@@ -374,3 +412,39 @@ class TestJsonLoading:
         }
         with pytest.raises(ConfigurationError, match="rabi"):
             load_spin_config(doc)
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"pulsess": []}, "^pulsess: unknown field$"),
+            ({"pulses": [{"carrier": 1.0, "phaze": 1.5, "rabi": [0.1], "duration": 1.0}]},
+             "^phaze: unknown field$"),
+            ({"pulses": {"carrier": 1.0}}, "^pulses: expected a list"),
+            ({"pulses": [[1.0]]}, "^expected a JSON object, got list$"),
+        ],
+    )
+    def test_unknown_or_misshapen_field_rejected(self, fields, problem):
+        # a misspelt phase used to build the pulse with phase 0, and a
+        # misspelt pulse list gave no pulses
+        doc = {"n_spins": 1, "larmor": [1.0], "couplings": [[0.0]], **fields}
+        with pytest.raises(ConfigurationError, match=problem):
+            load_spin_config(doc)
+
+    def test_null_field_takes_its_default(self):
+        doc = {"n_spins": 1, "larmor": [1.0], "couplings": [[0.0]], "pulses": None}
+        assert load_spin_config(doc)[1] == []
+        doc["pulses"] = [{"carrier": 1.0, "phase": None, "rabi": [0.1], "duration": 1.0}]
+        assert load_spin_config(doc)[1][0].phase == 0.0
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100000 + b"]" * 100000, b'{"n_spins": "\xd0\x00"}', b'{"n_spins": 1,'],
+        ids=["too-deep", "not-utf8", "not-json"],
+    )
+    def test_unreadable_file_is_a_configuration_error(self, tmp_path, content):
+        path = tmp_path / "system.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError, match="system.json: "):
+            load_spin_config(path)
+        with open(path, encoding="utf-8") as fh, pytest.raises(ConfigurationError):
+            load_spin_config(fh)
