@@ -225,14 +225,18 @@ def analytic_two_level(
     amplitude leaves with exp(-i E_n t1): the generated state picks up the
     phase it would have had, had it existed from t = 0.  The pi/2 - phi term
     is the standard phase shift of the driven transition; phi = pi/2 removes
-    it.
+    it.  Raises ValueError if an input is not finite, the carrier is off
+    the resonance or the duration is negative.
     """
-    if carrier is not None and abs(carrier - (e_n - e_k)) > 1e-9:
+    if not np.isfinite([c_k_initial, e_k, e_n, rabi, phase, t_start, duration]).all():
+        raise ValueError("amplitude, energies, rabi, phase, t_start and duration must be finite")
+    # written so that a NaN carrier or duration fails the check
+    if carrier is not None and not abs(carrier - (e_n - e_k)) <= 1e-9:
         raise ValueError(
             f"carrier {carrier} is off the {e_n - e_k} resonance; "
             "use integrate_lab_frame for detuned drives"
         )
-    if duration < 0:
+    if not duration >= 0:
         raise ValueError("duration must be >= 0")
     t_end = t_start + duration
     alpha = 0.5 * rabi * duration

@@ -28,8 +28,9 @@ interference the last stage relies on:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,11 +69,12 @@ class EnergyTable:
     source: str = "explicit-config"
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        try:
+            values = finite_reals(self.values)
+        except ValueError as exc:
+            raise ConfigurationError(str(exc)) from None
         if values.shape != (DIM,):
             raise ConfigurationError(f"energy table must hold {DIM} values")
-        if not np.all(np.isfinite(values)):
-            raise ConfigurationError("energies must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -85,11 +87,10 @@ class EnergyTable:
 
     @classmethod
     def from_xy_table(cls, table) -> "EnergyTable":
-        """Table given as rows over x, columns over y; strings and bools are rejected."""
-        arr = finite_reals(table)
-        if arr.shape != (X_VALUES, X_VALUES):
+        """Table given as rows over x, columns over y."""
+        if np.shape(table) != (X_VALUES, X_VALUES):
             raise ConfigurationError("x/y energy table must be 4x4")
-        return cls(arr.reshape(DIM), source="explicit-config")
+        return cls([value for row in table for value in row], source="explicit-config")
 
     @classmethod
     def from_spin_system(cls, system: SpinSystem) -> "EnergyTable":
@@ -104,29 +105,46 @@ class EnergyTable:
 # ---------------------------------------------------------------------------
 
 
+def _read_only(u: np.ndarray) -> np.ndarray:
+    u = u.astype(complex)
+    u.setflags(write=False)
+    return u
+
+
+@functools.lru_cache(maxsize=1)
 def _superpose_matrix() -> np.ndarray:
+    """Hadamard pair on the x register (complex, read-only, cached)."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    return np.kron(np.kron(h, h), np.eye(4))
+    return _read_only(np.kron(np.kron(h, h), np.eye(4)))
 
 
 def _oracle_matrix(base: int, modulus: int) -> np.ndarray:
+    """Permutation |x, y> -> |x, y + base^x mod 4> (complex, read-only, cached)."""
     if modulus != 4:
         raise ConfigurationError("the register encodes y mod 4; modulus must be 4")
     if math.gcd(base, modulus) != 1:
         raise ConfigurationError(f"base {base} is not coprime with {modulus}")
+    return _oracle_for_residue(base % modulus)
+
+
+@functools.lru_cache(maxsize=2)
+def _oracle_for_residue(base: int) -> np.ndarray:
+    # base^x mod 4 depends on base mod 4 only, and only 1 and 3 are coprime with 4
     u = np.zeros((DIM, DIM))
     for x in range(X_VALUES):
-        fx = pow(base, x, modulus)
+        fx = pow(base, x, 4)
         for y in range(4):
             u[4 * x + (y + fx) % 4, 4 * x + y] = 1.0
-    return u
+    return _read_only(u)
 
 
+@functools.lru_cache(maxsize=2)
 def _dft_matrix(inverse: bool = False) -> np.ndarray:
+    """Fourier transform over the x register (read-only, cached); pass a bool."""
     sign = -1.0 if inverse else 1.0
     k = np.arange(X_VALUES)
     f = 0.5 * np.exp(sign * 2j * np.pi * np.outer(k, k) / X_VALUES)
-    return np.kron(f, np.eye(4))
+    return _read_only(np.kron(f, np.eye(4)))
 
 
 def superpose_x(state: QuantumState) -> QuantumState:
@@ -149,7 +167,7 @@ def modexp_oracle(state: QuantumState, base: int = 3, modulus: int = 4) -> Quant
 
 def dft_x(state: QuantumState, inverse: bool = False) -> QuantumState:
     """Discrete Fourier transform |x> -> (1/2) sum_k e^{2 pi i k x / 4} |k>."""
-    return QuantumState(_dft_matrix(inverse) @ state.amplitudes, check=False)
+    return QuantumState(_dft_matrix(bool(inverse)) @ state.amplitudes, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +237,8 @@ def _stage_matrices(
     tau1, tau2 = delays
     if not (0 <= tau1 < math.inf and 0 <= tau2 < math.inf):
         raise ConfigurationError(f"delays must be finite and >= 0 (got {tau1}, {tau2})")
-    stages = [_superpose_matrix().astype(complex), _oracle_matrix(3, 4).astype(complex), _dft_matrix()]
+    # the cached stages are read-only; dressing below builds new arrays
+    stages = [_superpose_matrix(), _oracle_matrix(3, 4), _dft_matrix(False)]
     if mode == "instantaneous":
         ones = np.ones(DIM)
         return stages, [ones, ones]
@@ -251,25 +270,19 @@ def run_shor(
     ConfigurationError if delays x energies overflow double precision.
     """
     stages, phases = _stage_matrices(mode, delays, energies)
-    psi = np.zeros(DIM, dtype=complex)
-    psi[0] = 1.0
-    psi = stages[0] @ psi
-    psi = phases[0] * psi
+    psi = phases[0] * stages[0][:, 0]  # stage 1 applied to |00,00>
     psi = stages[1] @ psi
     psi = phases[1] * psi
     psi = stages[2] @ psi
     final = QuantumState(psi, check=False)
-    x_distribution = final.probabilities.reshape(X_VALUES, 4).sum(axis=1)
-    run = ShorRun(
+    return ShorRun(
         mode=mode,
         delays=(float(delays[0]), float(delays[1])),
         energies=energies,
         final_state=final,
-        x_distribution=x_distribution,
+        x_distribution=final.probabilities.reshape(X_VALUES, 4).sum(axis=1),
+        trace=_gather_paths(stages, phases) if trace else None,
     )
-    if trace:
-        run = replace(run, trace=trace_paths(run))
-    return run
 
 
 def trace_paths(run: ShorRun) -> ShorTrace:
@@ -279,25 +292,38 @@ def trace_paths(run: ShorRun) -> ShorTrace:
     contribution is the product of the traversed matrix elements and the
     phase factors collected during the delays.  The coherent sum of a
     state's terms reproduces that state's final amplitude, which is how the
-    delay phases record the history of each term's origination.
+    delay phases record the history of each term's origination.  A run made
+    with ``trace=True`` already holds its trace, which is returned as is.
     """
-    stages, phases = _stage_matrices(run.mode, run.delays, run.energies)
-    terms: dict[int, list[PathTerm]] = {}
-    start = 0
+    if run.trace is not None:
+        return run.trace
+    return _gather_paths(*_stage_matrices(run.mode, run.delays, run.energies))
+
+
+def _gather_paths(stages: list[np.ndarray], phases: list[np.ndarray]) -> ShorTrace:
+    """Path terms from |00,00> through the stage matrices, gathered stage by stage.
+
+    Each stage keeps the paths in order and expands every one into the
+    nonzero entries of its current state's column, in increasing order, so
+    the terms come out ordered by (s1, s2, s3).
+    """
     u1, u2, u3 = stages
-    for s1 in np.flatnonzero(np.abs(u1[:, start]) > 1e-15):
-        amp1 = u1[s1, start] * phases[0][s1]
-        for s2 in np.flatnonzero(np.abs(u2[:, s1]) > 1e-15):
-            amp2 = amp1 * u2[s2, s1] * phases[1][s2]
-            for s3 in np.flatnonzero(np.abs(u3[:, s2]) > 1e-15):
-                amp3 = amp2 * u3[s3, s2]
-                terms.setdefault(int(s3), []).append(
-                    PathTerm(
-                        states=(start, int(s1), int(s2), int(s3)),
-                        phase=float(np.angle(amp3)),
-                        magnitude=float(np.abs(amp3)),
-                    )
-                )
+    s1 = np.flatnonzero(np.abs(u1[:, 0]) > 1e-15)
+    amp = u1[s1, 0] * phases[0][s1]
+    # rows of u[:, s].T are the columns of the paths' current states, in path order
+    path, s2 = np.nonzero(np.abs(u2[:, s1].T) > 1e-15)
+    s1 = s1[path]
+    amp = amp[path] * u2[s2, s1] * phases[1][s2]
+    path, s3 = np.nonzero(np.abs(u3[:, s2].T) > 1e-15)
+    s1, s2 = s1[path], s2[path]
+    amp = amp[path] * u3[s3, s2]
+    terms: dict[int, list[PathTerm]] = {}
+    for states, phase, magnitude in zip(
+        zip(s1.tolist(), s2.tolist(), s3.tolist()),
+        np.angle(amp).tolist(),
+        np.abs(amp).tolist(),
+    ):
+        terms.setdefault(states[2], []).append(PathTerm((0, *states), phase, magnitude))
     return ShorTrace(terms={k: tuple(v) for k, v in terms.items()})
 
 

@@ -196,6 +196,17 @@ class TestAnalyticTwoLevel:
         with pytest.raises(ValueError, match="resonance"):
             analytic_two_level(1.0, 0.0, 5.0, 0.5, 0.0, 0.0, 1.0, carrier=4.9)
 
+    @pytest.mark.parametrize(
+        "name", ["e_k", "e_n", "rabi", "phase", "t_start", "duration", "carrier"]
+    )
+    def test_nan_argument_rejected(self, name):
+        # NaN passed both checks before and came out as all-NaN amplitudes
+        args = dict(c_k_initial=1.0, e_k=0.0, e_n=1.0, rabi=1.0, phase=0.0,
+                    t_start=0.0, duration=1.0, carrier=1.0)
+        args[name] = np.nan
+        with pytest.raises(ValueError):
+            analytic_two_level(**args)
+
 
 class TestEvolveDelay:
     def test_zero_delay_identity(self, gate_system):

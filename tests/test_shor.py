@@ -25,6 +25,15 @@ from spinpulse import (
     trace_paths,
 )
 
+from spinpulse.shor import (
+    MODES,
+    _dft_matrix,
+    _oracle_for_residue,
+    _oracle_matrix,
+    _stage_matrices,
+    _superpose_matrix,
+)
+
 from conftest import random_state, warnings_are_errors
 
 index_of = register_index
@@ -88,8 +97,6 @@ class TestStages:
         assert out.probabilities[index_of(1, 3)] == pytest.approx(1.0)
 
     def test_oracle_is_permutation(self):
-        from spinpulse.shor import _oracle_matrix
-
         u = _oracle_matrix(3, 4)
         assert np.all(u.sum(axis=0) == 1.0)
         assert np.all(u.sum(axis=1) == 1.0)
@@ -241,6 +248,18 @@ class TestEnergyTable:
         with pytest.raises(ConfigurationError):
             EnergyTable(np.zeros(8))
 
+    @pytest.mark.parametrize(
+        "values", [["1"] * 15 + [True], ["1"] * 16, [0.0] * 15 + [True], [0.0] * 15 + [np.nan]]
+    )
+    def test_non_numbers_rejected(self, values):
+        # ['1'] * 15 + [True] used to build a table of ones
+        with pytest.raises(ConfigurationError):
+            EnergyTable(values)
+
+    def test_xy_table_with_a_bool_rejected(self):
+        with pytest.raises(ConfigurationError, match="numeric"):
+            EnergyTable.from_xy_table([[0.0, 1.0, 2.0, True]] + [[0.0] * 4] * 3)
+
 
 class TestTracePaths:
     def test_two_paths_into_constructive_state(self, rng):
@@ -278,6 +297,88 @@ class TestTracePaths:
         for terms in trace.terms.values():
             for term in terms:
                 assert term.magnitude == pytest.approx(0.25, abs=1e-12)
+
+
+def loop_trace(run):
+    """Reference: the path terms by a triple loop over the stage matrices' columns."""
+    stages, phases = _stage_matrices(run.mode, run.delays, run.energies)
+    terms = {}
+    start = 0
+    u1, u2, u3 = stages
+    for s1 in np.flatnonzero(np.abs(u1[:, start]) > 1e-15):
+        amp1 = u1[s1, start] * phases[0][s1]
+        for s2 in np.flatnonzero(np.abs(u2[:, s1]) > 1e-15):
+            amp2 = amp1 * u2[s2, s1] * phases[1][s2]
+            for s3 in np.flatnonzero(np.abs(u3[:, s2]) > 1e-15):
+                amp3 = amp2 * u3[s3, s2]
+                terms.setdefault(int(s3), []).append(
+                    ((start, int(s1), int(s2), int(s3)), float(np.angle(amp3)), float(np.abs(amp3)))
+                )
+    return terms
+
+
+class TestTraceMatchesLoop:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gathered_paths_match_triple_loop(self, rng, mode):
+        for _ in range(20):
+            energies = EnergyTable(rng.uniform(-20, 20, size=16))
+            delays = tuple(rng.uniform(0, 5, size=2))
+            traced = run_shor(mode, delays=delays, energies=energies, trace=True)
+            reference = loop_trace(traced)
+            for trace in (traced.trace, trace_paths(run_shor(mode, delays, energies))):
+                assert list(trace.terms) == list(reference)
+                for index, expected in reference.items():
+                    terms = trace.terms[index]
+                    assert [t.states for t in terms] == [states for states, _, _ in expected]
+                    for term, (_, phase, magnitude) in zip(terms, expected):
+                        assert abs(term.phase - phase) <= 1e-15
+                        assert abs(term.magnitude - magnitude) <= 1e-15
+
+    def test_trace_paths_returns_the_runs_trace(self):
+        run = run_shor("instantaneous", trace=True)
+        assert trace_paths(run) is run.trace
+
+    def test_instantaneous_run_matches_stage_functions(self):
+        staged = dft_x(modexp_oracle(superpose_x(QuantumState.basis(4, 0))))
+        np.testing.assert_allclose(
+            run_shor("instantaneous").final_state.amplitudes, staged.amplitudes, rtol=0, atol=1e-15
+        )
+
+
+class TestStageCache:
+    @pytest.mark.parametrize(
+        "build",
+        [_superpose_matrix, lambda: _oracle_matrix(3, 4), lambda: _oracle_matrix(5, 4),
+         lambda: _dft_matrix(False), lambda: _dft_matrix(True)],
+    )
+    def test_cached_stages_are_read_only(self, build):
+        u = build()
+        with pytest.raises(ValueError):
+            u[0, 0] = 2.0
+        assert build() is u
+
+    def test_dressing_leaves_the_cached_stages_alone(self, rng):
+        for _ in range(5):
+            energies = EnergyTable(rng.uniform(-5, 5, size=16))
+            run_shor("natural-phase", tuple(rng.uniform(0, 4, size=2)), energies, trace=True)
+        np.testing.assert_allclose(
+            run_shor("instantaneous").x_distribution, [0.5, 0.0, 0.5, 0.0], atol=1e-12
+        )
+
+    def test_oracle_depends_on_base_mod_4(self, rng):
+        state = QuantumState(random_state(rng, 16))
+        np.testing.assert_array_equal(
+            modexp_oracle(state, base=7).amplitudes, modexp_oracle(state, base=3).amplitudes
+        )
+
+    def test_oracle_cache_keyed_on_residue(self):
+        _oracle_for_residue.cache_clear()
+        state = QuantumState.basis(4, 0)
+        for base in (3, 5, 7, 11, 15):
+            modexp_oracle(state, base=base)
+        info = _oracle_for_residue.cache_info()
+        assert info.currsize <= 2
+        assert info.misses == 2
 
 
 class TestExtractPeriod:
