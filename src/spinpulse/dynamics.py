@@ -10,12 +10,12 @@ Three routes are provided and cross-checked against each other:
   stack of pulses with one stacked eigensolve; one pulse is a stack of one.
 * ``integrate_lab_frame`` — independent oracle: fixed-step RK4 on the
   explicitly time-dependent lab-frame Schrodinger equation.  H(t) enters
-  only through its lab-frame form at the RK4 nodes.  An RK4 step matrix is
-  a Laurent polynomial of degree 4 in the drive phase factor
-  c_j = e^{i(w t_j + phi)} at the step's start; its nine matrix
-  coefficients are multiplied out once per interval, each block of steps
-  is one product of the c_j powers with them, and the blocks are
-  tree-multiplied.  The result is the same RK4 as a step-by-step loop.
+  only through its lab-frame form at the RK4 nodes.  The drive only turns
+  H(t) about the total I^z axis, so every RK4 step matrix is the step that
+  starts at drive phase zero, turned by the carrier's rotation: the steps
+  of an interval multiply out to one matrix power of that step, with
+  diagonal phases on either side.  The result is the same RK4 as a
+  step-by-step loop.
 * ``analytic_two_level`` — closed-form resonant solution for one driven
   pair of levels.
 
@@ -27,7 +27,6 @@ a global clock.  States themselves stay pure value objects.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +49,12 @@ INTEGRATOR_NORM_TOL = 1e-6
 DEFAULT_STEP_DIVISOR = 400
 #: largest admissible step = shortest oscillation period / this factor
 MAX_STEP_DIVISOR = 20
-#: RK4 steps built and multiplied together; bounds the step stacks at a few
-#: dozen dim x dim matrices, however long the interval
-_RK4_BLOCK = 32
-#: most RK4 steps one interval (a carrier period, or a shorter pulse) may take
+#: most RK4 steps one interval (a carrier period, or a shorter pulse) may take.
+#: The cost is one matrix power, logarithmic in the count, so the cap no
+#: longer bounds time: it bounds rounding.  The usual bound on a product of
+#: n steps is about n x 1e-16, ~1e-9 at the cap; at the 1e12 steps that
+#: energies far above the carrier can ask for it is ~1e-4, larger than the
+#: errors the oracle is there to find.
 MAX_RK4_STEPS = 10**7
 
 
@@ -275,74 +276,29 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float) -> np.ndarra
     return np.diag(system.energies) + drive + drive.conj().T
 
 
-def _tree_product(m: np.ndarray) -> np.ndarray:
-    """Product m[-1] @ ... @ m[1] @ m[0] of a stack, multiplied pairwise."""
-    while len(m) > 1:
-        odd = len(m) % 2
-        # later steps on the left; an odd last matrix waits for the next level
-        paired = m[1::2] @ m[0 : len(m) - odd : 2]
-        m = np.concatenate((paired, m[-1:])) if odd else paired
-    return m[0]
-
-
-def _rk4_laurent_coefficients(basis: np.ndarray, carrier: float, h: float) -> np.ndarray:
-    """Matrices B_m, m = -4 .. 4, of the RK4 step M_j = sum_m c_j^m B_m.
+def _rk4_phase_zero_step(
+    diag: np.ndarray, half: np.ndarray, carrier: float, h: float
+) -> np.ndarray:
+    """The RK4 step matrix over [t, t + h] when the drive phase w t + phi is zero.
 
     An RK4 step is linear in Y, so it is the matrix
     M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with A = -i H, K1 = A(t),
     K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2) and
-    K4 = A(t + h)(I + h K3).  ``basis`` stacks a-, a0 and a+ with
-    A(t) = conj(c) a- + a0 + c a+, c = e^{i(w t + phi)}.  At step j the
-    nodes t_j, t_j + h/2 and t_j + h have c = c_j e^{iws} for s = 0, h/2, h,
-    and conj(c_j) = 1/c_j, so each K is a Laurent polynomial in c_j whose
-    coefficients depend on (E, R, w, h) only.  Returns the B_m flattened,
-    shape (9, dim * dim).
+    K4 = A(t + h)(I + h K3).  H is the lab-frame Hamiltonian
+    diag(E) + c R + conj(c) R^dagger at the nodes, where c = e^{iws} at
+    s = 0, h/2 and h.
     """
-    dim = basis.shape[-1]
-    orders = np.arange(-1, 2)[:, None, None]
-    mid, end = (basis * np.exp(1j * carrier * s * orders) for s in (h / 2, h))
-    k = basis
-    m = np.zeros((9, dim, dim), dtype=complex)
-    m[3:6] = k
+    down = half.conj().T
+    start, mid, end = (
+        -1j * (np.diag(diag) + np.exp(1j * carrier * s) * half + np.exp(-1j * carrier * s) * down)
+        for s in (0.0, h / 2, h)
+    )
+    k = start
+    total = k.copy()
     for a, s, weight in ((mid, h / 2, 2.0), (mid, h / 2, 2.0), (end, h, 1.0)):
-        # K' = A + s A K; (A K)_m = sum_i a_i K_(m - i) is one degree higher
-        products = s * (a[:, None] @ k)  # products[i, l] = s a_i K_l
-        n = len(k)
-        k = np.zeros((n + 2, dim, dim), dtype=complex)
-        for i in range(3):
-            k[i : i + n] += products[i]
-        degree = len(k) // 2
-        k[degree - 1 : degree + 2] += a
-        m[4 - degree : 5 + degree] += weight * k
-    m *= h / 6.0
-    m[4] += np.eye(dim)
-    return m.reshape(9, -1)
-
-
-def _rk4_step_blocks(
-    diag: np.ndarray,
-    half: np.ndarray,
-    carrier: float,
-    phase: float,
-    t0: float,
-    span: float,
-    n_steps: int,
-) -> Iterator[np.ndarray]:
-    """The RK4 step matrices over [t0, t0 + span], ``_RK4_BLOCK`` steps at a time.
-
-    Each block's stack (count, dim, dim) is the product of the steps'
-    c_j^m, m = -4 .. 4, with the B_m of ``_rk4_laurent_coefficients``.
-    """
-    dim = len(diag)
-    # A(t) = -i H(t) is (conj c, 1, c) times these three matrices
-    basis = -1j * np.stack((half.conj().T, np.diag(diag), half))
-    h = span / n_steps
-    b = _rk4_laurent_coefficients(basis, carrier, h)
-    powers = np.arange(-4, 5)
-    for first in range(0, n_steps, _RK4_BLOCK):
-        j = np.arange(first, min(first + _RK4_BLOCK, n_steps))
-        c_powers = np.exp(1j * np.multiply.outer(carrier * (t0 + h * j) + phase, powers))
-        yield (c_powers @ b).reshape(-1, dim, dim)
+        k = a + s * (a @ k)
+        total += weight * k
+    return np.eye(len(diag)) + h / 6.0 * total
 
 
 def _rk4_propagator(
@@ -354,15 +310,18 @@ def _rk4_propagator(
     span: float,
     n_steps: int,
 ) -> np.ndarray:
-    """RK4 propagator for i dY/dt = H(t) Y over [t0, t0 + span].
+    """RK4 propagator for i dY/dt = H(t) Y over [t0, t0 + span], as one matrix power.
 
     H(t) = diag(E) + c R + conj(c) R^dagger with c = e^{i(w t + phi)} and R
-    the drive half from ``drive_half``.  Each step matrix is a Laurent
-    polynomial in its c_j (``_rk4_laurent_coefficients``), whose nine
-    coefficients are built once per call from H at the RK4 nodes.  The steps
-    are taken in blocks of ``_RK4_BLOCK``: one (count x 9) @ (9 x dim^2)
-    product gives a block's step matrices, which are multiplied as a
-    pairwise tree.  This is the same RK4 as stepping Y one step at a time,
+    the drive half from ``drive_half``.  R only connects states whose total
+    I^z differs by one, so H(t) = D(t) H_0 D(t)^dagger with
+    D(t) = exp(i(w t + phi) Z), Z the total I^z and H_0 the Hamiltonian at
+    phase zero.  Every RK4 node of step j is turned by the same D(t_j), so
+    the step matrix is M_j = D(t_j) M D(t_j)^dagger, M the phase-zero step
+    of ``_rk4_phase_zero_step``, and the n steps multiply out to
+    D(t0) E(span) (E(h)^dagger M)^n D(t0)^dagger with E(s) = exp(i w s Z).
+    The n-th power takes about log2(n) squarings, and the diagonal D and E
+    are broadcasts.  This is the same RK4 as stepping Y one step at a time,
     up to rounding.  Raises ConfigurationError, before any step, if
     n_steps exceeds ``MAX_RK4_STEPS``.
     """
@@ -371,10 +330,14 @@ def _rk4_propagator(
             f"{n_steps:.3e} RK4 steps over one interval, more than MAX_RK4_STEPS"
             f" = {MAX_RK4_STEPS:.0e}"
         )
-    y = np.eye(len(diag), dtype=complex)
-    for steps in _rk4_step_blocks(diag, half, carrier, phase, t0, span, n_steps):
-        y = _tree_product(steps) @ y
-    return y
+    h = span / n_steps
+    z = total_spin_z(int(np.log2(len(diag))))
+    turned = np.exp(-1j * carrier * h * z)[:, None] * _rk4_phase_zero_step(diag, half, carrier, h)
+    y = np.linalg.matrix_power(turned, n_steps)
+    # D(t0) Y D(t0)^dagger scales entry (a, b) by e^{i(w t0 + phi)(z_a - z_b)}; the
+    # integer differences keep the phases as exact as the drive's own c
+    turn = np.exp(1j * (carrier * t0 + phase) * np.subtract.outer(z, z))
+    return np.exp(1j * carrier * span * z)[:, None] * (y * turn)
 
 
 def _count(span: float, unit: float, rounding) -> int:
@@ -401,11 +364,10 @@ def lab_frame_propagator(
     propagator is built over a single period and composed by matrix powers;
     the remainder interval is stepped directly.  This keeps the fixed-step
     error budget while making long pulses cheap.  Within an interval every
-    RK4 step matrix is a Laurent polynomial in the drive phase factor
-    e^{i(w t + phi)} at the step's start, with coefficients built once from
-    H at the RK4 nodes; blocks of step matrices come from one product with
-    those coefficients and are tree-multiplied.  This gives the same RK4 as
-    stepping one step at a time, up to rounding.
+    RK4 step matrix is the phase-zero step, built once from H at the RK4
+    nodes, turned by the carrier's total-I^z rotation, so the interval's n
+    steps are one matrix power of that step (see ``_rk4_propagator``).
+    This gives the same RK4 as stepping one step at a time, up to rounding.
 
     ``step`` must resolve the fastest oscillation: at most
     (shortest period) / 20, default (shortest period) / 400.  Raises

@@ -6,9 +6,11 @@ integration of the driven two-level equations written here in the test (the
 library integrator is not reused for that oracle); its blocked, tree-multiplied
 steps are pinned to a step-by-step loop kept here as well.  The full-system
 integrator and the exact rotating-frame route check each other, and the
-library's block-batched RK4 is pinned to a step-by-step RK4 loop kept here;
-its Laurent-built step matrices are pinned to step matrices built node by
-node from A(t) at the RK4 nodes, also kept here.
+library's RK4, one matrix power per interval, is pinned to a step-by-step RK4
+loop kept here.  The covariance that power rests on is tested too: step
+matrices built node by node from A(t) at the RK4 nodes (also kept here) are
+the phase-zero step turned by the drive's total-I^z rotation, and so is the
+lab Hamiltonian.
 """
 
 import cmath
@@ -17,6 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinpulse import (
     ConfigurationError,
@@ -33,12 +36,13 @@ from spinpulse import (
     fidelity,
     integrate_lab_frame,
     lab_frame_propagator,
+    lab_hamiltonian,
     pulse_propagator,
     to_interaction_picture,
 )
-from spinpulse.dynamics import _RK4_BLOCK, _rk4_propagator, _rk4_step_blocks, pulse_propagators
+from spinpulse.dynamics import _rk4_phase_zero_step, _rk4_propagator, pulse_propagators
 from spinpulse.ensemble import init_deviation, to_interaction_picture as density_to_interaction_picture
-from spinpulse.model import drive_half
+from spinpulse.model import drive_half, total_spin_z
 
 from conftest import (
     GATE_FINAL,
@@ -482,10 +486,20 @@ def rk4_step_matrices_by_nodes(basis, carrier, phase, t0, h, first, count):
     return m
 
 
+def turn(m, z, angle):
+    """D m D^dagger with D = exp(i angle Z), Z the total I^z diagonal ``z``.
+
+    Entry (a, b) gains e^{i angle (z_a - z_b)}; the integer differences keep
+    the phases as exact as the drive's own e^{i angle}.
+    """
+    return m * np.exp(1j * np.multiply.outer(angle, np.subtract.outer(z, z)))
+
+
 class TestRK4Propagator:
     @pytest.mark.parametrize("n_spins", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n_steps", [1, 31, 32, 33])  # around the 32-step block edge
-    def test_laurent_steps_match_node_steps(self, rng, n_spins, n_steps):
+    @pytest.mark.parametrize("n_steps", [1, 31, 32, 33])
+    def test_node_steps_are_the_turned_phase_zero_step(self, rng, n_spins, n_steps):
+        # step j is D(t_j) M D(t_j)^dagger, M the propagator's phase-zero step
         system = random_system(rng, n_spins)
         energies = diagonal_energies(system)
         pulse = PulseSpec(
@@ -495,23 +509,19 @@ class TestRK4Propagator:
             duration=1.0,
         )
         half = drive_half(system, pulse)
-        span = n_steps * 2 * np.pi / np.max(np.abs(energies)) / 400
+        h = 2 * np.pi / np.max(np.abs(energies)) / 400
         t0 = rng.uniform(0, 1e3)
-        blocks = list(
-            _rk4_step_blocks(energies, half, pulse.carrier, pulse.phase, t0, span, n_steps)
-        )
-        assert [len(b) for b in blocks] == [
-            min(_RK4_BLOCK, n_steps - first) for first in range(0, n_steps, _RK4_BLOCK)
-        ]
+        m = _rk4_phase_zero_step(energies, half, pulse.carrier, h)
+        angles = pulse.carrier * (t0 + h * np.arange(n_steps)) + pulse.phase
+        turned = turn(m, total_spin_z(n_spins), angles)
         basis = -1j * np.stack((np.diag(energies), half, half.conj().T))
-        by_nodes = rk4_step_matrices_by_nodes(
-            basis, pulse.carrier, pulse.phase, t0, span / n_steps, 0, n_steps
-        )
-        assert np.max(np.abs(np.concatenate(blocks) - by_nodes)) <= 1e-13
+        by_nodes = rk4_step_matrices_by_nodes(basis, pulse.carrier, pulse.phase, t0, h, 0, n_steps)
+        assert np.max(np.abs(turned - by_nodes)) <= 1e-13
 
-    @pytest.mark.parametrize("n_steps", [1, 31, 32, 33, 67])
+    # the power's binary digits: all ones (3, 31, 1023), a lone one (2, 32, 1024)
+    # and both ends set (33, 1025)
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 67, 1023, 1024, 1025])
     def test_matches_step_loop(self, gate_system, ensemble_system, rng, n_steps):
-        # block edges at 32 steps, and 67 = 2 * 32 + 3 has odd tree levels
         for system in (gate_system, ensemble_system):
             energies = diagonal_energies(system)
             pulse = PulseSpec(
@@ -523,9 +533,9 @@ class TestRK4Propagator:
             half = drive_half(system, pulse)
             step = 2 * np.pi / np.max(np.abs(energies)) / 400
             args = (energies, half, pulse.carrier, pulse.phase, rng.uniform(0, 20))
-            blocked = _rk4_propagator(*args, n_steps * step, n_steps)
+            powered = _rk4_propagator(*args, n_steps * step, n_steps)
             looped = rk4_step_loop(*args, n_steps * step, n_steps)
-            assert np.max(np.abs(blocked - looped)) <= 1e-12
+            assert np.max(np.abs(powered - looped)) <= 1e-12
 
     def test_long_pulse_memory_is_bounded(self, ensemble_system):
         # a pulse shorter than one carrier period is stepped straight through:
@@ -589,16 +599,12 @@ class TestApplySequence:
 
 class TestLabHamiltonian:
     def test_diagonal_is_drive_free_energies(self, gate_system, gate_pulse):
-        from spinpulse import lab_hamiltonian
-
         h = lab_hamiltonian(gate_system, gate_pulse, t=0.37)
         np.testing.assert_allclose(
             np.real(np.diag(h)), diagonal_energies(gate_system), atol=1e-15
         )
 
     def test_driven_pair_element_rotates_with_carrier(self, gate_system, gate_pulse):
-        from spinpulse import lab_hamiltonian
-
         t = 1.234
         h = lab_hamiltonian(gate_system, gate_pulse, t)
         # (ground, excited) element of the target spin: -(Omega/2) e^{+i(wt+phi)}
@@ -606,8 +612,6 @@ class TestLabHamiltonian:
         assert h[2, 3] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_kron_oracle(self, rng):
-        from spinpulse import lab_hamiltonian
-
         # the lab Hamiltonian at time t is the rotating one of a zero carrier
         # with the field held at angle w t + phi
         for n_spins in (1, 2, 3):
@@ -625,6 +629,45 @@ class TestLabHamiltonian:
                 kron_rotating_hamiltonian(system, held),
                 atol=1e-12,
             )
+
+
+@st.composite
+def driven_systems(draw):
+    """A random 1-4 spin system and a pulse driving every spin."""
+    n = draw(st.integers(1, 4))
+    reals = st.floats(-500.0, 500.0)
+    larmor = draw(st.lists(reals, min_size=n, max_size=n))
+    j = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=n * n, max_size=n * n)))
+    j = j.reshape(n, n) + j.reshape(n, n).T
+    np.fill_diagonal(j, 0.0)
+    pulse = PulseSpec(
+        carrier=draw(reals),
+        phase=draw(st.floats(-10.0, 10.0)),
+        rabi=draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n)),
+        duration=1.0,
+    )
+    return SpinSystem(n, larmor, j), pulse
+
+
+class TestDriveCovariance:
+    """The one assumption of the one-power RK4: H(t) = D(t) H_0 D(t)^dagger."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=driven_systems())
+    def test_drive_raises_total_spin_z_by_one(self, case):
+        system, pulse = case
+        z = total_spin_z(system.n_spins)
+        rows, cols = np.nonzero(drive_half(system, pulse))
+        assert np.all(z[rows] - z[cols] == 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=driven_systems(), t=st.floats(-1e3, 1e3))
+    def test_lab_hamiltonian_is_the_turned_phase_zero_one(self, case, t):
+        system, pulse = case
+        at_zero = PulseSpec(pulse.carrier, 0.0, pulse.rabi, pulse.duration)
+        h0 = lab_hamiltonian(system, at_zero, 0.0)
+        turned = turn(h0, total_spin_z(system.n_spins), pulse.carrier * t + pulse.phase)
+        assert np.max(np.abs(lab_hamiltonian(system, pulse, t) - turned)) <= 1e-12
 
 
 class TestInteractionPicture:
