@@ -60,7 +60,7 @@ print("control-ground pair is untouched apart from tiny non-resonant shifts.")
 separator("ORACLE CROSS-CHECKS")
 step = 2 * np.pi / 303.1 / 800
 numeric = integrate_lab_frame(initial, system, pulse, step=step)
-print(f"\nLab-frame RK4 vs exact rotating-frame propagator "
+print(f"\nLab-frame Magnus-4 vs exact rotating-frame propagator "
       f"(2-norm): {np.linalg.norm(numeric.amplitudes - final.amplitudes):.2e}")
 
 # driven pair treated as an isolated two-level system

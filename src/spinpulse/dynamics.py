@@ -8,14 +8,15 @@ Three routes are provided and cross-checked against each other:
   the drive is circularly polarized the frame transformation is exact, not
   a rotating-wave approximation.  ``pulse_propagators`` does this for a
   stack of pulses with one stacked eigensolve; one pulse is a stack of one.
-* ``integrate_lab_frame`` — independent oracle: fixed-step RK4 on the
-  explicitly time-dependent lab-frame Schrodinger equation.  H(t) enters
-  only through its lab-frame form at the RK4 nodes.  The drive only turns
-  H(t) about the total I^z axis, so every RK4 step matrix is the step that
-  starts at drive phase zero, turned by the carrier's rotation: the steps
-  of an interval multiply out to one matrix power of that step, with
-  diagonal phases on either side.  The result is the same RK4 as a
-  step-by-step loop.
+* ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
+  Magnus integration of the explicitly time-dependent lab-frame Schrodinger
+  equation.  H(t) enters only through ``lab_hamiltonian`` at each step's two
+  Gauss nodes.  The drive only turns H(t) about the total I^z axis, so every
+  step is the first step turned by the carrier's rotation, and the steps of
+  a pulse multiply out to one matrix power of that step, with a diagonal
+  phase on the left.  The result is the same Magnus-4 as a step-by-step
+  loop.  That covariance is the only assumption the oracle shares with the
+  exact route, and it is tested, not assumed.
 * ``analytic_two_level`` — closed-form resonant solution for one driven
   pair of levels.
 
@@ -46,16 +47,20 @@ from .model import (
 INTEGRATOR_NORM_TOL = 1e-6
 
 #: default integrator step = shortest oscillation period / this factor
-DEFAULT_STEP_DIVISOR = 400
+DEFAULT_STEP_DIVISOR = 200
 #: largest admissible step = shortest oscillation period / this factor
 MAX_STEP_DIVISOR = 20
-#: most RK4 steps one interval (a carrier period, or a shorter pulse) may take.
-#: The cost is one matrix power, logarithmic in the count, so the cap no
-#: longer bounds time: it bounds rounding.  The usual bound on a product of
-#: n steps is about n x 1e-16, ~1e-9 at the cap; at the 1e12 steps that
-#: energies far above the carrier can ask for it is ~1e-4, larger than the
-#: errors the oracle is there to find.
-MAX_RK4_STEPS = 10**7
+#: most integrator steps one carrier period (or a shorter pulse) may take.
+#: The cost is one matrix power, logarithmic in the count, so the cap does
+#: not bound time: it bounds rounding.  The step is unitary to rounding, so
+#: a product of n steps stays near n x 1e-16, ~1e-9 per period at the cap;
+#: at the 1e12 steps that energies far above the carrier can ask for it is
+#: ~1e-4, larger than the errors the oracle is there to find.
+MAX_STEPS_PER_PERIOD = 10**7
+#: Gauss-Legendre nodes of the Magnus-4 step, as fractions of the step
+_GAUSS_NODES = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
+#: highest power of the Taylor sum for the exponential of a step
+_TAYLOR_TERMS = 16
 
 
 @dataclass
@@ -276,83 +281,51 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float) -> np.ndarra
     return np.diag(system.energies) + drive + drive.conj().T
 
 
-def _rk4_phase_zero_step(
-    diag: np.ndarray, half: np.ndarray, carrier: float, h: float
+def _magnus_propagator(
+    system: SpinSystem, pulse: PulseSpec, t0: float, n_steps: int
 ) -> np.ndarray:
-    """The RK4 step matrix over [t, t + h] when the drive phase w t + phi is zero.
+    """Magnus-4 propagator of i dY/dt = H(t) Y over the pulse, as one matrix power.
 
-    An RK4 step is linear in Y, so it is the matrix
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with A = -i H, K1 = A(t),
-    K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2) and
-    K4 = A(t + h)(I + h K3).  H is the lab-frame Hamiltonian
-    diag(E) + c R + conj(c) R^dagger at the nodes, where c = e^{iws} at
-    s = 0, h/2 and h.
+    The step over [t0, t0 + h], h = tau / n_steps, is M = exp(A) with
+    A = -i h/2 (H1 + H2) - (sqrt(3)/12) h^2 [H2, H1] and H1, H2 the lab
+    Hamiltonian at the Gauss nodes t0 + (1/2 -+ sqrt(3)/6) h (Blanes, Casas,
+    Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The drive only turns H(t)
+    about the total I^z axis Z: H(t) = G H(t0) G^dagger with
+    G = exp(i w (t - t0) Z).  So step j is G_j M G_j^dagger, G_j = exp(i w j h Z),
+    and the n steps multiply out to exp(i w tau Z) (exp(-i w h Z) M)^n, which
+    takes about log2(n) squarings.  This is the same Magnus-4 as stepping Y
+    one step at a time, up to rounding.
     """
-    down = half.conj().T
-    start, mid, end = (
-        -1j * (np.diag(diag) + np.exp(1j * carrier * s) * half + np.exp(-1j * carrier * s) * down)
-        for s in (0.0, h / 2, h)
-    )
-    k = start
-    total = k.copy()
-    for a, s, weight in ((mid, h / 2, 2.0), (mid, h / 2, 2.0), (end, h, 1.0)):
-        k = a + s * (a @ k)
-        total += weight * k
-    return np.eye(len(diag)) + h / 6.0 * total
+    h = pulse.duration / n_steps
+    h1, h2 = (lab_hamiltonian(system, pulse, t0 + node * h) for node in _GAUSS_NODES)
+    a = -0.5j * h * (h1 + h2) - np.sqrt(3) / 12 * h**2 * (h2 @ h1 - h1 @ h2)
+    # exp(A) summed to A^16/16! in Horner form.  The power multiplies the
+    # step's own rounding by n, and a Taylor sum rounds less than an eigh-built
+    # exponential does.  ||hH|| <= 2 h w_max <= 4 pi / MAX_STEP_DIVISOR ~ 0.63
+    # (up to four spins), so ||A|| < 0.75 with the commutator, and the first
+    # dropped term ||A||^17 / 17! is below 2e-17 at any admissible step.
+    eye = np.eye(len(a))
+    m = eye + a / _TAYLOR_TERMS
+    for k in range(_TAYLOR_TERMS - 1, 0, -1):
+        m = eye + (a @ m) / k
+    z = total_spin_z(system.n_spins)
+    y = np.linalg.matrix_power(np.exp(-1j * pulse.carrier * h * z)[:, None] * m, n_steps)
+    return np.exp(1j * pulse.carrier * pulse.duration * z)[:, None] * y
 
 
-def _rk4_propagator(
-    diag: np.ndarray,
-    half: np.ndarray,
-    carrier: float,
-    phase: float,
-    t0: float,
-    span: float,
-    n_steps: int,
-) -> np.ndarray:
-    """RK4 propagator for i dY/dt = H(t) Y over [t0, t0 + span], as one matrix power.
-
-    H(t) = diag(E) + c R + conj(c) R^dagger with c = e^{i(w t + phi)} and R
-    the drive half from ``drive_half``.  R only connects states whose total
-    I^z differs by one, so H(t) = D(t) H_0 D(t)^dagger with
-    D(t) = exp(i(w t + phi) Z), Z the total I^z and H_0 the Hamiltonian at
-    phase zero.  Every RK4 node of step j is turned by the same D(t_j), so
-    the step matrix is M_j = D(t_j) M D(t_j)^dagger, M the phase-zero step
-    of ``_rk4_phase_zero_step``, and the n steps multiply out to
-    D(t0) E(span) (E(h)^dagger M)^n D(t0)^dagger with E(s) = exp(i w s Z).
-    The n-th power takes about log2(n) squarings, and the diagonal D and E
-    are broadcasts.  This is the same RK4 as stepping Y one step at a time,
-    up to rounding.  Raises ConfigurationError, before any step, if
-    n_steps exceeds ``MAX_RK4_STEPS``.
-    """
-    if n_steps > MAX_RK4_STEPS:
-        raise ConfigurationError(
-            f"{n_steps:.3e} RK4 steps over one interval, more than MAX_RK4_STEPS"
-            f" = {MAX_RK4_STEPS:.0e}"
-        )
-    h = span / n_steps
-    z = total_spin_z(int(np.log2(len(diag))))
-    turned = np.exp(-1j * carrier * h * z)[:, None] * _rk4_phase_zero_step(diag, half, carrier, h)
-    y = np.linalg.matrix_power(turned, n_steps)
-    # D(t0) Y D(t0)^dagger scales entry (a, b) by e^{i(w t0 + phi)(z_a - z_b)}; the
-    # integer differences keep the phases as exact as the drive's own c
-    turn = np.exp(1j * (carrier * t0 + phase) * np.subtract.outer(z, z))
-    return np.exp(1j * carrier * span * z)[:, None] * (y * turn)
-
-
-def _count(span: float, unit: float, rounding) -> int:
-    """rounding(span / unit), a step or period count, as an int.
+def _step_count(span: float, step: float) -> int:
+    """max(1, ceil(span / step)), the steps over a span, as an int.
 
     Raises ConfigurationError if the count is not finite, as when an energy
     near the double-precision limit makes the step subnormal.
     """
     with np.errstate(divide="ignore", over="ignore"):
-        count = rounding(np.float64(span) / unit)
+        count = np.ceil(np.float64(span) / step)
     if not np.isfinite(count):
         raise ConfigurationError(
-            f"values too large for double precision ({span:.3e} / {unit:.3e} steps or periods)"
+            f"values too large for double precision ({span:.3e} / {step:.3e} steps)"
         )
-    return int(count)
+    return max(1, int(count))
 
 
 def lab_frame_propagator(
@@ -360,26 +333,27 @@ def lab_frame_propagator(
 ) -> np.ndarray:
     """Time-stepped lab-frame propagator of one pulse.
 
-    The lab Hamiltonian is periodic in the carrier period, so the RK4
-    propagator is built over a single period and composed by matrix powers;
-    the remainder interval is stepped directly.  This keeps the fixed-step
-    error budget while making long pulses cheap.  Within an interval every
-    RK4 step matrix is the phase-zero step, built once from H at the RK4
-    nodes, turned by the carrier's total-I^z rotation, so the interval's n
-    steps are one matrix power of that step (see ``_rk4_propagator``).
-    This gives the same RK4 as stepping one step at a time, up to rounding.
+    Fourth-order Magnus steps of length h = tau / ceil(tau / step), each
+    built from the lab Hamiltonian of ``lab_hamiltonian`` at its two Gauss
+    nodes.  Every step is the first one turned by the carrier's total-I^z
+    rotation, so the whole pulse is one matrix power of that step (see
+    ``_magnus_propagator``): the same Magnus-4 as stepping one step at a
+    time, up to rounding, at a cost logarithmic in the step count.  That
+    covariance, H(t) = G H(t0) G^dagger, is the only assumption this route
+    shares with the exact rotating-frame one, and it is tested.
 
     ``step`` must resolve the fastest oscillation: at most
-    (shortest period) / 20, default (shortest period) / 400.  Raises
-    ConfigurationError if the energies or the step or period counts
-    overflow double precision, or if an interval needs more than
-    ``MAX_RK4_STEPS`` steps (checked before any step is taken).
+    (shortest period) / 20, default (shortest period) / 200.  Raises
+    ConfigurationError if the energies or the step counts overflow double
+    precision, or if one carrier period (or a shorter pulse) needs more than
+    ``MAX_STEPS_PER_PERIOD`` steps (checked before any step is taken).
     """
-    half = drive_half(system, pulse)
+    pulse.check_against(system)
     energies = system.energies
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         w_max = max(np.max(np.abs(energies)), abs(pulse.carrier)) + np.max(pulse.rabi, initial=0.0)
-    t_min = 2 * np.pi / w_max
+        # no frequency at all (nothing to resolve) gives an infinite period
+        t_min = 2 * np.pi / w_max
     if step is None:
         step = t_min / DEFAULT_STEP_DIVISOR
     elif not step > 0:
@@ -392,22 +366,14 @@ def lab_frame_propagator(
         )
 
     tau = pulse.duration
-    carrier = pulse.carrier
-
-    period = 2 * np.pi / abs(carrier) if carrier != 0.0 else np.inf
-    if period < tau:
-        n_periods = _count(tau, period, np.floor)
-        remainder = tau - n_periods * period
-        n1 = max(1, _count(period, step, np.ceil))
-        u_period = _rk4_propagator(energies, half, carrier, pulse.phase, t_start, period, n1)
-        u = np.linalg.matrix_power(u_period, n_periods)
-        if remainder > 0:
-            n2 = max(1, _count(remainder, step, np.ceil))
-            # H(t_start + n_periods*period + s) = H(t_start + s): periodic drive
-            u = _rk4_propagator(energies, half, carrier, pulse.phase, t_start, remainder, n2) @ u
-        return u
-    n_steps = max(1, _count(tau, step, np.ceil))
-    return _rk4_propagator(energies, half, carrier, pulse.phase, t_start, tau, n_steps)
+    period = 2 * np.pi / abs(pulse.carrier) if pulse.carrier != 0.0 else np.inf
+    per_period = _step_count(min(period, tau), step)
+    if per_period > MAX_STEPS_PER_PERIOD:
+        raise ConfigurationError(
+            f"{per_period:.3e} steps per carrier period (or shorter pulse), more than"
+            f" MAX_STEPS_PER_PERIOD = {MAX_STEPS_PER_PERIOD:.0e}"
+        )
+    return _magnus_propagator(system, pulse, t_start, _step_count(tau, step))
 
 
 def integrate_lab_frame(

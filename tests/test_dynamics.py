@@ -6,14 +6,14 @@ integration of the driven two-level equations written here in the test (the
 library integrator is not reused for that oracle); its blocked, tree-multiplied
 steps are pinned to a step-by-step loop kept here as well.  The full-system
 integrator and the exact rotating-frame route check each other, and the
-library's RK4, one matrix power per interval, is pinned to a step-by-step RK4
-loop kept here.  The covariance that power rests on is tested too: step
-matrices built node by node from A(t) at the RK4 nodes (also kept here) are
-the phase-zero step turned by the drive's total-I^z rotation, and so is the
-lab Hamiltonian.
+library's Magnus-4 propagator, one matrix power per pulse, is pinned to a
+step-by-step Magnus-4 loop kept here, whose steps are built from
+``lab_hamiltonian`` at each step's own Gauss nodes.  The covariance that
+power rests on is tested too: each of those steps is the library's first
+step turned by the drive's total-I^z rotation, and so is the lab
+Hamiltonian.
 """
 
-import cmath
 import time
 import tracemalloc
 
@@ -40,7 +40,7 @@ from spinpulse import (
     pulse_propagator,
     to_interaction_picture,
 )
-from spinpulse.dynamics import _rk4_phase_zero_step, _rk4_propagator, pulse_propagators
+from spinpulse.dynamics import _magnus_propagator, pulse_propagators
 from spinpulse.ensemble import init_deviation, to_interaction_picture as density_to_interaction_picture
 from spinpulse.model import drive_half, total_spin_z
 
@@ -404,7 +404,7 @@ class TestIntegrateLabFrame:
             ([1e308, -1e308], 100.0, 0.0, 0.1, 1.0),  # subnormal step: OverflowError before
             ([1e308, 1e308], 100.0, 0.0, 0.1, 1.0),  # E_00 overflows
             ([1.7e308, -1.7e308], 100.0, 0.0, 1e308, 1.0),  # the fastest frequency overflows
-            ([1.0, 2.0], 1e308, 0.0, 0.1, 1e308),  # the period count overflows
+            ([1.0, 2.0], 1e308, 0.0, 0.1, 1e308),  # the step count overflows
             ([1.0, 2.0], np.inf, 0.0, 0.1, 1.0),
             ([1.0, 2.0], 100.0, np.inf, 0.1, 1.0),  # phase inf % 2 pi is NaN
         ],
@@ -423,9 +423,17 @@ class TestIntegrateLabFrame:
         # about 3e12 RK4 steps per carrier period: this ran until killed
         system = SpinSystem(2, [1e12, 5e11], [[0, 5], [5, 0]])
         start = time.perf_counter()
-        with pytest.raises(ConfigurationError, match="MAX_RK4_STEPS"):
+        with pytest.raises(ConfigurationError, match="MAX_STEPS_PER_PERIOD"):
             lab_frame_propagator(system, PulseSpec(100.0, 0.0, [0.1, 0.1], 1.0))
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("error_state", ["warn", "raise"])
+    def test_no_frequency_is_the_identity(self, error_state):
+        # the shortest period 2 pi / 0 raised a divide-by-zero warning
+        system = SpinSystem(1, [0.0], [[0.0]])
+        with warnings_are_errors(error_state):
+            u = lab_frame_propagator(system, PulseSpec(0.0, 0.0, [0.0], 1.0))
+        assert np.array_equal(u, np.eye(2))
 
     @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan])
     def test_non_positive_step_refused(self, gate_system, gate_pulse, step):
@@ -434,56 +442,33 @@ class TestIntegrateLabFrame:
             lab_frame_propagator(gate_system, gate_pulse, step=step)
 
 
-def rk4_step_loop(diag, half, carrier, phase, t0, span, n_steps):
-    """Reference: the RK4 propagator stepped one step at a time."""
-    y = np.eye(len(diag), dtype=complex)
-    h = span / n_steps
-    d_col = -1j * diag[:, None]
-    up = -1j * half
-    down = -1j * half.conj().T
-
-    def rhs(t, m):
-        c = cmath.exp(1j * (carrier * t + phase))
-        return d_col * m + c * (up @ m) + c.conjugate() * (down @ m)
-
-    t = t0
-    for _ in range(n_steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
+def taylor_exp(a, terms=16):
+    """exp(a) as its Taylor sum to a^terms / terms!, term by term."""
+    total = term = np.eye(len(a), dtype=complex)
+    for k in range(1, terms + 1):
+        term = term @ a / k
+        total = total + term
+    return total
 
 
-def rk4_step_matrices_by_nodes(basis, carrier, phase, t0, h, first, count):
-    """Reference: the step matrices of steps first .. first + count - 1, node by node.
+def magnus_step(system, pulse, t, h):
+    """Reference: the Magnus-4 step over [t, t + h], from H at its Gauss nodes.
 
-    M = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with A = -i H, K1 = A(t),
-    K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)(I + h/2 K2) and
-    K4 = A(t + h)(I + h K3).  ``basis`` stacks the three matrices that A(t)
-    combines with the coefficients (1, c, conj c).
+    exp(A) with A = -i h/2 (H1 + H2) - (sqrt(3)/12) h^2 [H2, H1] and H1, H2
+    the lab Hamiltonian at t + (1/2 -+ sqrt(3)/6) h.
     """
-    dim = basis.shape[-1]
-    # the steps' edges t0 + j h, then their midpoints
-    j = np.arange(first, first + count + 1)
-    times = np.concatenate((t0 + h * j, t0 + h * (j[:-1] + 0.5)))
-    c = np.exp(1j * (carrier * times + phase))
-    coefficients = np.stack((np.ones_like(c), c, c.conj()), axis=1)
-    a = (coefficients @ basis.reshape(3, -1)).reshape(-1, dim, dim)
-    a_edge, a_mid = a[: count + 1], a[count + 1 :]
-    # K' = A (I + s K) = A + s A K, in place; m gathers K1 + 2 K2 + 2 K3 + K4
-    k = a_edge[:-1]
-    m = k.copy()
-    for a_node, s, weight in ((a_mid, h / 2, 2.0), (a_mid, h / 2, 2.0), (a_edge[1:], h, 1.0)):
-        k = a_node @ k
-        k *= s
-        k += a_node
-        m += weight * k
-    m *= h / 6.0
-    m += np.eye(dim)
-    return m
+    h1 = lab_hamiltonian(system, pulse, t + (0.5 - np.sqrt(3) / 6) * h)
+    h2 = lab_hamiltonian(system, pulse, t + (0.5 + np.sqrt(3) / 6) * h)
+    return taylor_exp(-0.5j * h * (h1 + h2) - np.sqrt(3) / 12 * h**2 * (h2 @ h1 - h1 @ h2))
+
+
+def magnus_step_loop(system, pulse, t0, n_steps):
+    """Reference: the Magnus-4 propagator stepped one step at a time."""
+    h = pulse.duration / n_steps
+    y = np.eye(system.dim, dtype=complex)
+    for j in range(n_steps):
+        y = magnus_step(system, pulse, t0 + j * h, h) @ y
+    return y
 
 
 def turn(m, z, angle):
@@ -495,27 +480,25 @@ def turn(m, z, angle):
     return m * np.exp(1j * np.multiply.outer(angle, np.subtract.outer(z, z)))
 
 
-class TestRK4Propagator:
+class TestMagnusPropagator:
     @pytest.mark.parametrize("n_spins", [1, 2, 3, 4])
     @pytest.mark.parametrize("n_steps", [1, 31, 32, 33])
-    def test_node_steps_are_the_turned_phase_zero_step(self, rng, n_spins, n_steps):
-        # step j is D(t_j) M D(t_j)^dagger, M the propagator's phase-zero step
+    def test_node_steps_are_the_turned_first_step(self, rng, n_spins, n_steps):
+        # step j is G_j M G_j^dagger, G_j = exp(i w j h Z) and M the
+        # propagator's first step (a one-step pulse of length h)
         system = random_system(rng, n_spins)
         energies = diagonal_energies(system)
+        h = 2 * np.pi / np.max(np.abs(energies)) / 400
         pulse = PulseSpec(
             carrier=rng.uniform(20, 200),
             phase=rng.uniform(0, 2 * np.pi),
             rabi=rng.uniform(0.05, 0.5, size=n_spins),
-            duration=1.0,
+            duration=h,
         )
-        half = drive_half(system, pulse)
-        h = 2 * np.pi / np.max(np.abs(energies)) / 400
         t0 = rng.uniform(0, 1e3)
-        m = _rk4_phase_zero_step(energies, half, pulse.carrier, h)
-        angles = pulse.carrier * (t0 + h * np.arange(n_steps)) + pulse.phase
-        turned = turn(m, total_spin_z(n_spins), angles)
-        basis = -1j * np.stack((np.diag(energies), half, half.conj().T))
-        by_nodes = rk4_step_matrices_by_nodes(basis, pulse.carrier, pulse.phase, t0, h, 0, n_steps)
+        m = _magnus_propagator(system, pulse, t0, 1)
+        turned = turn(m, total_spin_z(n_spins), pulse.carrier * h * np.arange(n_steps))
+        by_nodes = np.array([magnus_step(system, pulse, t0 + j * h, h) for j in range(n_steps)])
         assert np.max(np.abs(turned - by_nodes)) <= 1e-13
 
     # the power's binary digits: all ones (3, 31, 1023), a lone one (2, 32, 1024)
@@ -523,18 +506,16 @@ class TestRK4Propagator:
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 67, 1023, 1024, 1025])
     def test_matches_step_loop(self, gate_system, ensemble_system, rng, n_steps):
         for system in (gate_system, ensemble_system):
-            energies = diagonal_energies(system)
+            step = 2 * np.pi / np.max(np.abs(diagonal_energies(system))) / 400
             pulse = PulseSpec(
                 carrier=rng.uniform(50, 150),
                 phase=rng.uniform(0, 2 * np.pi),
                 rabi=rng.uniform(0.05, 0.5, size=system.n_spins),
-                duration=1.0,
+                duration=n_steps * step,
             )
-            half = drive_half(system, pulse)
-            step = 2 * np.pi / np.max(np.abs(energies)) / 400
-            args = (energies, half, pulse.carrier, pulse.phase, rng.uniform(0, 20))
-            powered = _rk4_propagator(*args, n_steps * step, n_steps)
-            looped = rk4_step_loop(*args, n_steps * step, n_steps)
+            t0 = rng.uniform(0, 20)
+            powered = _magnus_propagator(system, pulse, t0, n_steps)
+            looped = magnus_step_loop(system, pulse, t0, n_steps)
             assert np.max(np.abs(powered - looped)) <= 1e-12
 
     def test_long_pulse_memory_is_bounded(self, ensemble_system):
@@ -550,6 +531,23 @@ class TestRK4Propagator:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("t_start", [0.0, 7.7])
+    @pytest.mark.parametrize("rabi", [np.pi, 0.1, 0.01])
+    def test_pulses_up_to_314_match_the_exact_route(self, ensemble_system, rabi, t_start):
+        # tau = 1, 31.4 and 314 at the default step: the error must not grow
+        # with the pulse, as a fixed-step RK4's did (4.6e-5 at tau = 314)
+        pulse = cn_pulse(ensemble_system, 2, 3, "complementary", rabi=[rabi] * 4)
+        u = lab_frame_propagator(ensemble_system, pulse, t_start=t_start)
+        assert np.max(np.abs(u - pulse_propagator(ensemble_system, pulse, t_start))) <= 1e-8
+        assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-8
+
+    def test_many_period_pulse_is_accepted(self, ensemble_system):
+        # tau ~ 31416 takes ~5e8 steps: over any whole-pulse cap, but a few
+        # hundred per carrier period
+        pulse = cn_pulse(ensemble_system, 2, 3, "complementary", rabi=[1e-4] * 4)
+        u = lab_frame_propagator(ensemble_system, pulse, t_start=7.7)
+        assert np.max(np.abs(u - pulse_propagator(ensemble_system, pulse, 7.7))) <= 1e-6
 
 
 class TestFrameConsistency:
@@ -650,7 +648,11 @@ def driven_systems(draw):
 
 
 class TestDriveCovariance:
-    """The one assumption of the one-power RK4: H(t) = D(t) H_0 D(t)^dagger."""
+    """The one assumption the lab-frame oracle shares with the exact route.
+
+    H(t) = D(t) H_0 D(t)^dagger, D(t) = exp(i (w t + phi) Z): it makes the
+    exact route's rotating frame exact and the oracle's steps one matrix power.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(case=driven_systems())
