@@ -10,13 +10,17 @@ Three routes are provided and cross-checked against each other:
   stack of pulses with one stacked eigensolve; one pulse is a stack of one.
 * ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
   Magnus integration of the explicitly time-dependent lab-frame Schrodinger
-  equation.  H(t) enters only through ``lab_hamiltonian`` at each step's two
-  Gauss nodes.  The drive only turns H(t) about the total I^z axis, so every
-  step is the first step turned by the carrier's rotation, and the steps of
-  a pulse multiply out to one matrix power of that step, with a diagonal
-  phase on the left.  The result is the same Magnus-4 as a step-by-step
-  loop.  That covariance is the only assumption the oracle shares with the
-  exact route, and it is tested, not assumed.
+  equation.  H(t) enters only through one ``lab_hamiltonian`` call at the
+  first step's two Gauss nodes.  The drive only turns H(t) about the total
+  I^z axis, so every step is the first step turned by the carrier's
+  rotation, and the steps of a pulse multiply out to one matrix power of
+  that step, with a diagonal phase on the left.  The step's exponential is
+  a Taylor sum evaluated by Paterson-Stockmeyer, and the power is applied
+  by binary powering to its operand: the identity for
+  ``lab_frame_propagator``, the state for ``integrate_lab_frame``.  The
+  result is the same Magnus-4 as a step-by-step loop.  That covariance is
+  the only assumption the oracle shares with the exact route, and it is
+  tested, not assumed.
 * ``analytic_two_level`` — closed-form resonant solution for one driven
   pair of levels.
 
@@ -28,6 +32,7 @@ a global clock.  States themselves stay pure value objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +63,14 @@ MAX_STEP_DIVISOR = 20
 #: ~1e-4, larger than the errors the oracle is there to find.
 MAX_STEPS_PER_PERIOD = 10**7
 #: Gauss-Legendre nodes of the Magnus-4 step, as fractions of the step
-_GAUSS_NODES = (0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6)
+_GAUSS_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
 #: highest power of the Taylor sum for the exponential of a step
 _TAYLOR_TERMS = 16
+#: the Taylor coefficients 1/k! of the step exponential, k = 0 .. _TAYLOR_TERMS
+_TAYLOR_COEFFS = np.array([1 / math.factorial(k) for k in range(_TAYLOR_TERMS + 1)])
+#: the coefficients of the terms below A^16 as four blocks of four: row j
+#: weights I, A, A^2, A^3 in the block of A^(4j)
+_TAYLOR_BLOCKS = _TAYLOR_COEFFS[:-1].reshape(4, 4)
 
 
 @dataclass
@@ -88,6 +98,13 @@ class TwoLevelAmplitudes:
     @property
     def populations(self) -> tuple[float, float]:
         return abs(self.c_k) ** 2, abs(self.c_n) ** 2
+
+
+def _require_dim(state: QuantumState, system: SpinSystem) -> None:
+    if len(state) != system.dim:
+        raise ConfigurationError(
+            f"state has {len(state)} amplitudes, the system's dimension is {system.dim}"
+        )
 
 
 def _require_normalized(state: QuantumState) -> None:
@@ -167,6 +184,7 @@ def evolve_pulse(
     accumulating their free-evolution phases exp(-i E_n t), and newly driven
     states acquire the same phases automatically.
     """
+    _require_dim(state, system)
     _require_normalized(state)
     u = pulse_propagator(system, pulse, t_start)
     return QuantumState(u @ state.amplitudes, check=False)
@@ -180,6 +198,7 @@ def evolve_delay(
     Probabilities are untouched; only relative phases advance.  Composes
     exactly: tau_1 then tau_2 equals tau_1 + tau_2.
     """
+    _require_dim(state, system)
     _require_normalized(state)
     tau = delay.duration if isinstance(delay, DelaySpec) else float(DelaySpec(delay).duration)
     return QuantumState(free_evolution_phases(system, tau) * state.amplitudes, check=False)
@@ -205,6 +224,7 @@ def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) ->
     Amplitudes in this picture are constant under free evolution, which makes
     them directly comparable against ideal gate actions.
     """
+    _require_dim(state, system)
     return QuantumState(free_evolution_phases(system, -t) * state.amplitudes, check=False)
 
 
@@ -269,47 +289,84 @@ def analytic_two_level(
 # ---------------------------------------------------------------------------
 
 
-def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float) -> np.ndarray:
+def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray) -> np.ndarray:
     """Instantaneous lab-frame Hamiltonian at absolute time t.
 
     H(t) = diag(E_n) - sum_k Omega_k [cos(w t + phi) I^x_k
            - sin(w t + phi) I^y_k]; the sign pattern is what a circularly
     polarized field rotating with the carrier produces, and is the model the
-    lab-frame integrator steps through.  Returns a complex Hermitian ndarray.
+    lab-frame integrator steps through.  Returns a complex Hermitian ndarray
+    (dim, dim); an array of times of shape (k,) gives the stack (k, dim, dim)
+    of the same Hamiltonians.
     """
-    drive = np.exp(1j * (pulse.carrier * t + pulse.phase)) * drive_half(system, pulse)
-    return np.diag(system.energies) + drive + drive.conj().T
+    drive = np.exp(1j * (pulse.carrier * np.asarray(t) + pulse.phase))[..., None, None]
+    drive = drive * drive_half(system, pulse)
+    return np.diag(system.energies) + drive + np.swapaxes(drive.conj(), -1, -2)
+
+
+def _power_onto(m: np.ndarray, n: int, y: np.ndarray) -> np.ndarray:
+    """m^n y by binary powering, with y a matrix or a column.
+
+    The squares m^(2^k) of the set bits of n multiply into y one by one;
+    they are all powers of m, so their order does not matter.  With y a
+    column every product but the squarings is a matrix-vector product.
+    """
+    while True:
+        if n & 1:
+            y = m @ y
+        n >>= 1
+        if not n:
+            return y
+        m = m @ m
 
 
 def _magnus_propagator(
-    system: SpinSystem, pulse: PulseSpec, t0: float, n_steps: int
+    system: SpinSystem, pulse: PulseSpec, t0: float, n_steps: int, y: np.ndarray | None = None
 ) -> np.ndarray:
     """Magnus-4 propagator of i dY/dt = H(t) Y over the pulse, as one matrix power.
 
     The step over [t0, t0 + h], h = tau / n_steps, is M = exp(A) with
     A = -i h/2 (H1 + H2) - (sqrt(3)/12) h^2 [H2, H1] and H1, H2 the lab
     Hamiltonian at the Gauss nodes t0 + (1/2 -+ sqrt(3)/6) h (Blanes, Casas,
-    Oteo & Ros, Phys. Rep. 470, 151 (2009)).  The drive only turns H(t)
-    about the total I^z axis Z: H(t) = G H(t0) G^dagger with
-    G = exp(i w (t - t0) Z).  So step j is G_j M G_j^dagger, G_j = exp(i w j h Z),
-    and the n steps multiply out to exp(i w tau Z) (exp(-i w h Z) M)^n, which
-    takes about log2(n) squarings.  This is the same Magnus-4 as stepping Y
-    one step at a time, up to rounding.
+    Oteo & Ros, Phys. Rep. 470, 151 (2009)), both from one
+    ``lab_hamiltonian`` call.  The drive only turns H(t) about the total I^z
+    axis Z: H(t) = G H(t0) G^dagger with G = exp(i w (t - t0) Z).  So step j
+    is G_j M G_j^dagger, G_j = exp(i w j h Z), and the n steps multiply out
+    to exp(i w tau Z) (exp(-i w h Z) M)^n, which takes about log2(n)
+    squarings.  This is the same Magnus-4 as stepping Y one step at a time,
+    up to rounding.
+
+    Returns the propagator applied to ``y`` (dim, k), the identity by
+    default: a state passed as a column turns the power's products by the
+    set bits into matrix-vector products.
     """
     h = pulse.duration / n_steps
-    h1, h2 = (lab_hamiltonian(system, pulse, t0 + node * h) for node in _GAUSS_NODES)
+    h1, h2 = lab_hamiltonian(system, pulse, t0 + _GAUSS_NODES * h)
     a = -0.5j * h * (h1 + h2) - np.sqrt(3) / 12 * h**2 * (h2 @ h1 - h1 @ h2)
-    # exp(A) summed to A^16/16! in Horner form.  The power multiplies the
-    # step's own rounding by n, and a Taylor sum rounds less than an eigh-built
-    # exponential does.  ||hH|| <= 2 h w_max <= 4 pi / MAX_STEP_DIVISOR ~ 0.63
-    # (up to four spins), so ||A|| < 0.75 with the commutator, and the first
-    # dropped term ||A||^17 / 17! is below 2e-17 at any admissible step.
-    eye = np.eye(len(a))
-    m = eye + a / _TAYLOR_TERMS
-    for k in range(_TAYLOR_TERMS - 1, 0, -1):
-        m = eye + (a @ m) / k
+    # exp(A) summed to A^16/16!.  The power multiplies the step's own rounding
+    # by n, and a Taylor sum rounds less than an eigh-built exponential does.
+    # ||hH|| <= 2 h w_max <= 4 pi / MAX_STEP_DIVISOR ~ 0.63 (up to four spins),
+    # so ||A|| < 0.75 with the commutator, and the first dropped term
+    # ||A||^17 / 17! is below 2e-17 at any admissible step.  The sum is
+    # evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)): block j
+    # sums the terms k = 4j .. 4j + 3 over I, A, A^2, A^3, and the blocks run
+    # as Horner in A^4, in 6 products where Horner in A takes 15.
+    dim = len(a)
+    eye = np.eye(dim)
+    powers = np.empty((4, dim, dim), dtype=complex)
+    powers[0], powers[1] = eye, a
+    powers[2] = a @ a
+    powers[3] = powers[2] @ a
+    a4 = powers[2] @ powers[2]
+    # the real coefficients times the complex powers, as one real product
+    blocks = _TAYLOR_BLOCKS @ powers.reshape(4, -1).view(float)
+    blocks = blocks.view(complex).reshape(4, dim, dim)
+    m = blocks[3] + _TAYLOR_COEFFS[-1] * a4
+    for block in blocks[2::-1]:
+        m = block + a4 @ m
     z = total_spin_z(system.n_spins)
-    y = np.linalg.matrix_power(np.exp(-1j * pulse.carrier * h * z)[:, None] * m, n_steps)
+    y = _power_onto(np.exp(-1j * pulse.carrier * h * z)[:, None] * m, n_steps,
+                    eye if y is None else y)
     return np.exp(1j * pulse.carrier * pulse.duration * z)[:, None] * y
 
 
@@ -328,25 +385,10 @@ def _step_count(span: float, step: float) -> int:
     return max(1, int(count))
 
 
-def lab_frame_propagator(
-    system: SpinSystem, pulse: PulseSpec, step: float | None = None, t_start: float = 0.0
-) -> np.ndarray:
-    """Time-stepped lab-frame propagator of one pulse.
+def _lab_steps(system: SpinSystem, pulse: PulseSpec, step: float | None) -> int:
+    """The oracle's step count for a pulse, after every check on the step.
 
-    Fourth-order Magnus steps of length h = tau / ceil(tau / step), each
-    built from the lab Hamiltonian of ``lab_hamiltonian`` at its two Gauss
-    nodes.  Every step is the first one turned by the carrier's total-I^z
-    rotation, so the whole pulse is one matrix power of that step (see
-    ``_magnus_propagator``): the same Magnus-4 as stepping one step at a
-    time, up to rounding, at a cost logarithmic in the step count.  That
-    covariance, H(t) = G H(t0) G^dagger, is the only assumption this route
-    shares with the exact rotating-frame one, and it is tested.
-
-    ``step`` must resolve the fastest oscillation: at most
-    (shortest period) / 20, default (shortest period) / 200.  Raises
-    ConfigurationError if the energies or the step counts overflow double
-    precision, or if one carrier period (or a shorter pulse) needs more than
-    ``MAX_STEPS_PER_PERIOD`` steps (checked before any step is taken).
+    See ``lab_frame_propagator`` for the step rule and the checks.
     """
     pulse.check_against(system)
     energies = system.energies
@@ -373,7 +415,30 @@ def lab_frame_propagator(
             f"{per_period:.3e} steps per carrier period (or shorter pulse), more than"
             f" MAX_STEPS_PER_PERIOD = {MAX_STEPS_PER_PERIOD:.0e}"
         )
-    return _magnus_propagator(system, pulse, t_start, _step_count(tau, step))
+    return _step_count(tau, step)
+
+
+def lab_frame_propagator(
+    system: SpinSystem, pulse: PulseSpec, step: float | None = None, t_start: float = 0.0
+) -> np.ndarray:
+    """Time-stepped lab-frame propagator of one pulse.
+
+    Fourth-order Magnus steps of length h = tau / ceil(tau / step), each
+    built from the lab Hamiltonian of ``lab_hamiltonian`` at its two Gauss
+    nodes.  Every step is the first one turned by the carrier's total-I^z
+    rotation, so the whole pulse is one matrix power of that step (see
+    ``_magnus_propagator``): the same Magnus-4 as stepping one step at a
+    time, up to rounding, at a cost logarithmic in the step count.  That
+    covariance, H(t) = G H(t0) G^dagger, is the only assumption this route
+    shares with the exact rotating-frame one, and it is tested.
+
+    ``step`` must resolve the fastest oscillation: at most
+    (shortest period) / 20, default (shortest period) / 200.  Raises
+    ConfigurationError if the energies or the step counts overflow double
+    precision, or if one carrier period (or a shorter pulse) needs more than
+    ``MAX_STEPS_PER_PERIOD`` steps (checked before any step is taken).
+    """
+    return _magnus_propagator(system, pulse, t_start, _lab_steps(system, pulse, step))
 
 
 def integrate_lab_frame(
@@ -387,11 +452,15 @@ def integrate_lab_frame(
 
     Independent oracle for ``evolve_pulse``: the circularly polarized drive
     makes the rotating-frame treatment exact, so any disagreement is pure
-    discretization error of the integrator.
+    discretization error of the integrator.  It takes the steps and checks
+    of ``lab_frame_propagator``, but applies the pulse's matrix power to the
+    state instead of forming it.
     """
+    _require_dim(state, system)
     _require_normalized(state)
-    u = lab_frame_propagator(system, pulse, step=step, t_start=t_start)
-    return QuantumState(u @ state.amplitudes, check=False)
+    n_steps = _lab_steps(system, pulse, step)
+    column = _magnus_propagator(system, pulse, t_start, n_steps, state.amplitudes[:, None])
+    return QuantumState(column[:, 0], check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -348,8 +348,8 @@ def rotating_hamiltonian(energies: np.ndarray, carrier, drive: np.ndarray) -> np
     """
     dim = np.shape(energies)[-1]
     h = drive + np.swapaxes(drive.conj(), -1, -2)
-    idx = np.arange(dim)
-    h[..., idx, idx] += energies + np.multiply.outer(carrier, total_spin_z(int(np.log2(dim))))
+    diagonal = np.einsum("...ii->...i", h)  # a writable view
+    diagonal += energies + np.multiply.outer(carrier, total_spin_z(int(np.log2(dim))))
     return h
 
 

@@ -81,6 +81,8 @@ SWEEP_FIELDS = {
 _SWEEP_BLOCK = 128
 #: the two-spin coupling matrix of a unit Ising constant
 _UNIT_COUPLING = np.array([[0.0, 1.0], [1.0, 0.0]])
+#: the stand-in system ``_sweep_drive`` designs the sweep pulse on
+_STAND_IN = SpinSystem.uniform([0.0, 0.0], 0.0)
 
 
 def _sweep_drive(rabi: float) -> tuple[float, np.ndarray]:
@@ -89,9 +91,8 @@ def _sweep_drive(rabi: float) -> tuple[float, np.ndarray]:
     Both depend on rabi alone, so every cell shares them.  cn_pulse builds
     them on a stand-in system, so a bad rabi fails as it does there.
     """
-    stand_in = SpinSystem.uniform([0.0, 0.0], 0.0)
-    pulses = [cn_pulse(stand_in, 0, 1, "standard", rabi=[r, rabi]) for r in (rabi, 0.0)]
-    drive = np.stack([np.exp(1j * p.phase) * drive_half(stand_in, p) for p in pulses])
+    pulses = [cn_pulse(_STAND_IN, 0, 1, "standard", rabi=[r, rabi]) for r in (rabi, 0.0)]
+    drive = np.stack([np.exp(1j * p.phase) * drive_half(_STAND_IN, p) for p in pulses])
     return pulses[0].duration, drive
 
 

@@ -40,7 +40,13 @@ from spinpulse import (
     pulse_propagator,
     to_interaction_picture,
 )
-from spinpulse.dynamics import _magnus_propagator, pulse_propagators
+from spinpulse.dynamics import (
+    DEFAULT_STEP_DIVISOR,
+    MAX_STEP_DIVISOR,
+    _lab_steps,
+    _magnus_propagator,
+    pulse_propagators,
+)
 from spinpulse.ensemble import init_deviation, to_interaction_picture as density_to_interaction_picture
 from spinpulse.model import drive_half, total_spin_z
 
@@ -518,6 +524,43 @@ class TestMagnusPropagator:
             looped = magnus_step_loop(system, pulse, t0, n_steps)
             assert np.max(np.abs(powered - looped)) <= 1e-12
 
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 4])
+    @pytest.mark.parametrize("divisor", [DEFAULT_STEP_DIVISOR, MAX_STEP_DIVISOR])
+    def test_step_is_the_term_by_term_taylor_sum(self, rng, n_spins, divisor):
+        # one step at the default and at the largest admissible length: the
+        # Paterson-Stockmeyer sum is the same Taylor polynomial as the
+        # term-by-term one
+        system = random_system(rng, n_spins)
+        carrier = rng.uniform(20, 200)
+        rabi = rng.uniform(0.05, 0.5, size=n_spins)
+        w_max = max(np.max(np.abs(diagonal_energies(system))), carrier) + np.max(rabi)
+        h = 2 * np.pi / w_max / divisor
+        pulse = PulseSpec(carrier=carrier, phase=rng.uniform(0, 2 * np.pi), rabi=rabi, duration=h)
+        t0 = rng.uniform(0, 1e3)
+        m = _magnus_propagator(system, pulse, t0, 1)
+        assert np.max(np.abs(m - magnus_step(system, pulse, t0, h))) <= 1e-15
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 31, 32, 33, 67, 1023, 1024, 1025])
+    def test_state_route_matches_the_propagator(self, gate_system, ensemble_system, rng, n_steps):
+        # integrate_lab_frame applies the power to the state, in other
+        # products than the propagator's; the result must not change
+        for system in (gate_system, ensemble_system):
+            # carriers below the largest energy and Rabi frequencies up to 0.5
+            t_min = 2 * np.pi / (np.max(np.abs(diagonal_energies(system))) + 0.5)
+            pulse = PulseSpec(
+                carrier=rng.uniform(50, 150),
+                phase=rng.uniform(0, 2 * np.pi),
+                rabi=rng.uniform(0.05, 0.5, size=system.n_spins),
+                duration=n_steps * t_min / 400,
+            )
+            step = pulse.duration / (n_steps - 0.5)
+            assert _lab_steps(system, pulse, step) == n_steps
+            state = QuantumState(random_state(rng, system.dim))
+            t0 = rng.uniform(0, 20)
+            u = lab_frame_propagator(system, pulse, step=step, t_start=t0)
+            lab = integrate_lab_frame(state, system, pulse, step=step, t_start=t0)
+            assert np.max(np.abs(lab.amplitudes - u @ state.amplitudes)) <= 1e-14
+
     def test_long_pulse_memory_is_bounded(self, ensemble_system):
         # a pulse shorter than one carrier period is stepped straight through:
         # 6000 steps on 16 x 16 matrices, where a stack of every step's
@@ -629,6 +672,13 @@ class TestLabHamiltonian:
             )
 
 
+    def test_array_of_times_is_the_stack_of_scalar_calls(self, ensemble_system, rng):
+        pulse = cn_pulse(ensemble_system, 2, 3, "complementary", rabi=[0.1] * 4)
+        times = rng.uniform(0, 1e3, size=5)
+        stacked = np.stack([lab_hamiltonian(ensemble_system, pulse, t) for t in times])
+        assert np.array_equal(lab_hamiltonian(ensemble_system, pulse, times), stacked)
+
+
 @st.composite
 def driven_systems(draw):
     """A random 1-4 spin system and a pulse driving every spin."""
@@ -679,3 +729,28 @@ class TestInteractionPicture:
         delayed = evolve_delay(state, gate_system, t)
         stripped = to_interaction_picture(delayed, gate_system, t)
         np.testing.assert_allclose(stripped.amplitudes, state.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [2, 8])
+@pytest.mark.parametrize(
+    "evolve",
+    [
+        lambda state, system, pulse: evolve_pulse(state, system, pulse),
+        lambda state, system, pulse: integrate_lab_frame(state, system, pulse),
+        lambda state, system, pulse: evolve_delay(state, system, 1.0),
+        lambda state, system, pulse: to_interaction_picture(state, system, 1.0),
+        lambda state, system, pulse: apply_sequence(
+            state, system, [pulse], method="lab-integrator"
+        ),
+    ],
+    ids=["evolve_pulse", "integrate_lab_frame", "evolve_delay", "to_interaction_picture",
+         "apply_sequence"],
+)
+def test_state_of_the_wrong_size_is_refused(size, evolve):
+    # the integrator would refuse this pulse's step count, so the size must
+    # be checked before anything else
+    system = SpinSystem(2, [1e12, 5e11], [[0, 5], [5, 0]])
+    pulse = PulseSpec(100.0, 0.0, [0.1, 0.1], 1.0)
+    state = QuantumState(np.full(size, size**-0.5))
+    with pytest.raises(ConfigurationError, match=f"state has {size} amplitudes.* dimension is 4"):
+        evolve(state, system, pulse)
