@@ -6,8 +6,14 @@ Three routes are provided and cross-checked against each other:
   carrier, exponentiate the time-independent rotating-frame Hamiltonian by
   Hermitian eigendecomposition, transform back to the lab frame.  Because
   the drive is circularly polarized the frame transformation is exact, not
-  a rotating-wave approximation.  ``pulse_propagators`` does this for a
-  stack of pulses with one stacked eigensolve; one pulse is a stack of one.
+  a rotating-wave approximation.  The drive's phase is a turn about the
+  total I^z axis, so it joins the carrier's turn in the frame and the
+  eigensolve is of the real symmetric phase-zero Hamiltonian.
+  ``evolve_pulse`` applies the factors (the frame diagonals, the
+  eigenvectors and the eigenphases) to the state and never forms the
+  propagator.  ``pulse_propagators`` forms the propagators of a stack of
+  pulses with one stacked eigensolve; ``pulse_propagator`` is a stack of
+  one.
 * ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
   Magnus integration of the explicitly time-dependent lab-frame Schrodinger
   equation.  H(t) enters only through one ``lab_hamiltonian`` call at the
@@ -68,9 +74,11 @@ _GAUSS_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
 _TAYLOR_TERMS = 16
 #: the Taylor coefficients 1/k! of the step exponential, k = 0 .. _TAYLOR_TERMS
 _TAYLOR_COEFFS = np.array([1 / math.factorial(k) for k in range(_TAYLOR_TERMS + 1)])
-#: the coefficients of the terms below A^16 as four blocks of four: row j
-#: weights I, A, A^2, A^3 in the block of A^(4j)
-_TAYLOR_BLOCKS = _TAYLOR_COEFFS[:-1].reshape(4, 4)
+#: the coefficients as four blocks: row j weights I, A, A^2, A^3 and A^4 in
+#: the block of A^(4j); only the last block, of A^12, has an A^4 term (1/16!)
+_TAYLOR_BLOCKS = np.zeros((4, 5))
+_TAYLOR_BLOCKS[:, :4] = _TAYLOR_COEFFS[:-1].reshape(4, 4)
+_TAYLOR_BLOCKS[3, 4] = _TAYLOR_COEFFS[-1]
 
 
 @dataclass
@@ -113,21 +121,54 @@ def _require_normalized(state: QuantumState) -> None:
         raise ValueError(f"input state is not normalized (|norm - 1| = {drift:.3e})")
 
 
+def _exact_factors(
+    energies: np.ndarray,
+    carrier: float | np.ndarray,
+    drive: np.ndarray,
+    duration: float,
+    t_start: float,
+    phase: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of U = L V exp(-i Lambda tau) V^dagger R, for one pulse or a stack.
+
+    V Lambda V^dagger is the eigendecomposition of the rotating-frame
+    Hamiltonian that ``model.rotating_hamiltonian`` builds from ``energies``,
+    ``carrier`` and ``drive``, in the drive's dtype; L = exp(+i (w t1 + phi) Z)
+    and R = exp(-i (w t0 + phi) Z) are diagonals, with Z the total I^z,
+    t0 = t_start and t1 = t_start + duration.  Returns V, exp(-i Lambda tau),
+    L and R; every entry of each has modulus at most 1 unless it is not
+    finite.
+    """
+    vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, drive))
+    z = total_spin_z(np.shape(energies)[-1].bit_length() - 1)
+    return (
+        vecs,
+        np.exp(-1j * vals * duration),
+        np.exp(np.multiply.outer(1j * (carrier * (t_start + duration) + phase), z)),
+        np.exp(np.multiply.outer(-1j * (carrier * t_start + phase), z)),
+    )
+
+
 def pulse_propagators(
     energies: np.ndarray,
     carrier: np.ndarray,
     drive: np.ndarray,
     duration: float,
     t_start: float = 0.0,
+    phase: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """Exact lab-frame propagators of a stack of n pulses.
 
-    Each is U = exp(+i w t1 Z) exp(-i H_rot tau) exp(-i w t0 Z) with Z the
-    total I^z, t0 = t_start, t1 = t_start + duration and H_rot the
+    Each is U = exp(+i (w t1 + phi) Z) exp(-i H_rot tau) exp(-i (w t0 + phi) Z)
+    with Z the total I^z, t0 = t_start, t1 = t_start + duration and H_rot the
     rotating-frame Hamiltonian that ``model.rotating_hamiltonian`` builds
     from the Ising diagonal ``energies`` (n, dim), the carrier w (n,) and
-    the drive half ``drive`` (n, dim, dim).  All Hamiltonians go through one
-    stacked eigensolve.
+    the drive ``drive`` (n, dim, dim).  The drive's phase phi (a scalar or
+    (n,)) is a turn of the frame about Z, e^{i phi} R = e^{i phi Z} R
+    e^{-i phi Z}, so it enters through the two frame diagonals: with the
+    real drive half R of ``model.drive_half`` H_rot is real symmetric and
+    the stacked eigensolve runs in real arithmetic.  A complex drive stack
+    e^{i phi} R, with ``phase`` 0, gives the same U up to rounding.
 
     Returns U (n, dim, dim).  A pulse whose energies or carrier are not
     finite is left out of the eigensolve and its U is NaN; a U can also
@@ -140,37 +181,39 @@ def pulse_propagators(
         ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
         if not ok.all():
             energies, carrier, drive = energies[ok], carrier[ok], drive[ok]
-        vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, drive))
-        u = (vecs * np.exp(-1j * vals * duration)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
-        z = total_spin_z(int(np.log2(dim)))
-        u = (
-            np.exp(np.multiply.outer(1j * carrier * (t_start + duration), z))[:, :, None]
-            * u
-            * np.exp(np.multiply.outer(-1j * carrier * t_start, z))[:, None, :]
+            phase = np.broadcast_to(phase, ok.shape)[ok]
+        vecs, phases, left, right = _exact_factors(
+            energies, carrier, drive, duration, t_start, phase
         )
+        u = (vecs * phases[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
+        u = left[:, :, None] * u * right[:, None, :]
     if len(u) < n:
         u_ok, u = u, np.full((n, dim, dim), np.nan, dtype=complex)
         u[ok] = u_ok
     return u
 
 
+#: what the exact route raises when its propagator would not be finite
+_EXACT_TOO_LARGE = (
+    "values too large for double precision (pulse energies, carrier or propagator not finite)"
+)
+
+
 def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0) -> np.ndarray:
     """Exact lab-frame propagator of one pulse starting at absolute time t_start.
 
-    U = exp(+i w t1 Z) exp(-i H_rot tau) exp(-i w t0 Z) with Z the total I^z
-    and H_rot the rotating-frame Hamiltonian; t1 = t_start + duration.  It is
+    U = exp(+i (w t1 + phi) Z) exp(-i H_rot tau) exp(-i (w t0 + phi) Z) with
+    Z the total I^z, H_rot the real symmetric rotating-frame Hamiltonian of
+    the phase-zero drive and t1 = t_start + duration.  It is
     ``pulse_propagators`` on a stack of one.  Raises ConfigurationError if
     the energies, the carrier or U are not finite.
     """
-    drive = np.exp(1j * pulse.phase) * drive_half(system, pulse)
     [u] = pulse_propagators(
-        system.energies[None], np.array([pulse.carrier]), drive[None], pulse.duration, t_start
+        system.energies[None], np.array([pulse.carrier]), drive_half(system, pulse)[None],
+        pulse.duration, t_start, pulse.phase,
     )
     if not np.isfinite(u).all():
-        raise ConfigurationError(
-            "values too large for double precision (pulse energies, carrier or propagator"
-            " not finite)"
-        )
+        raise ConfigurationError(_EXACT_TOO_LARGE)
     return u
 
 
@@ -182,12 +225,25 @@ def evolve_pulse(
     The returned amplitudes are lab-frame amplitudes at absolute time
     ``t_start + pulse.duration``: states untouched by the drive keep
     accumulating their free-evolution phases exp(-i E_n t), and newly driven
-    states acquire the same phases automatically.
+    states acquire the same phases automatically.  The factors of
+    ``pulse_propagator``'s U are applied to the state one by one, so U is
+    never formed; it raises the same ConfigurationError when any factor is
+    not finite.
     """
     _require_dim(state, system)
     _require_normalized(state)
-    u = pulse_propagator(system, pulse, t_start)
-    return QuantumState(u @ state.amplitudes, check=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vecs, phases, left, right = _exact_factors(
+            system.energies, pulse.carrier, drive_half(system, pulse), pulse.duration,
+            t_start, pulse.phase,
+        )
+        # np.vdot(x, x) sums |x|^2; every entry has modulus <= 1 or is not
+        # finite, so the sum is finite exactly when every factor is
+        finite = np.isfinite(sum(np.vdot(x, x) for x in (vecs, phases, left, right)))
+    if not finite:
+        raise ConfigurationError(_EXACT_TOO_LARGE)
+    amplitudes = left * vecs.dot(phases * vecs.T.dot(right * state.amplitudes))
+    return QuantumState(amplitudes, check=False)
 
 
 def evolve_delay(
@@ -297,15 +353,18 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray)
     polarized field rotating with the carrier produces, and is the model the
     lab-frame integrator steps through.  Returns a complex Hermitian ndarray
     (dim, dim); an array of times of shape (k,) gives the stack (k, dim, dim)
-    of the same Hamiltonians.
+    of the same Hamiltonians.  Raises ConfigurationError if a time is not
+    finite.
     """
+    if not np.isfinite(t).all():
+        raise ConfigurationError(f"t must be finite, got {t}")
     drive = np.exp(1j * (pulse.carrier * np.asarray(t) + pulse.phase))[..., None, None]
-    drive = drive * drive_half(system, pulse)
-    return np.diag(system.energies) + drive + np.swapaxes(drive.conj(), -1, -2)
+    # the rotating-frame Hamiltonian of a zero carrier, field at angle w t + phi
+    return rotating_hamiltonian(system.energies, 0.0, drive * drive_half(system, pulse))
 
 
-def _power_onto(m: np.ndarray, n: int, y: np.ndarray) -> np.ndarray:
-    """m^n y by binary powering, with y a matrix or a column.
+def _power_onto(m: np.ndarray, n: int, y: np.ndarray | None = None) -> np.ndarray:
+    """m^n y by binary powering, with y a matrix or a column (m^n if y is None).
 
     The squares m^(2^k) of the set bits of n multiply into y one by one;
     they are all powers of m, so their order does not matter.  With y a
@@ -313,11 +372,11 @@ def _power_onto(m: np.ndarray, n: int, y: np.ndarray) -> np.ndarray:
     """
     while True:
         if n & 1:
-            y = m @ y
+            y = m if y is None else m.dot(y)
         n >>= 1
         if not n:
             return y
-        m = m @ m
+        m = m.dot(m)
 
 
 def _magnus_propagator(
@@ -336,37 +395,40 @@ def _magnus_propagator(
     squarings.  This is the same Magnus-4 as stepping Y one step at a time,
     up to rounding.
 
-    Returns the propagator applied to ``y`` (dim, k), the identity by
-    default: a state passed as a column turns the power's products by the
-    set bits into matrix-vector products.
+    Returns the propagator applied to ``y`` (dim, k), or the propagator if
+    ``y`` is None: a state passed as a column turns the power's products by
+    the set bits into matrix-vector products.
     """
     h = pulse.duration / n_steps
     h1, h2 = lab_hamiltonian(system, pulse, t0 + _GAUSS_NODES * h)
-    a = -0.5j * h * (h1 + h2) - np.sqrt(3) / 12 * h**2 * (h2 @ h1 - h1 @ h2)
+    dim = len(h1)
+    # the stack I, A, A^2, A^3, A^4
+    powers = np.zeros((5, dim, dim), dtype=complex)
+    powers.reshape(5, -1)[0, :: dim + 1] = 1.0
+    a, a2, a3, a4 = powers[1:]
+    # [H2, H1] = K - K^dagger with K = H2 H1, as H1 and H2 are Hermitian
+    k = h2.dot(h1)
+    np.subtract(-0.5j * h * (h1 + h2), math.sqrt(3) / 12 * h**2 * (k - k.conj().T), out=a)
+    np.dot(a, a, out=a2)
+    np.dot(a2, a, out=a3)
+    np.dot(a2, a2, out=a4)
     # exp(A) summed to A^16/16!.  The power multiplies the step's own rounding
     # by n, and a Taylor sum rounds less than an eigh-built exponential does.
     # ||hH|| <= 2 h w_max <= 4 pi / MAX_STEP_DIVISOR ~ 0.63 (up to four spins),
     # so ||A|| < 0.75 with the commutator, and the first dropped term
     # ||A||^17 / 17! is below 2e-17 at any admissible step.  The sum is
     # evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)): block j
-    # sums the terms k = 4j .. 4j + 3 over I, A, A^2, A^3, and the blocks run
-    # as Horner in A^4, in 6 products where Horner in A takes 15.
-    dim = len(a)
-    eye = np.eye(dim)
-    powers = np.empty((4, dim, dim), dtype=complex)
-    powers[0], powers[1] = eye, a
-    powers[2] = a @ a
-    powers[3] = powers[2] @ a
-    a4 = powers[2] @ powers[2]
-    # the real coefficients times the complex powers, as one real product
-    blocks = _TAYLOR_BLOCKS @ powers.reshape(4, -1).view(float)
-    blocks = blocks.view(complex).reshape(4, dim, dim)
-    m = blocks[3] + _TAYLOR_COEFFS[-1] * a4
+    # sums the terms k = 4j .. 4j + 3 (and the last block A^16) over I, A,
+    # A^2, A^3 and A^4, and the blocks run as Horner in A^4, in 6 products
+    # where Horner in A takes 15.  The real coefficients times the complex
+    # powers are one real product.
+    blocks = (_TAYLOR_BLOCKS @ powers.reshape(5, -1).view(float)).view(complex)
+    blocks = blocks.reshape(4, dim, dim)
+    m = blocks[3]
     for block in blocks[2::-1]:
-        m = block + a4 @ m
+        m = block + a4.dot(m)
     z = total_spin_z(system.n_spins)
-    y = _power_onto(np.exp(-1j * pulse.carrier * h * z)[:, None] * m, n_steps,
-                    eye if y is None else y)
+    y = _power_onto(np.exp(-1j * pulse.carrier * h * z)[:, None] * m, n_steps, y)
     return np.exp(1j * pulse.carrier * pulse.duration * z)[:, None] * y
 
 
@@ -376,30 +438,36 @@ def _step_count(span: float, step: float) -> int:
     Raises ConfigurationError if the count is not finite, as when an energy
     near the double-precision limit makes the step subnormal.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        count = np.ceil(np.float64(span) / step)
-    if not np.isfinite(count):
+    # a zero step (the shortest period of an infinite frequency) takes
+    # infinitely many
+    count = span / step if step else math.inf
+    if not math.isfinite(count):
         raise ConfigurationError(
             f"values too large for double precision ({span:.3e} / {step:.3e} steps)"
         )
-    return max(1, int(count))
+    return max(1, math.ceil(count))
 
 
-def _lab_steps(system: SpinSystem, pulse: PulseSpec, step: float | None) -> int:
-    """The oracle's step count for a pulse, after every check on the step.
+def _lab_steps(
+    system: SpinSystem, pulse: PulseSpec, step: float | None, t_start: float = 0.0
+) -> int:
+    """The oracle's step count for a pulse, after every check on the step and t_start.
 
     See ``lab_frame_propagator`` for the step rule and the checks.
     """
     pulse.check_against(system)
-    energies = system.energies
-    with np.errstate(over="ignore", divide="ignore"):
-        w_max = max(np.max(np.abs(energies)), abs(pulse.carrier)) + np.max(pulse.rabi, initial=0.0)
-        # no frequency at all (nothing to resolve) gives an infinite period
-        t_min = 2 * np.pi / w_max
+    if not math.isfinite(t_start):
+        raise ConfigurationError(f"t_start must be finite, got {t_start}")
+    # in Python floats an overflow is inf, with no numpy warning
+    carrier = abs(float(pulse.carrier))
+    w_max = max(float(np.abs(system.energies).max()), carrier) + float(pulse.rabi.max(initial=0))
+    # no frequency at all (nothing to resolve) gives an infinite period
+    t_min = 2 * math.pi / w_max if w_max else math.inf
     if step is None:
         step = t_min / DEFAULT_STEP_DIVISOR
     elif not step > 0:
         raise ValueError(f"step must be > 0, got {step}")
+    step = float(step)
     max_step = t_min / MAX_STEP_DIVISOR
     if step > max_step:
         raise ValueError(
@@ -407,8 +475,8 @@ def _lab_steps(system: SpinSystem, pulse: PulseSpec, step: float | None) -> int:
             f"(shortest oscillation period {t_min:.3e} / {MAX_STEP_DIVISOR})"
         )
 
-    tau = pulse.duration
-    period = 2 * np.pi / abs(pulse.carrier) if pulse.carrier != 0.0 else np.inf
+    tau = float(pulse.duration)
+    period = 2 * math.pi / carrier if carrier else math.inf
     per_period = _step_count(min(period, tau), step)
     if per_period > MAX_STEPS_PER_PERIOD:
         raise ConfigurationError(
@@ -436,9 +504,10 @@ def lab_frame_propagator(
     (shortest period) / 20, default (shortest period) / 200.  Raises
     ConfigurationError if the energies or the step counts overflow double
     precision, or if one carrier period (or a shorter pulse) needs more than
-    ``MAX_STEPS_PER_PERIOD`` steps (checked before any step is taken).
+    ``MAX_STEPS_PER_PERIOD`` steps (checked before any step is taken), and if
+    ``t_start`` is not finite.
     """
-    return _magnus_propagator(system, pulse, t_start, _lab_steps(system, pulse, step))
+    return _magnus_propagator(system, pulse, t_start, _lab_steps(system, pulse, step, t_start))
 
 
 def integrate_lab_frame(
@@ -458,7 +527,7 @@ def integrate_lab_frame(
     """
     _require_dim(state, system)
     _require_normalized(state)
-    n_steps = _lab_steps(system, pulse, step)
+    n_steps = _lab_steps(system, pulse, step, t_start)
     column = _magnus_propagator(system, pulse, t_start, n_steps, state.amplitudes[:, None])
     return QuantumState(column[:, 0], check=False)
 

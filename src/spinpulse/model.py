@@ -325,16 +325,19 @@ def diagonal_energies(system: SpinSystem) -> np.ndarray:
 
 
 def drive_half(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
-    """(ground, excited) half R of the pulse drive.
+    """(ground, excited) half R of the pulse drive, a real (float64) matrix.
 
     The drive -sum_k Omega_k [cos(a) I^x_k - sin(a) I^y_k] at field angle a
-    equals e^{ia} R + e^{-ia} R^dagger, where R holds -Omega_k/2 at
+    equals e^{ia} R + e^{-ia} R^T, where R holds -Omega_k/2 at
     (ground, ground with spin k flipped) for every spin k.  The angle is the
-    phase phi in the rotating frame and w t + phi in the lab frame.
+    phase phi in the rotating frame and w t + phi in the lab frame.  R
+    raises the total I^z by one, so e^{ia} R = e^{iaZ} R e^{-iaZ}: the
+    angle is a turn of the frame about the total I^z axis Z, and at a = 0
+    the rotating-frame Hamiltonian is real symmetric.
     """
     pulse.check_against(system)
     ground, excited, spin = _spin_flips(system.n_spins)
-    r = np.zeros((system.dim, system.dim), dtype=complex)
+    r = np.zeros((system.dim, system.dim))
     r[ground, excited] = -0.5 * pulse.rabi[spin]
     return r
 
@@ -345,11 +348,12 @@ def rotating_hamiltonian(energies: np.ndarray, carrier, drive: np.ndarray) -> np
     ``energies`` (..., dim) are Ising diagonals E, ``carrier`` (...) the
     carrier frequencies omega and ``drive`` (..., dim, dim) the drive half
     D = e^{i phi} R (see ``drive_half``), with the same leading batch axes.
+    The result has the drive's dtype: real symmetric for D = R (phi = 0).
     """
     dim = np.shape(energies)[-1]
-    h = drive + np.swapaxes(drive.conj(), -1, -2)
+    h = drive + drive.conj().swapaxes(-1, -2)
     diagonal = np.einsum("...ii->...i", h)  # a writable view
-    diagonal += energies + np.multiply.outer(carrier, total_spin_z(int(np.log2(dim))))
+    diagonal += energies + np.multiply.outer(carrier, total_spin_z(dim.bit_length() - 1))
     return h
 
 

@@ -14,11 +14,11 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run(*args):
-    """A fresh interpreter with the tier-1 suite's warning filter: a RuntimeWarning fails it."""
+    """A fresh interpreter with the tier-1 suite's warning filter: any warning fails it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        [sys.executable, "-W", "error", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
 
