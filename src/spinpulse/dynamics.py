@@ -11,9 +11,9 @@ Three routes are provided and cross-checked against each other:
   eigensolve is of the real symmetric phase-zero Hamiltonian.
   ``evolve_pulse`` applies the factors (the frame diagonals, the
   eigenvectors and the eigenphases) to the state and never forms the
-  propagator.  ``pulse_propagators`` forms the propagators of a stack of
-  pulses with one stacked eigensolve; ``pulse_propagator`` is a stack of
-  one.
+  propagator; ``pulse_propagator`` forms it from the same checked factors.
+  ``pulse_propagators`` forms the propagators of a stack of pulses with one
+  stacked eigensolve.
 * ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
   Magnus integration of the explicitly time-dependent lab-frame Schrodinger
   equation.  H(t) enters only through one ``lab_hamiltonian`` call at the
@@ -116,7 +116,8 @@ def _require_dim(state: QuantumState, system: SpinSystem) -> None:
 
 
 def _require_normalized(state: QuantumState) -> None:
-    drift = abs(state.norm - 1.0)
+    # np.vdot(x, x) is the squared norm, without np.linalg.norm's overhead
+    drift = abs(math.sqrt(np.vdot(state.amplitudes, state.amplitudes).real) - 1.0)
     if not drift <= QuantumState.NORM_TOL:  # NaN fails too
         raise ValueError(f"input state is not normalized (|norm - 1| = {drift:.3e})")
 
@@ -199,22 +200,42 @@ _EXACT_TOO_LARGE = (
 )
 
 
+def _pulse_factors(
+    system: SpinSystem, pulse: PulseSpec, t_start: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of ``_exact_factors`` for one pulse, checked for finiteness.
+
+    Both single-pulse routes take their factors from here, so they raise
+    together.  Raises ConfigurationError if ``t_start`` or a factor is not
+    finite.
+    """
+    if not math.isfinite(t_start):
+        raise ConfigurationError(f"t_start must be finite, got {t_start}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _exact_factors(
+            system.energies, pulse.carrier, drive_half(system, pulse), pulse.duration,
+            t_start, pulse.phase,
+        )
+        # np.vdot(x, x) sums |x|^2; every entry has modulus <= 1 or is not
+        # finite, so the sum is finite exactly when every factor is
+        finite = np.isfinite(sum(np.vdot(x, x) for x in factors))
+    if not finite:
+        raise ConfigurationError(_EXACT_TOO_LARGE)
+    return factors
+
+
 def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0) -> np.ndarray:
     """Exact lab-frame propagator of one pulse starting at absolute time t_start.
 
     U = exp(+i (w t1 + phi) Z) exp(-i H_rot tau) exp(-i (w t0 + phi) Z) with
     Z the total I^z, H_rot the real symmetric rotating-frame Hamiltonian of
-    the phase-zero drive and t1 = t_start + duration.  It is
-    ``pulse_propagators`` on a stack of one.  Raises ConfigurationError if
-    the energies, the carrier or U are not finite.
+    the phase-zero drive and t1 = t_start + duration: the propagator
+    ``pulse_propagators`` gives for a stack of one, formed from the checked
+    factors ``evolve_pulse`` applies.  Raises ConfigurationError if
+    ``t_start``, the energies, the carrier or a factor of U are not finite.
     """
-    [u] = pulse_propagators(
-        system.energies[None], np.array([pulse.carrier]), drive_half(system, pulse)[None],
-        pulse.duration, t_start, pulse.phase,
-    )
-    if not np.isfinite(u).all():
-        raise ConfigurationError(_EXACT_TOO_LARGE)
-    return u
+    vecs, phases, left, right = _pulse_factors(system, pulse, t_start)
+    return left[:, None] * (vecs * phases).dot(vecs.T) * right
 
 
 def evolve_pulse(
@@ -227,21 +248,12 @@ def evolve_pulse(
     accumulating their free-evolution phases exp(-i E_n t), and newly driven
     states acquire the same phases automatically.  The factors of
     ``pulse_propagator``'s U are applied to the state one by one, so U is
-    never formed; it raises the same ConfigurationError when any factor is
-    not finite.
+    never formed; the factors and their check are the same, so it raises
+    the same ConfigurationError.
     """
     _require_dim(state, system)
     _require_normalized(state)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vecs, phases, left, right = _exact_factors(
-            system.energies, pulse.carrier, drive_half(system, pulse), pulse.duration,
-            t_start, pulse.phase,
-        )
-        # np.vdot(x, x) sums |x|^2; every entry has modulus <= 1 or is not
-        # finite, so the sum is finite exactly when every factor is
-        finite = np.isfinite(sum(np.vdot(x, x) for x in (vecs, phases, left, right)))
-    if not finite:
-        raise ConfigurationError(_EXACT_TOO_LARGE)
+    vecs, phases, left, right = _pulse_factors(system, pulse, t_start)
     amplitudes = left * vecs.dot(phases * vecs.T.dot(right * state.amplitudes))
     return QuantumState(amplitudes, check=False)
 
@@ -345,6 +357,10 @@ def analytic_two_level(
 # ---------------------------------------------------------------------------
 
 
+#: what the lab routes raise when the drive angle w t + phi overflows
+_DRIVE_ANGLE_TOO_LARGE = "values too large for double precision (drive angle not finite)"
+
+
 def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray) -> np.ndarray:
     """Instantaneous lab-frame Hamiltonian at absolute time t.
 
@@ -353,12 +369,17 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray)
     polarized field rotating with the carrier produces, and is the model the
     lab-frame integrator steps through.  Returns a complex Hermitian ndarray
     (dim, dim); an array of times of shape (k,) gives the stack (k, dim, dim)
-    of the same Hamiltonians.  Raises ConfigurationError if a time is not
-    finite.
+    of the same Hamiltonians.  Raises ConfigurationError if a time or the
+    drive angle w t + phi is not finite.
     """
-    if not np.isfinite(t).all():
-        raise ConfigurationError(f"t must be finite, got {t}")
-    drive = np.exp(1j * (pulse.carrier * np.asarray(t) + pulse.phase))[..., None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        angle = pulse.carrier * np.asarray(t) + pulse.phase
+    # a non-finite t gives a non-finite angle, so one check covers both
+    if not np.isfinite(angle).all():
+        if not np.isfinite(t).all():
+            raise ConfigurationError(f"t must be finite, got {t}")
+        raise ConfigurationError(_DRIVE_ANGLE_TOO_LARGE)
+    drive = np.exp(1j * angle)[..., None, None]
     # the rotating-frame Hamiltonian of a zero carrier, field at angle w t + phi
     return rotating_hamiltonian(system.energies, 0.0, drive * drive_half(system, pulse))
 
@@ -459,7 +480,12 @@ def _lab_steps(
     if not math.isfinite(t_start):
         raise ConfigurationError(f"t_start must be finite, got {t_start}")
     # in Python floats an overflow is inf, with no numpy warning
+    t_start = float(t_start)
     carrier = abs(float(pulse.carrier))
+    tau = float(pulse.duration)
+    # the drive angle w t + phi is largest at an end of the pulse
+    if not (math.isfinite(carrier * t_start) and math.isfinite(carrier * (t_start + tau))):
+        raise ConfigurationError(_DRIVE_ANGLE_TOO_LARGE)
     w_max = max(float(np.abs(system.energies).max()), carrier) + float(pulse.rabi.max(initial=0))
     # no frequency at all (nothing to resolve) gives an infinite period
     t_min = 2 * math.pi / w_max if w_max else math.inf
@@ -475,7 +501,6 @@ def _lab_steps(
             f"(shortest oscillation period {t_min:.3e} / {MAX_STEP_DIVISOR})"
         )
 
-    tau = float(pulse.duration)
     period = 2 * math.pi / carrier if carrier else math.inf
     per_period = _step_count(min(period, tau), step)
     if per_period > MAX_STEPS_PER_PERIOD:
@@ -505,7 +530,8 @@ def lab_frame_propagator(
     ConfigurationError if the energies or the step counts overflow double
     precision, or if one carrier period (or a shorter pulse) needs more than
     ``MAX_STEPS_PER_PERIOD`` steps (checked before any step is taken), and if
-    ``t_start`` is not finite.
+    ``t_start`` or the drive angle w t + phi at an end of the pulse is not
+    finite.
     """
     return _magnus_propagator(system, pulse, t_start, _lab_steps(system, pulse, step, t_start))
 

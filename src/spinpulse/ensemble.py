@@ -46,7 +46,7 @@ class DeviationDensityMatrix:
         self.entries = np.array(self.entries, dtype=complex)
         if self.entries.shape != (DIM, DIM):
             raise ConfigurationError(f"deviation matrix must be {DIM}x{DIM}")
-        dev = np.max(np.abs(self.entries - self.entries.conj().T))
+        dev = abs(self.entries - self.entries.conj().T).max()
         if not dev <= 1e-9:  # NaN fails too
             raise ConfigurationError(f"deviation matrix is not Hermitian ({dev:.3e})")
         self.entries.setflags(write=False)

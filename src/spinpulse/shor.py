@@ -252,8 +252,8 @@ def _stage_matrices(
     if mode == "natural-phase":
         # dress each stage at its application time: U -> D(t) U D(t)^+
         d2 = p1 * p2
-        stages[1] = p1[:, None] * stages[1] * p1.conj()[None, :]
-        stages[2] = d2[:, None] * stages[2] * d2.conj()[None, :]
+        stages[1] = np.multiply.outer(p1, p1.conj()) * stages[1]
+        stages[2] = np.multiply.outer(d2, d2.conj()) * stages[2]
     return stages, [p1, p2]
 
 
@@ -300,23 +300,38 @@ def trace_paths(run: ShorRun) -> ShorTrace:
     return _gather_paths(*_stage_matrices(run.mode, run.delays, run.energies))
 
 
-def _gather_paths(stages: list[np.ndarray], phases: list[np.ndarray]) -> ShorTrace:
-    """Path terms from |00,00> through the stage matrices, gathered stage by stage.
+@functools.lru_cache(maxsize=1)
+def _path_topology() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states (s1, s2, s3) every path from |00,00> occupies (read-only, cached).
 
     Each stage keeps the paths in order and expands every one into the
     nonzero entries of its current state's column, in increasing order, so
-    the terms come out ordered by (s1, s2, s3).
+    the paths come out ordered by (s1, s2, s3).  Every mode runs the same
+    three stages, and dressing and delays only multiply their entries by
+    unit-modulus phases, so the paths read off the cached stages are the
+    paths of every run.
     """
-    u1, u2, u3 = stages
+    u1, u2, u3 = _superpose_matrix(), _oracle_matrix(3, 4), _dft_matrix(False)
     s1 = np.flatnonzero(np.abs(u1[:, 0]) > 1e-15)
-    amp = u1[s1, 0] * phases[0][s1]
     # rows of u[:, s].T are the columns of the paths' current states, in path order
     path, s2 = np.nonzero(np.abs(u2[:, s1].T) > 1e-15)
     s1 = s1[path]
-    amp = amp[path] * u2[s2, s1] * phases[1][s2]
     path, s3 = np.nonzero(np.abs(u3[:, s2].T) > 1e-15)
-    s1, s2 = s1[path], s2[path]
-    amp = amp[path] * u3[s3, s2]
+    paths = (s1[path], s2[path], s3)
+    for s in paths:
+        s.setflags(write=False)
+    return paths
+
+
+def _gather_paths(stages: list[np.ndarray], phases: list[np.ndarray]) -> ShorTrace:
+    """Path terms from |00,00> through the stage matrices, along ``_path_topology``.
+
+    A path's amplitude is u1[s1, 0] p1[s1] u2[s2, s1] p2[s2] u3[s3, s2],
+    multiplied left to right; its terms come out ordered by (s1, s2, s3).
+    """
+    u1, u2, u3 = stages
+    s1, s2, s3 = _path_topology()
+    amp = u1[s1, 0] * phases[0][s1] * u2[s2, s1] * phases[1][s2] * u3[s3, s2]
     terms: dict[int, list[PathTerm]] = {}
     for states, phase, magnitude in zip(
         zip(s1.tolist(), s2.tolist(), s3.tolist()),
@@ -341,13 +356,12 @@ def extract_period(
     probs = np.asarray(distribution, dtype=float)
     if probs.shape != (X_VALUES,):
         raise ValueError(f"distribution must have {X_VALUES} entries")
-    if not abs(probs.sum() - 1.0) <= 1e-6:  # NaN fails too
+    values = probs.tolist()
+    if not abs(sum(values) - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError("distribution must be normalized")
-    support = np.flatnonzero(probs > tol)
-    nonzero = support[support > 0]
-    if nonzero.size == 0:
+    x2 = next((x for x in range(1, X_VALUES) if values[x] > tol), None)
+    if x2 is None:
         raise PeriodExtractionError("no support on x > 0: no period information")
-    x2 = int(nonzero[0])
     if X_VALUES % x2 != 0:
         raise PeriodExtractionError(f"x = {x2} implies a fractional period {X_VALUES}/{x2}")
     period = X_VALUES // x2

@@ -36,6 +36,7 @@ from spinpulse import (
     cn_pulse,
     diagonal_energies,
     evolve_delay,
+    evolve_deviation,
     evolve_pulse,
     fidelity,
     integrate_lab_frame,
@@ -384,6 +385,28 @@ class TestEvolvePulse:
             else:
                 assert np.isfinite(evolve_pulse(state, system, pulse, t_start).amplitudes).all()
 
+    @pytest.mark.parametrize("t_start", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "route", ["pulse_propagator", "evolve_pulse", "evolve_deviation", "apply_sequence"]
+    )
+    @pytest.mark.parametrize("error_state", ["warn", "raise"])
+    def test_non_finite_start_time_refused(self, ensemble_system, route, t_start, error_state):
+        # "values too large for double precision" before, as if U had overflowed
+        pulse = cn_pulse(ensemble_system, 2, 3, "complementary", rabi=[0.1] * 4)
+        state = QuantumState.basis(4, 0)
+        calls = {
+            "pulse_propagator": lambda: pulse_propagator(ensemble_system, pulse, t_start),
+            "evolve_pulse": lambda: evolve_pulse(state, ensemble_system, pulse, t_start),
+            "evolve_deviation": lambda: evolve_deviation(
+                init_deviation(GATE_INITIAL), ensemble_system, pulse, t_start
+            ),
+            "apply_sequence": lambda: apply_sequence(state, ensemble_system, [pulse], t_start),
+        }
+        with warnings_are_errors(error_state):
+            message = f"^t_start must be finite, got {t_start}$"
+            with pytest.raises(ConfigurationError, match=message):
+                calls[route]()
+
 
 def complex_route_propagator(system, pulse, t_start):
     """Reference: the exact propagator from the complex Hermitian eigensolve.
@@ -438,6 +461,29 @@ class TestPulsePropagators:
         u = pulse_propagators(energies, carrier, drive, 2.5, t_start=1.25, phase=phase)
         for i, (system, pulse) in enumerate(zip(systems, pulses)):
             assert np.array_equal(u[i], pulse_propagator(system, pulse, t_start=1.25))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_spins=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        carrier=st.floats(-200.0, 200.0),
+        phase=st.floats(-10.0, 10.0),
+        duration=st.floats(0.01, 50.0),
+        t_start=st.floats(-100.0, 100.0),
+    )
+    def test_one_pulse_is_the_stack_of_one(
+        self, n_spins, seed, carrier, phase, duration, t_start
+    ):
+        # the single-pulse route forms U from its own checked factors, in the
+        # stack's order of operations: bit for bit the same U
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n_spins)
+        pulse = PulseSpec(carrier, phase, rng.uniform(0, 0.5, size=n_spins), duration)
+        [u] = pulse_propagators(
+            system.energies[None], np.array([pulse.carrier]), drive_half(system, pulse)[None],
+            duration, t_start, pulse.phase,
+        )
+        assert np.array_equal(pulse_propagator(system, pulse, t_start), u)
 
     def test_bad_pulse_fails_alone(self, gate_system, gate_pulse):
         # one pulse with an infinite energy, one with a NaN carrier (both
@@ -535,7 +581,8 @@ class TestIntegrateLabFrame:
             u = lab_frame_propagator(system, PulseSpec(0.0, 0.0, [0.0], 1.0))
         assert np.array_equal(u, np.eye(2))
 
-    @pytest.mark.parametrize("t_start", [np.nan, np.inf, -np.inf])
+    # 1e307 is finite, but its drive angle w t + phi overflows
+    @pytest.mark.parametrize("t_start", [np.nan, np.inf, -np.inf, 1e307, -1e307])
     @pytest.mark.parametrize(
         "route",
         [
@@ -550,7 +597,7 @@ class TestIntegrateLabFrame:
     def test_non_finite_start_time_refused(
         self, gate_system, gate_pulse, route, t_start, error_state
     ):
-        # NaN amplitudes before, after a RuntimeWarning for inf
+        # NaN amplitudes before, after a RuntimeWarning for inf and 1e307
         state = QuantumState(GATE_INITIAL)
         calls = {
             "lab_frame_propagator": lambda: lab_frame_propagator(
@@ -568,8 +615,12 @@ class TestIntegrateLabFrame:
             ),
         }
         name = "t" if route.startswith("lab_hamiltonian") else "t_start"
+        if np.isfinite(t_start):
+            message = r"^values too large for double precision \(drive angle not finite\)$"
+        else:
+            message = f"^{name} must be finite"
         with warnings_are_errors(error_state):
-            with pytest.raises(ConfigurationError, match=f"^{name} must be finite"):
+            with pytest.raises(ConfigurationError, match=message):
                 calls[route]()
 
     @pytest.mark.parametrize("step", [0.0, -1e-3, np.nan])
@@ -885,3 +936,26 @@ def test_state_of_the_wrong_size_is_refused(size, evolve):
     state = QuantumState(np.full(size, size**-0.5))
     with pytest.raises(ConfigurationError, match=f"state has {size} amplitudes.* dimension is 4"):
         evolve(state, system, pulse)
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [GATE_INITIAL * (1 + 2e-9), GATE_INITIAL * (1 - 2e-9), np.full(4, np.nan)],
+    ids=["norm 1 + 2e-9", "norm 1 - 2e-9", "NaN"],
+)
+@pytest.mark.parametrize(
+    "evolve",
+    [
+        lambda state, system, pulse: evolve_pulse(state, system, pulse),
+        lambda state, system, pulse: integrate_lab_frame(state, system, pulse),
+        lambda state, system, pulse: evolve_delay(state, system, 1.0),
+    ],
+    ids=["evolve_pulse", "integrate_lab_frame", "evolve_delay"],
+)
+def test_unnormalized_state_is_refused(gate_system, gate_pulse, amplitudes, evolve):
+    state = QuantumState(amplitudes, check=False)
+    with warnings_are_errors():
+        with pytest.raises(ValueError, match="input state is not normalized"):
+            evolve(state, gate_system, gate_pulse)
+    # a drift inside QuantumState.NORM_TOL passes
+    evolve(QuantumState(GATE_INITIAL * (1 + 5e-10), check=False), gate_system, gate_pulse)

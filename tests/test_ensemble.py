@@ -186,6 +186,12 @@ class TestDeviationMatrixType:
         with pytest.raises(ConfigurationError, match="Hermitian"):
             DeviationDensityMatrix(bad)
 
+    def test_nan_entry_rejected(self):
+        bad = np.zeros((16, 16), dtype=complex)
+        bad[3, 3] = np.nan
+        with pytest.raises(ConfigurationError, match=r"not Hermitian \(nan\)"):
+            DeviationDensityMatrix(bad)
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(ConfigurationError, match="16x16"):
             DeviationDensityMatrix(np.zeros((4, 4)))

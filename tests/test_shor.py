@@ -30,6 +30,7 @@ from spinpulse.shor import (
     _dft_matrix,
     _oracle_for_residue,
     _oracle_matrix,
+    _path_topology,
     _stage_matrices,
     _superpose_matrix,
 )
@@ -334,6 +335,29 @@ class TestTraceMatchesLoop:
                         assert abs(term.phase - phase) <= 1e-15
                         assert abs(term.magnitude - magnitude) <= 1e-15
 
+    @pytest.mark.parametrize("mode", ["bare-delay", "natural-phase"])
+    def test_cached_topology_is_the_dressed_stages_sparsity(self, rng, mode):
+        paths = _path_topology()
+        assert _path_topology() is paths
+        for s in paths:
+            with pytest.raises(ValueError):
+                s[0] = 0
+        cached = [_superpose_matrix(), _oracle_matrix(3, 4), _dft_matrix(False)]
+        for _ in range(20):
+            energies = EnergyTable(rng.uniform(-20, 20, size=16))
+            delays = tuple(rng.uniform(0, 5, size=2))
+            stages, _ = _stage_matrices(mode, delays, energies)
+            for u, bare in zip(stages, cached):
+                assert np.array_equal(np.abs(u) > 1e-15, np.abs(bare) > 1e-15)
+            u1, u2, u3 = stages
+            expected = [
+                (s1, s2, s3)
+                for s1 in np.flatnonzero(np.abs(u1[:, 0]) > 1e-15).tolist()
+                for s2 in np.flatnonzero(np.abs(u2[:, s1]) > 1e-15).tolist()
+                for s3 in np.flatnonzero(np.abs(u3[:, s2]) > 1e-15).tolist()
+            ]
+            assert list(zip(*(s.tolist() for s in paths))) == expected
+
     def test_trace_paths_returns_the_runs_trace(self):
         run = run_shor("instantaneous", trace=True)
         assert trace_paths(run) is run.trace
@@ -408,6 +432,21 @@ class TestExtractPeriod:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
             extract_period([0.5, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("distribution", [[0.5, np.nan, 0.5, 0.0], [np.inf, 0.0, -np.inf, 1.0]])
+    def test_non_finite_rejected(self, distribution):
+        with pytest.raises(ValueError, match="normalized"):
+            extract_period(distribution)
+
+    @pytest.mark.parametrize("distribution", [[0.5, 0.5], [[0.5, 0.0], [0.5, 0.0]]])
+    def test_wrong_shape_rejected(self, distribution):
+        with pytest.raises(ValueError, match="4 entries"):
+            extract_period(distribution)
+
+    def test_support_lies_above_tol(self):
+        # x = 1 at exactly tol carries no support; x = 2 gives the period
+        result = extract_period([0.5 - 1e-12, 1e-12, 0.5, 0.0])
+        assert (result.x_measured, result.period, result.factor) == (2, 2, 2)
 
 
 class TestRegisterCoordinates:
