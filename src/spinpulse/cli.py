@@ -41,6 +41,7 @@ from .model import (
     read_fields,
     read_json,
     system_from_dict,
+    too_large,
 )
 from .dynamics import evolve_pulse, to_interaction_picture
 from .design import cn_pulse, design_2pik
@@ -81,7 +82,7 @@ def _complex_pairs(values) -> list:
     return [_complex_pairs(row) for row in arr]
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(text: str, out: str | Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -275,11 +276,7 @@ def _run_ensemble(p: dict, out: str | None, fmt: str) -> int:
         _write_text(_json_dumps(doc), out)
     else:
         _write_text(table, out)
-        summary_text = _json_dumps(summary)
-        if summary_path is not None:
-            summary_path.write_text(summary_text + "\n", encoding="utf-8")
-        else:
-            sys.stdout.write(summary_text + "\n")
+        _write_text(_json_dumps(summary) + "\n", summary_path)
     if code == EXIT_TOLERANCE:
         print(
             f"tolerance failure: max |deviation| {summary['max_abs_deviation']:.3e} "
@@ -327,11 +324,7 @@ def _run_shor(
 
     _write_text(_json_dumps(result), out)
     if trace and run.trace is not None:
-        trace_text = _trace_csv(run.trace)
-        if out is not None:
-            Path(out).with_suffix(".trace.csv").write_text(trace_text, encoding="utf-8")
-        else:
-            sys.stdout.write(trace_text)
+        _write_text(_trace_csv(run.trace), out and Path(out).with_suffix(".trace.csv"))
     return EXIT_OK
 
 
@@ -571,9 +564,9 @@ def _config_from_args(args: argparse.Namespace):
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(_config_from_args(args))
         options = {name: getattr(args, name) for name in KIND_TABLE[args.kind].options}
         with np.errstate(over="raise", invalid="raise"):  # inputs too large for doubles
+            cfg = parse_config(_config_from_args(args))
             return run_config(cfg, out=args.out, fmt=args.fmt, **options)
     except ConfigError as exc:
         for problem in exc.problems:
@@ -583,7 +576,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:
-        print(f"config error: values too large for double precision ({exc})", file=sys.stderr)
+        print(f"config error: {too_large(str(exc))}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         # a config, energies or --out path that is missing, a directory or not permitted

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem, transition_frequency
+from .model import ConfigurationError, PulseSpec, SpinSystem, require_finite, transition_frequency
 
 #: proton gyromagnetic ratio, rad s^-1 T^-1
 PROTON_GYROMAGNETIC_RATIO = 2.6752218744e8
@@ -175,7 +175,7 @@ def cn_pulse(
             raise ConfigurationError(
                 "exact 2pi-k CN needs a nonzero coupling between control and target"
             )
-        design = design_2pik(2.0 * j, k=exact_2pik, n=1)
+        design = design_2pik(require_finite(2.0 * float(j), "detuning 2 J"), k=exact_2pik, n=1)
         amplitudes = np.full(system.n_spins, design.rabi)
         duration = design.duration
     else:
@@ -186,9 +186,9 @@ def cn_pulse(
             raise ConfigurationError(
                 f"rabi must list {system.n_spins} per-spin amplitudes"
             )
-        if amplitudes[target] <= 0:
+        if not amplitudes[target] > 0:  # NaN fails too
             raise ConfigurationError("target Rabi frequency must be positive")
-        duration = math.pi / amplitudes[target]
+        duration = require_finite(math.pi / float(amplitudes[target]), "pulse duration")
     return PulseSpec(carrier=carrier, phase=phase, rabi=amplitudes, duration=duration)
 
 

@@ -50,7 +50,9 @@ from .model import (
     QuantumState,
     SpinSystem,
     drive_half,
+    require_finite,
     rotating_hamiltonian,
+    too_large,
     total_spin_z,
 )
 
@@ -194,12 +196,6 @@ def pulse_propagators(
     return u
 
 
-#: what the exact route raises when its propagator would not be finite
-_EXACT_TOO_LARGE = (
-    "values too large for double precision (pulse energies, carrier or propagator not finite)"
-)
-
-
 def _pulse_factors(
     system: SpinSystem, pulse: PulseSpec, t_start: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -216,11 +212,10 @@ def _pulse_factors(
             system.energies, pulse.carrier, drive_half(system, pulse), pulse.duration,
             t_start, pulse.phase,
         )
-        # np.vdot(x, x) sums |x|^2; every entry has modulus <= 1 or is not
-        # finite, so the sum is finite exactly when every factor is
-        finite = np.isfinite(sum(np.vdot(x, x) for x in factors))
-    if not finite:
-        raise ConfigurationError(_EXACT_TOO_LARGE)
+        # np.vdot(x, x).real sums |x|^2; every entry has modulus <= 1 or is
+        # not finite, so the sum is finite exactly when every factor is
+        norms = sum(np.vdot(x, x).real for x in factors)
+    require_finite(norms, "pulse energies, carrier or propagator")
     return factors
 
 
@@ -279,11 +274,7 @@ def free_evolution_phases(system: SpinSystem, t: float) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         angles = system.energies * t
-    if not np.isfinite(angles).all():
-        raise ConfigurationError(
-            "values too large for double precision (free-evolution phases not finite)"
-        )
-    return np.exp(-1j * angles)
+    return np.exp(-1j * require_finite(angles, "free-evolution phases"))
 
 
 def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) -> QuantumState:
@@ -320,45 +311,37 @@ def analytic_two_level(
     phase it would have had, had it existed from t = 0.  The pi/2 - phi term
     is the standard phase shift of the driven transition; phi = pi/2 removes
     it.  Raises ValueError if an input is not finite, the carrier is off
-    the resonance or the duration is negative.
+    the resonance or the duration is negative, and ConfigurationError if
+    the amplitudes overflow double precision.
     """
     if not np.isfinite([c_k_initial, e_k, e_n, rabi, phase, t_start, duration]).all():
         raise ValueError("amplitude, energies, rabi, phase, t_start and duration must be finite")
+    resonance = float(e_n) - float(e_k)
     # written so that a NaN carrier or duration fails the check
-    if carrier is not None and not abs(carrier - (e_n - e_k)) <= 1e-9:
+    if carrier is not None and not abs(carrier - resonance) <= 1e-9:
         raise ValueError(
-            f"carrier {carrier} is off the {e_n - e_k} resonance; "
+            f"carrier {carrier} is off the {resonance} resonance; "
             "use integrate_lab_frame for detuned drives"
         )
     if not duration >= 0:
         raise ValueError("duration must be >= 0")
-    t_end = t_start + duration
-    alpha = 0.5 * rabi * duration
-    c_k = np.exp(-1j * e_k * duration) * np.cos(alpha) * c_k_initial
-    c_n = (
-        np.exp(1j * (np.pi / 2 - phase))
-        * np.exp(1j * (e_k * t_start - e_n * t_end))
-        * np.sin(alpha)
-        * c_k_initial
-    )
-    return TwoLevelAmplitudes(
-        c_k=complex(c_k),
-        c_n=complex(c_n),
-        t_start=t_start,
-        t_end=t_end,
-        e_k=e_k,
-        e_n=e_n,
-        alpha=alpha,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_end = t_start + duration
+        alpha = 0.5 * rabi * duration
+        c_k = np.exp(-1j * e_k * duration) * np.cos(alpha) * c_k_initial
+        c_n = (
+            np.exp(1j * (np.pi / 2 - phase))
+            * np.exp(1j * (e_k * t_start - e_n * t_end))
+            * np.sin(alpha)
+            * c_k_initial
+        )
+    require_finite(np.array([c_k, c_n]), "two-level amplitudes")
+    return TwoLevelAmplitudes(complex(c_k), complex(c_n), t_start, t_end, e_k, e_n, alpha)
 
 
 # ---------------------------------------------------------------------------
 # lab-frame integrator (independent oracle)
 # ---------------------------------------------------------------------------
-
-
-#: what the lab routes raise when the drive angle w t + phi overflows
-_DRIVE_ANGLE_TOO_LARGE = "values too large for double precision (drive angle not finite)"
 
 
 def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray) -> np.ndarray:
@@ -372,13 +355,10 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray)
     of the same Hamiltonians.  Raises ConfigurationError if a time or the
     drive angle w t + phi is not finite.
     """
+    if not np.isfinite(t).all():
+        raise ConfigurationError(f"t must be finite, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
-        angle = pulse.carrier * np.asarray(t) + pulse.phase
-    # a non-finite t gives a non-finite angle, so one check covers both
-    if not np.isfinite(angle).all():
-        if not np.isfinite(t).all():
-            raise ConfigurationError(f"t must be finite, got {t}")
-        raise ConfigurationError(_DRIVE_ANGLE_TOO_LARGE)
+        angle = require_finite(pulse.carrier * np.asarray(t) + pulse.phase, "drive angle")
     drive = np.exp(1j * angle)[..., None, None]
     # the rotating-frame Hamiltonian of a zero carrier, field at angle w t + phi
     return rotating_hamiltonian(system.energies, 0.0, drive * drive_half(system, pulse))
@@ -456,16 +436,15 @@ def _magnus_propagator(
 def _step_count(span: float, step: float) -> int:
     """max(1, ceil(span / step)), the steps over a span, as an int.
 
-    Raises ConfigurationError if the count is not finite, as when an energy
-    near the double-precision limit makes the step subnormal.
+    Raises ConfigurationError if the count passes 2^53, where a double no
+    longer counts steps, as when an energy near the double-precision limit
+    makes the step subnormal.
     """
     # a zero step (the shortest period of an infinite frequency) takes
     # infinitely many
     count = span / step if step else math.inf
-    if not math.isfinite(count):
-        raise ConfigurationError(
-            f"values too large for double precision ({span:.3e} / {step:.3e} steps)"
-        )
+    if not count <= 2**53:
+        raise too_large(f"{span:.3e} / {step:.3e} steps")
     return max(1, math.ceil(count))
 
 
@@ -479,13 +458,11 @@ def _lab_steps(
     pulse.check_against(system)
     if not math.isfinite(t_start):
         raise ConfigurationError(f"t_start must be finite, got {t_start}")
-    # in Python floats an overflow is inf, with no numpy warning
     t_start = float(t_start)
     carrier = abs(float(pulse.carrier))
     tau = float(pulse.duration)
-    # the drive angle w t + phi is largest at an end of the pulse
-    if not (math.isfinite(carrier * t_start) and math.isfinite(carrier * (t_start + tau))):
-        raise ConfigurationError(_DRIVE_ANGLE_TOO_LARGE)
+    # |w| (|t0| + tau) bounds the drive angle w t + phi and the frame's turn w tau
+    require_finite(carrier * (abs(t_start) + tau), "drive angle")
     w_max = max(float(np.abs(system.energies).max()), carrier) + float(pulse.rabi.max(initial=0))
     # no frequency at all (nothing to resolve) gives an infinite period
     t_min = 2 * math.pi / w_max if w_max else math.inf
@@ -508,7 +485,11 @@ def _lab_steps(
             f"{per_period:.3e} steps per carrier period (or shorter pulse), more than"
             f" MAX_STEPS_PER_PERIOD = {MAX_STEPS_PER_PERIOD:.0e}"
         )
-    return _step_count(tau, step)
+    n_steps = _step_count(tau, step)
+    # the Magnus step forms H2 H1 - (H2 H1)^dagger (entries < 4 dim w_max^2) and h**2
+    h = tau / n_steps
+    require_finite(4 * system.dim * w_max * w_max + h * h, "Magnus step")
+    return n_steps
 
 
 def lab_frame_propagator(
@@ -527,11 +508,11 @@ def lab_frame_propagator(
 
     ``step`` must resolve the fastest oscillation: at most
     (shortest period) / 20, default (shortest period) / 200.  Raises
-    ConfigurationError if the energies or the step counts overflow double
-    precision, or if one carrier period (or a shorter pulse) needs more than
-    ``MAX_STEPS_PER_PERIOD`` steps (checked before any step is taken), and if
-    ``t_start`` or the drive angle w t + phi at an end of the pulse is not
-    finite.
+    ConfigurationError if the energies or the Magnus step overflow double
+    precision or a step count passes 2^53, or if one carrier period (or a
+    shorter pulse) needs more than ``MAX_STEPS_PER_PERIOD`` steps (checked
+    before any step is taken), and if ``t_start`` or the drive angle
+    w t + phi over the pulse is not finite.
     """
     return _magnus_propagator(system, pulse, t_start, _lab_steps(system, pulse, step, t_start))
 
@@ -575,10 +556,14 @@ def apply_sequence(
 
     ``method`` selects the pulse route: "exact-rotating" (default) or
     "lab-integrator".  Delays are always applied as exact phase factors.
+    Raises ConfigurationError if ``t_start`` is not finite or the clock
+    overflows double precision.
     """
     if method not in ("exact-rotating", "lab-integrator"):
         raise ValueError(f"unknown evolution method {method!r}")
-    t = t_start
+    if not math.isfinite(t_start):
+        raise ConfigurationError(f"t_start must be finite, got {t_start}")
+    t = t_start = float(t_start)
     for event in events:
         if isinstance(event, PulseSpec):
             if method == "exact-rotating":
@@ -595,5 +580,5 @@ def apply_sequence(
         final_state=state,
         norm_drift=abs(state.norm - 1.0),
         method=method,
-        elapsed=t - t_start,
+        elapsed=require_finite(t - t_start, "sequence clock"),
     )

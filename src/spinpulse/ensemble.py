@@ -76,8 +76,9 @@ def init_deviation(active_amplitudes) -> DeviationDensityMatrix:
     amps = np.asarray(active_amplitudes, dtype=complex)
     if amps.shape != (ACTIVE_DIM,):
         raise ConfigurationError(f"active amplitudes must be a length-{ACTIVE_DIM} vector")
-    if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:
-        raise ConfigurationError("active amplitudes must be normalized")
+    with np.errstate(over="ignore"):  # a norm too large for doubles is inf
+        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:
+            raise ConfigurationError("active amplitudes must be normalized")
     rho = np.zeros((DIM, DIM), dtype=complex)
     rho[:ACTIVE_DIM, :ACTIVE_DIM] = np.outer(amps, amps.conj())
     rho[np.arange(ACTIVE_DIM, DIM), np.arange(ACTIVE_DIM, DIM)] = BACKGROUND_DIAGONAL

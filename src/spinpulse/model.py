@@ -42,6 +42,23 @@ class ConfigError(ConfigurationError):
         super().__init__("; ".join(self.problems))
 
 
+def too_large(what: str) -> ConfigurationError:
+    """The ConfigurationError for numbers that leave double precision; ``what`` names them."""
+    return ConfigurationError(f"values too large for double precision ({what})")
+
+
+def require_finite(values, what: str):
+    """``values`` if every one is finite; raises ``too_large(f"{what} not finite")`` otherwise.
+
+    A scalar is best computed in Python floats, where an overflow is inf with
+    no numpy warning; a Python float is checked with math.isfinite, which is
+    faster than numpy on one number.
+    """
+    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
+        raise too_large(f"{what} not finite")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # fields of JSON documents: converters take a JSON value and return the field's
 # value or raise ValueError; bools and strings are not numbers
@@ -161,8 +178,9 @@ class SpinSystem:
             )
         if not np.all(np.isfinite(self.couplings)):
             raise ConfigurationError("couplings must be finite")
-        if not np.allclose(self.couplings, self.couplings.T, atol=1e-12):
-            raise ConfigurationError("couplings must be symmetric")
+        with np.errstate(over="ignore"):  # J_kn - J_nk may overflow: not symmetric
+            if not np.allclose(self.couplings, self.couplings.T, atol=1e-12):
+                raise ConfigurationError("couplings must be symmetric")
         if not np.allclose(np.diag(self.couplings), 0.0, atol=1e-12):
             raise ConfigurationError("couplings must have zero diagonal")
 
@@ -179,10 +197,7 @@ class SpinSystem:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             energies = ising_diagonal(self.larmor, self.couplings)
-        if not np.isfinite(energies).all():
-            raise ConfigurationError(
-                "values too large for double precision (Ising energies not finite)"
-            )
+        require_finite(energies, "Ising energies")
         energies.setflags(write=False)
         return energies
 
@@ -258,7 +273,8 @@ class QuantumState:
         if amps.ndim != 1 or amps.size == 0 or (amps.size & (amps.size - 1)):
             raise ValueError("amplitudes must be a 1-d vector of length 2^N")
         if check:
-            drift = abs(np.linalg.norm(amps) - 1.0)
+            with np.errstate(over="ignore"):  # a norm too large for doubles is inf
+                drift = abs(np.linalg.norm(amps) - 1.0)
             if not drift <= self.NORM_TOL:  # NaN fails too
                 raise ValueError(f"state is not normalized (|norm - 1| = {drift:.3e})")
         self.amplitudes = amps
@@ -367,10 +383,14 @@ def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> np.ndarr
     circularly polarized; no rotating-wave approximation is involved.  The
     diagonal is E_n + omega * I^z_total; off-diagonal elements connect
     single-spin-flip pairs with value -(Omega_k/2) e^{+i phi} on the
-    (ground, excited) side.  Returns a complex Hermitian ndarray.
+    (ground, excited) side.  Returns a complex Hermitian ndarray.  Raises
+    ConfigurationError if the diagonal overflows double precision.
     """
     drive = np.exp(1j * pulse.phase) * drive_half(system, pulse)
-    return rotating_hamiltonian(system.energies, pulse.carrier, drive)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = rotating_hamiltonian(system.energies, pulse.carrier, drive)
+    require_finite(h.diagonal(), "rotating-frame energies")
+    return h
 
 
 def transition_frequency(
@@ -380,7 +400,8 @@ def transition_frequency(
 
     ``spectator_state`` assigns 0 (ground) or 1 (excited) to every spin
     except the target.  Returns E(target excited) - E(target ground), i.e.
-    omega_target + 2 sum_m J_tm s_m over the spectator assignment.
+    omega_target + 2 sum_m J_tm s_m over the spectator assignment.  Raises
+    ConfigurationError if the difference overflows double precision.
     """
     if not 0 <= target < system.n_spins:
         raise ConfigurationError(f"target spin {target} out of range")
@@ -399,7 +420,8 @@ def transition_frequency(
             raise ConfigurationError(f"spectator value for spin {spin} must be 0 or 1")
         ground |= bit << (system.n_spins - 1 - spin)
     excited = ground | (1 << (system.n_spins - 1 - target))
-    return float(energies[excited] - energies[ground])
+    frequency = float(energies[excited]) - float(energies[ground])
+    return require_finite(frequency, "transition frequency")
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, QuantumState, SpinSystem, finite_reals
+from .model import ConfigurationError, QuantumState, SpinSystem, finite_reals, require_finite
 
 N_QUBITS = 4
 DIM = 16
@@ -246,9 +246,7 @@ def _stage_matrices(
         raise ConfigurationError(f"mode {mode!r} requires an energy table")
     with np.errstate(over="ignore"):
         angles = np.multiply.outer((tau1, tau2), energies.values)
-    if not np.isfinite(angles).all():
-        raise ConfigurationError("values too large for double precision (delay phases not finite)")
-    p1, p2 = np.exp(-1j * angles)
+    p1, p2 = np.exp(-1j * require_finite(angles, "delay phases"))
     if mode == "natural-phase":
         # dress each stage at its application time: U -> D(t) U D(t)^+
         d2 = p1 * p2
@@ -364,9 +362,7 @@ def extract_period(
         raise PeriodExtractionError("no support on x > 0: no period information")
     if X_VALUES % x2 != 0:
         raise PeriodExtractionError(f"x = {x2} implies a fractional period {X_VALUES}/{x2}")
-    period = X_VALUES // x2
-    if period % 2 != 0:
-        raise PeriodExtractionError(f"odd period {period}: z = base^(T/2) undefined")
+    period = X_VALUES // x2  # x2 is 1 or 2, so the period is even
     z = base ** (period // 2)
     factor = math.gcd(z - 1, modulus)
     note = None

@@ -37,6 +37,7 @@ from .model import (
     finite_reals,
     ising_diagonal,
     read_fields,
+    too_large,
 )
 from .dynamics import pulse_propagators
 from .design import cn_pulse
@@ -137,9 +138,8 @@ def _block_deviations(
         rho = psi[:, :, None] * psi.conj()[:, None, :]
         # a non-finite energy, carrier, propagator or phase makes the deviation NaN
         deviation = deviation_metric(rho[0::2], rho[1::2])
-    too_large = "values too large for double precision (deviation not finite)"
     for i, value in zip(np.flatnonzero(valid).tolist(), deviation.tolist()):
-        out[i] = value if math.isfinite(value) else too_large
+        out[i] = value if math.isfinite(value) else str(too_large("deviation not finite"))
     return out
 
 

@@ -30,6 +30,7 @@ from spinpulse import (
     sweep_to_csv,
     total_spin_z,
 )
+from spinpulse import cli, shor
 from spinpulse.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
@@ -44,7 +45,10 @@ from spinpulse.sweep import SWEEP_FIELDS, SWEEP_INITIAL, sweep_cell_deviation
 
 from conftest import GATE_FINAL, GATE_INITIAL
 
-SWEEP_CONFIG = str(Path(__file__).resolve().parent.parent / "demos" / "configs" / "sweep.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+SWEEP_CONFIG = str(CONFIGS / "sweep.json")
+ENSEMBLE_CONFIG = str(CONFIGS / "ensemble.json")
+SHOR_ENERGIES = str(CONFIGS / "shor_energies.json")
 
 
 def pairs(values):
@@ -301,6 +305,19 @@ class TestRunShor:
         assert trace_rows[0] == ["final_state", "path", "phase", "magnitude"]
         assert len(trace_rows) > 1
 
+    def test_no_period_is_null_with_the_reason(self, monkeypatch, tmp_path):
+        # no run_shor distribution lacks a period, so the extraction is made to fail
+        def no_period(distribution):
+            raise shor.PeriodExtractionError("no support on x > 0: no period information")
+
+        monkeypatch.setattr(shor, "extract_period", no_period)
+        out = tmp_path / "shor.json"
+        assert run_config({"kind": "shor"}, out=str(out)) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert (doc["period"], doc["factor"]) == (None, None)
+        assert doc["note"] == "no support on x > 0: no period information"
+        assert "x_measured" not in doc
+
     def test_sampling_deterministic_for_seed(self, tmp_path):
         config = {"kind": "shor", "mode": "instantaneous", "shots": 64}
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -469,7 +486,6 @@ class TestBatchedSweep:
             {"delta_ratios": [30.0, 300.0], "j_ratios": [5.0], "rabi": 1e-320},  # tau overflows
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_failing_cells_match_per_cell_loop(self, tmp_path, doc):
         expected = reference_sweep(**doc)
         assert all(cell.error for cell in expected)
@@ -560,6 +576,10 @@ class TestMainEntryPoint:
                 "rabbi",
             ),
             (["design-pulse", "--delta-omega", "1", "--k", "[" * 100000], None, "k"),
+            (["run-cn"], cn_config(initial_state=[1.0, 0.0, 0.0, 0.0]), "initial_state"),
+            (["run-cn"], cn_config(initial_state=[[1e308, 0.0]] * 4), "initial_state"),
+            (["run-ensemble"], ensemble_config(system=cn_config()["system"]), "system"),
+            (["run-shor"], {"kind": "shor", "output": {"path": 5}}, "output.path"),
         ],
     )
     def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, argv, doc, field):
@@ -697,6 +717,33 @@ class TestMainEntryPoint:
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["rabi"] == pytest.approx(2.0 / np.sqrt(3.0))
+
+    @pytest.mark.parametrize(
+        "argv, side_file",
+        [
+            (["run-ensemble", "--config", ENSEMBLE_CONFIG], "out.json"),
+            (["run-shor", "--mode", "bare-delay", "--energies", SHOR_ENERGIES, "--trace"],
+             "out.trace.csv"),
+        ],
+    )
+    def test_side_output_follows_on_stdout(self, tmp_path, capsys, argv, side_file):
+        # without --out, the ensemble summary and the trace table follow the
+        # main output on stdout, as they are written to their files with it
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        files = [(tmp_path / name).read_bytes().decode() for name in ("out.txt", side_file)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        main_output = files[0] if files[0].endswith("\n") else files[0] + "\n"
+        assert capsys.readouterr().out == main_output + files[1]
+
+    def test_floating_point_error_exits_2(self, monkeypatch, capsys):
+        # the net under every check: numpy's own overflow, raised under main
+        monkeypatch.setattr(cli, "run_config", lambda *args, **kwargs: np.float64(1e308) * 10)
+        assert main(["run-shor"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("config error: values too large for double precision (overflow")
+        assert err.endswith(")\n") and err.count("\n") == 1
 
     def test_full_cn_run_through_main(self, tmp_path):
         config = tmp_path / "cn.json"

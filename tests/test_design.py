@@ -5,6 +5,8 @@ Design identities are checked both algebraically and dynamically: a designed
 pulse must return a detuned spin to its initial state when actually evolved.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from spinpulse import (
     PulseSpec,
     QuantumState,
     SpinSystem,
+    TwoPiKDesign,
     cn_gate_matrix,
     cn_pulse,
     design_2pik,
@@ -83,6 +86,22 @@ class TestDesign2pik:
         # 1e-320 gives a denormal Rabi frequency and an infinite duration
         with pytest.raises(ConfigurationError, match="finite"):
             design_2pik(delta_omega)
+
+    @pytest.mark.parametrize("k, n", [(0, 1), (1, 0), (-1, 1)])
+    def test_non_positive_k_or_n_rejected(self, k, n):
+        with pytest.raises(ConfigurationError, match="^k and n must be positive integers$"):
+            design_2pik(1.0, k=k, n=n)
+
+    @pytest.mark.parametrize(
+        "rabi, duration, delta_omega, message",
+        [
+            (1.0, 1.0, np.sqrt(4 * np.pi**2 - 1.0), r"Omega \* tau = pi/n"),
+            (1.0, np.pi, 1.0, r"omega_e \* tau = 2 pi k"),
+        ],
+    )
+    def test_design_conditions_enforced(self, rabi, duration, delta_omega, message):
+        with pytest.raises(ConfigurationError, match=f"^design violates {message}$"):
+            TwoPiKDesign(rabi=rabi, duration=duration, k=1, n=1, delta_omega=delta_omega)
 
     def test_underflowing_rabi_rejected(self):
         # 1e-320 / sqrt(4e10 - 1) is below the smallest denormal, so Omega = 0
@@ -211,6 +230,23 @@ class TestCnPulse:
     def test_same_spin_rejected(self, gate_system):
         with pytest.raises(ConfigurationError, match="distinct"):
             cn_pulse(gate_system, control=1, target=1, rabi=[0.5, 0.1])
+
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            ({"variant": "inverted"}, "unknown CN variant 'inverted'"),
+            ({"target": 2}, "spin index 2 out of range"),
+            ({"control": -1}, "spin index -1 out of range"),
+            ({"rabi": [0.5, 0.1, 0.1]}, "rabi must list 2 per-spin amplitudes"),
+            ({"rabi": [0.5, 0.0]}, "target Rabi frequency must be positive"),
+            ({"rabi": [0.5, -0.1]}, "target Rabi frequency must be positive"),
+            ({"rabi": [0.5, np.nan]}, "target Rabi frequency must be positive"),
+        ],
+    )
+    def test_bad_arguments_rejected(self, gate_system, arguments, message):
+        arguments = {"control": 0, "target": 1, "rabi": [0.5, 0.1], **arguments}
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            cn_pulse(gate_system, **arguments)
 
     def test_carrier_matches_transition_frequency(self, ensemble_system):
         pulse = cn_pulse(

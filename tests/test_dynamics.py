@@ -207,6 +207,19 @@ class TestAnalyticTwoLevel:
             p_k, p_n = result.populations
             assert p_k + p_n == pytest.approx(1.0, abs=1e-12)
 
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match="^duration must be >= 0$"):
+            analytic_two_level(1.0, 0.0, 5.0, 0.5, 0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("error_state", ["warn", "raise"])
+    def test_overflowing_resonance_is_off_resonance(self, error_state):
+        # numpy energies warned "overflow encountered in scalar subtract" first
+        with warnings_are_errors(error_state):
+            with pytest.raises(ValueError, match="off the inf resonance"):
+                analytic_two_level(
+                    1.0, np.float64(-1e308), np.float64(1e308), 1.0, 0.0, 0.0, 1.0, carrier=1.0
+                )
+
     def test_off_resonant_carrier_rejected(self):
         with pytest.raises(ValueError, match="resonance"):
             analytic_two_level(1.0, 0.0, 5.0, 0.5, 0.0, 0.0, 1.0, carrier=4.9)
@@ -818,6 +831,10 @@ class TestApplySequence:
     def test_unknown_method_rejected(self, gate_system):
         with pytest.raises(ValueError, match="method"):
             apply_sequence(QuantumState(GATE_INITIAL), gate_system, [], method="magic")
+
+    def test_event_neither_pulse_nor_delay_rejected(self, gate_system):
+        with pytest.raises(TypeError, match="^events must be PulseSpec or DelaySpec"):
+            apply_sequence(QuantumState(GATE_INITIAL), gate_system, [1.0])
 
 
 class TestLabHamiltonian:

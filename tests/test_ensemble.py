@@ -79,6 +79,11 @@ class TestInitDeviation:
         with pytest.raises(ConfigurationError, match="normalized"):
             init_deviation([1.0, 1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("amplitudes", [[1.0, 0.0], [[1.0, 0.0, 0.0, 0.0]]])
+    def test_wrong_shape_rejected(self, amplitudes):
+        with pytest.raises(ConfigurationError, match="^active amplitudes must be a length-4"):
+            init_deviation(amplitudes)
+
 
 class TestEvolveDeviation:
     def test_active_block_matches_post_gate_table(self, ensemble_system, ensemble_pulse):

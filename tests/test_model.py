@@ -67,6 +67,17 @@ class TestSpinSystem:
         with pytest.raises(ConfigurationError, match="diagonal"):
             SpinSystem(2, [1.0, 2.0], [[1.0, 0.5], [0.5, 0.0]])
 
+    @pytest.mark.parametrize(
+        "n_spins, couplings, message",
+        [
+            (0, np.zeros((0, 0)), "n_spins must be a positive integer"),
+            (2, np.zeros((3, 3)), r"couplings must be 2x2, got \(3, 3\)"),
+        ],
+    )
+    def test_misshapen_system_rejected(self, n_spins, couplings, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            SpinSystem(n_spins, [1.0] * n_spins, couplings)
+
     def test_uniform_builder(self):
         system = SpinSystem.uniform([1.0, 2.0, 3.0], 7.0)
         assert np.all(system.couplings[~np.eye(3, dtype=bool)] == 7.0)
@@ -155,6 +166,10 @@ class TestPulseSpec:
     def test_non_finite_carrier_or_phase_rejected(self, carrier, phase):
         with pytest.raises(ConfigurationError, match="carrier and phase must be finite"):
             PulseSpec(carrier, phase, [0.1, 0.1], 1.0)
+
+    def test_two_dimensional_rabi_rejected(self):
+        with pytest.raises(ConfigurationError, match="^rabi must be a 1-d sequence$"):
+            PulseSpec(1.0, 0.0, [[0.1, 0.1]], 1.0)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -333,6 +348,10 @@ class TestTransitionFrequency:
     def test_incomplete_spectators(self, ensemble_system):
         with pytest.raises(ConfigurationError, match="missing"):
             transition_frequency(ensemble_system, 3, {0: 0, 1: 0})
+
+    def test_spectator_value_not_a_bit_rejected(self, gate_system):
+        with pytest.raises(ConfigurationError, match="^spectator value for spin 0 must be 0 or 1$"):
+            transition_frequency(gate_system, 1, {0: 2})
 
 
 class TestJsonLoading:

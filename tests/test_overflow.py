@@ -1,0 +1,254 @@
+"""Extreme finite inputs through every public entry: finite numbers or one clear error.
+
+Phases exp(-i E t) and carriers E_n - E_k can leave double precision on
+finite inputs.  Every public entry must then refuse with a
+ConfigurationError (``values too large for double precision (...)`` or a
+validation error), never a numpy warning, a FloatingPointError or a NaN,
+and it must do the same whatever numpy's error state.  A validation check
+whose own arithmetic overflows fails as that check.
+"""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spinpulse import (
+    ConfigurationError,
+    DelaySpec,
+    EnergyTable,
+    PulseSpec,
+    QuantumState,
+    SpinSystem,
+    analytic_two_level,
+    apply_sequence,
+    build_rotating_hamiltonian,
+    cn_pulse,
+    design_2pik,
+    evolve_delay,
+    evolve_deviation,
+    evolve_pulse,
+    init_deviation,
+    integrate_lab_frame,
+    lab_frame_propagator,
+    lab_hamiltonian,
+    pulse_propagator,
+    run_shor,
+    run_sweep,
+    to_interaction_picture,
+    transition_frequency,
+)
+from spinpulse.ensemble import to_interaction_picture as density_to_interaction_picture
+
+from conftest import GATE_INITIAL, warnings_are_errors
+
+#: a Larmor frequency of 1.79e308 and a coupling of 1e307 are finite, but the
+#: gap between the target's levels is not
+EDGE = SpinSystem(2, [1.79e308, 0.0], [[0.0, 1e307], [1e307, 0.0]])
+GATE = SpinSystem(2, [500.0, 100.0], [[0.0, 5.0], [5.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: cn_pulse(GATE, 0, 1, rabi=[0.5, 1e-320]), "pulse duration not finite"),
+        (
+            lambda: cn_pulse(SpinSystem(2, [500.0, 100.0], [[0, 1e308], [1e308, 0]]), 0, 1,
+                             exact_2pik=1),
+            "detuning 2 J not finite",
+        ),
+        (
+            lambda: cn_pulse(EDGE, 1, 0, "complementary", rabi=[1.0, 1.0]),
+            "transition frequency not finite",
+        ),
+        (
+            lambda: build_rotating_hamiltonian(
+                SpinSystem(2, [1e308, 0.0], np.zeros((2, 2))),
+                PulseSpec(-1.7e308, 0.0, [0.1, 0.1], 1.0),
+            ),
+            "rotating-frame energies not finite",
+        ),
+        (
+            lambda: analytic_two_level(1.0, 0.0, 1.0, 1e308, 0.0, 0.0, 10.0),
+            "two-level amplitudes not finite",
+        ),
+        (
+            lambda: analytic_two_level(1.0, -1e308, 1e308, 1.0, 0.0, 1.0, 1.0),
+            "two-level amplitudes not finite",
+        ),
+        (
+            # w t0 and w t1 are finite, the frame's turn w tau is not
+            lambda: lab_frame_propagator(GATE, PulseSpec(1e308, 0.0, [0.1, 0.1], 3.0),
+                                         t_start=-1.5),
+            "drive angle not finite",
+        ),
+        (
+            # h H is small, H H overflows
+            lambda: lab_frame_propagator(
+                SpinSystem(1, [1e300], [[0.0]]), PulseSpec(0.0, 0.0, [1.0], 1e-300)
+            ),
+            "Magnus step not finite",
+        ),
+        (
+            # a subnormal step: about 1.5e308 steps, past 2^53
+            lambda: lab_frame_propagator(
+                SpinSystem(2, [1e308, 1e308], np.zeros((2, 2))),
+                PulseSpec(1e308, 0.0, [0.0, 5e307], 0.03125),
+            ),
+            "3.125e-02 / ",
+        ),
+        (
+            # no frequency to resolve: one step of 1e308, whose h^2 overflows
+            lambda: lab_frame_propagator(
+                SpinSystem(1, [0.0], [[0.0]]), PulseSpec(1e-320, 0.0, [0.0], 1e308)
+            ),
+            "Magnus step not finite",
+        ),
+        (
+            # zero energies keep the phases finite; the clock passes 1.8e308
+            lambda: apply_sequence(
+                QuantumState.basis(1, 0), SpinSystem(1, [0.0], [[0.0]]),
+                [DelaySpec(1e308), DelaySpec(1e308)],
+            ),
+            "sequence clock not finite",
+        ),
+    ],
+)
+@pytest.mark.parametrize("error_state", ["warn", "raise"])
+def test_overflow_refused_with_one_message(call, what, error_state):
+    message = f"^values too large for double precision \\({re.escape(what)}"
+    with warnings_are_errors(error_state):
+        with pytest.raises(ConfigurationError, match=message):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: SpinSystem(2, [1.0, 1.0], [[0.0, 1e308], [-1e308, 0.0]]),
+            ConfigurationError,
+            "couplings must be symmetric",
+        ),
+        (
+            lambda: QuantumState([1e308, 1e308]),
+            ValueError,
+            "state is not normalized (|norm - 1| = inf)",
+        ),
+        (
+            lambda: init_deviation([1e308, 1e308, 0.0, 0.0]),
+            ConfigurationError,
+            "active amplitudes must be normalized",
+        ),
+    ],
+)
+@pytest.mark.parametrize("error_state", ["warn", "raise"])
+def test_a_check_that_overflows_fails_as_itself(call, error, message, error_state):
+    # J_kn - J_nk and the squared norm overflowed with a numpy warning first
+    with warnings_are_errors(error_state):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
+
+#: values at and near the double-precision limits, and ordinary ones
+VALUES = st.sampled_from([1e308, 1.7e308, 5e307, 1e-320, 0.0]).flatmap(
+    lambda v: st.sampled_from([v, -v])
+) | st.floats(-1e3, 1e3)
+
+
+def _tokens(result) -> list:
+    """The numbers and texts a result holds, in order, as complex numbers and strings."""
+    if isinstance(result, QuantumState):
+        return _tokens(result.amplitudes)
+    if dataclasses.is_dataclass(result):
+        return [x for f in dataclasses.fields(result) for x in _tokens(getattr(result, f.name))]
+    if isinstance(result, (list, tuple)):
+        return [x for item in result for x in _tokens(item)]
+    if isinstance(result, dict):
+        return [x for key in sorted(result) for x in _tokens(result[key])]
+    if result is None or isinstance(result, str):
+        return [result]
+    return np.ravel(result).astype(complex).tolist()
+
+
+def _outcome(call, error_state: str):
+    """("ok", tokens) or ("refused", message) of a call under one numpy error state."""
+    with warnings_are_errors(error_state):
+        try:
+            tokens = _tokens(call())
+        except ConfigurationError as exc:
+            return "refused", str(exc)
+    numbers = np.array([x for x in tokens if isinstance(x, complex)])
+    assert np.isfinite(numbers).all(), tokens
+    return "ok", tokens
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    larmor=st.lists(VALUES, min_size=4, max_size=4),
+    couplings=st.lists(VALUES, min_size=6, max_size=6),
+    rabi=st.lists(VALUES, min_size=4, max_size=4),
+    table=st.lists(VALUES, min_size=16, max_size=16),
+    carrier=VALUES,
+    duration=VALUES,
+    t=VALUES,
+    delay=VALUES,
+)
+def test_every_entry_returns_finite_numbers_or_refuses(
+    larmor, couplings, rabi, table, carrier, duration, t, delay
+):
+    rabi = np.abs(rabi)
+    duration, delay = abs(duration), abs(delay)
+    j = np.zeros((4, 4))
+    j[np.triu_indices(4, 1)] = couplings
+    j = j + j.T
+    state = QuantumState(GATE_INITIAL)
+
+    def two():
+        return SpinSystem(2, larmor[:2], j[:2, :2])
+
+    def four():
+        return SpinSystem(4, larmor, j)
+
+    def pulse(n_spins):
+        return PulseSpec(carrier, t, rabi[:n_spins], duration)
+
+    calls = {
+        "energies": lambda: two().energies,
+        "transition_frequency": lambda: transition_frequency(two(), 1, {0: 1}),
+        "cn_pulse standard": lambda: cn_pulse(two(), 0, 1, "standard", rabi=rabi[:2]),
+        "cn_pulse complementary": lambda: cn_pulse(two(), 1, 0, "complementary", rabi=rabi[:2]),
+        "cn_pulse exact_2pik": lambda: cn_pulse(two(), 0, 1, exact_2pik=1),
+        "build_rotating_hamiltonian": lambda: build_rotating_hamiltonian(two(), pulse(2)),
+        "pulse_propagator": lambda: pulse_propagator(two(), pulse(2), t),
+        "evolve_pulse": lambda: evolve_pulse(state, two(), pulse(2), t),
+        "evolve_delay": lambda: evolve_delay(state, two(), delay),
+        "to_interaction_picture": lambda: to_interaction_picture(state, two(), t),
+        "lab_hamiltonian": lambda: lab_hamiltonian(two(), pulse(2), t),
+        "integrate_lab_frame": lambda: integrate_lab_frame(state, two(), pulse(2), t_start=t),
+        "apply_sequence": lambda: apply_sequence(
+            state, two(), [DelaySpec(delay), pulse(2), DelaySpec(duration)], t_start=t
+        ),
+        "evolve_deviation": lambda: evolve_deviation(
+            init_deviation([0.6, 0.8, 0, 0]), four(), pulse(4), t
+        ),
+        "density_to_interaction_picture": lambda: density_to_interaction_picture(
+            init_deviation([0.6, 0.8, 0, 0]), four(), t
+        ),
+        "run_shor bare-delay": lambda: run_shor(
+            "bare-delay", (delay, duration), EnergyTable(table), trace=True
+        ),
+        "run_shor natural-phase": lambda: run_shor(
+            "natural-phase", (delay, duration), EnergyTable(table), trace=True
+        ),
+        "analytic_two_level": lambda: analytic_two_level(
+            0.6 + 0.8j, larmor[0], larmor[1], rabi[0], carrier, t, duration
+        ),
+        "design_2pik": lambda: design_2pik(carrier),
+        "run_sweep": lambda: run_sweep([abs(larmor[2])], [abs(larmor[3])], rabi[0], carrier),
+    }
+    for name, call in calls.items():
+        outcomes = [_outcome(call, error_state) for error_state in ("warn", "raise")]
+        assert outcomes[0] == outcomes[1], name

@@ -107,6 +107,10 @@ class TestStages:
         with pytest.raises(ConfigurationError, match="coprime"):
             modexp_oracle(QuantumState.basis(4, 0), base=2)
 
+    def test_oracle_rejects_modulus_other_than_4(self):
+        with pytest.raises(ConfigurationError, match="modulus must be 4$"):
+            modexp_oracle(QuantumState.basis(4, 0), base=3, modulus=5)
+
     def test_dft_single_x_value(self):
         # |x=0> spreads evenly with unit phases
         out = dft_x(QuantumState.basis(4, index_of(0, 1)))
@@ -256,6 +260,15 @@ class TestEnergyTable:
         # ['1'] * 15 + [True] used to build a table of ones
         with pytest.raises(ConfigurationError):
             EnergyTable(values)
+
+    @pytest.mark.parametrize("table", [np.zeros((2, 8)), np.zeros(16), np.zeros((4, 4, 1))])
+    def test_xy_table_not_4x4_rejected(self, table):
+        with pytest.raises(ConfigurationError, match="^x/y energy table must be 4x4$"):
+            EnergyTable.from_xy_table(table)
+
+    def test_from_spin_system_needs_four_spins(self, gate_system):
+        with pytest.raises(ConfigurationError, match="needs a 4-spin system$"):
+            EnergyTable.from_spin_system(gate_system)
 
     def test_xy_table_with_a_bool_rejected(self):
         with pytest.raises(ConfigurationError, match="numeric"):
