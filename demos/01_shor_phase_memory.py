@@ -15,7 +15,6 @@ from spinpulse import (
     register_values,
     run_shor,
     sample_x,
-    trace_paths,
 )
 
 
@@ -51,7 +50,7 @@ separator("FINITE DELAYS BETWEEN STAGES (BARE PHASES)")
 rng = np.random.default_rng(42)
 energies = EnergyTable(rng.uniform(-5.0, 5.0, size=16))
 delays = (1.3, 2.4)
-bare = run_shor("bare-delay", delays=delays, energies=energies)
+bare = run_shor("bare-delay", delays=delays, energies=energies, trace=True)
 print(f"\nDelays tau1={delays[0]}, tau2={delays[1]} with random state energies.")
 print("Each amplitude picks up exp(-i E tau) of the state it occupies at that")
 print("moment, so amplitudes reaching one state along different routes carry")
@@ -62,8 +61,7 @@ p_revived = bare.final_state.probabilities[5]
 print(f"   P({label(5)}) = {p_revived:.4f}  (exactly 0 when tau1 = tau2 = 0)")
 
 print("\nPath decomposition of the (ideally constructive) state", label(1), ":")
-trace = trace_paths(bare)
-for term in trace.terms[1]:
+for term in bare.trace.terms[1]:
     path = " -> ".join(label(s) for s in term.states)
     print(f"   {path}   magnitude {term.magnitude:.2f}, phase {term.phase:+.3f} rad")
 print("The two terms remember their route through the register ('phase")

@@ -15,7 +15,6 @@ from .model import (
     PulseSpec,
     QuantumState,
     SpinSystem,
-    basis_label,
     build_rotating_hamiltonian,
     diagonal_energies,
     fidelity,
@@ -66,15 +65,11 @@ from .shor import (
     PeriodResult,
     ShorRun,
     ShorTrace,
-    dft_x,
     extract_period,
-    modexp_oracle,
     register_index,
     register_values,
     run_shor,
     sample_x,
-    superpose_x,
-    trace_paths,
 )
 from .sweep import run_sweep, sweep_cell_deviation
 
@@ -96,7 +91,6 @@ __all__ = [
     "PulseSpec",
     "QuantumState",
     "SpinSystem",
-    "basis_label",
     "build_rotating_hamiltonian",
     "diagonal_energies",
     "fidelity",
@@ -139,15 +133,11 @@ __all__ = [
     "PeriodResult",
     "ShorRun",
     "ShorTrace",
-    "dft_x",
     "extract_period",
-    "modexp_oracle",
     "register_index",
     "register_values",
     "run_shor",
     "sample_x",
-    "superpose_x",
-    "trace_paths",
     "run_config",
     "run_sweep",
     "sweep_cell_deviation",

@@ -97,16 +97,23 @@ def design_2pik(delta_omega: float, k: int = 1, n: int = 1) -> TwoPiKDesign:
     )
 
 
+# The closed forms below compute in Python floats, where an overflow is inf
+# with no numpy warning, and refuse it through require_finite.
+
+
 def rotation_angle(omega_rabi: float, delta_omega: float, tau: float) -> float:
     """Exact rotation angle omega_e * tau of a spin detuned by delta_omega."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    return math.hypot(omega_rabi, delta_omega) * tau
+    return require_finite(math.hypot(omega_rabi, delta_omega) * float(tau), "rotation angle")
 
 
 def approx_rotation_angle(omega_rabi: float, delta_omega: float) -> float:
-    """Large-detuning estimate pi |delta| / Omega of a pi-pulse return angle."""
-    return math.pi * abs(delta_omega) / omega_rabi
+    """Large-detuning estimate pi |delta| / Omega of a pi-pulse return angle; Omega > 0."""
+    if not omega_rabi > 0:
+        raise ValueError("omega_rabi must be > 0")
+    angle = math.pi * abs(float(delta_omega)) / float(omega_rabi)
+    return require_finite(angle, "approximate rotation angle")
 
 
 def offresonant_excitation_probability(
@@ -120,7 +127,8 @@ def offresonant_excitation_probability(
     omega_e = math.hypot(omega_rabi, delta_omega)
     if omega_e == 0.0:
         return 0.0
-    return (omega_rabi / omega_e) ** 2 * math.sin(0.5 * omega_e * tau) ** 2
+    half_angle = require_finite(0.5 * omega_e * float(tau), "rotation angle")
+    return (float(omega_rabi) / omega_e) ** 2 * math.sin(half_angle) ** 2
 
 
 def frequency_ladder(omega0: float, omega_rabi: float, count: int) -> np.ndarray:
@@ -133,8 +141,9 @@ def frequency_ladder(omega0: float, omega_rabi: float, count: int) -> np.ndarray
     """
     if count < 1:
         raise ConfigurationError("ladder length must be >= 1")
-    steps = np.arange(1, count + 1, dtype=float)
-    return omega0 + LADDER_SPACING_FACTOR * omega_rabi * steps
+    spacing = LADDER_SPACING_FACTOR * float(omega_rabi)
+    ladder = [float(omega0) + spacing * n for n in range(1, count + 1)]
+    return np.array(require_finite(ladder, "frequency ladder"))
 
 
 def cn_pulse(
@@ -205,5 +214,5 @@ def gradient_estimate(
     """
     if omega_rabi <= 0 or spacing <= 0 or gyromagnetic_ratio <= 0:
         raise ValueError("omega_rabi, spacing, and gyromagnetic_ratio must be positive")
-    delta_b = LADDER_SPACING_FACTOR * omega_rabi / gyromagnetic_ratio
-    return delta_b, delta_b / spacing
+    delta_b = LADDER_SPACING_FACTOR * float(omega_rabi) / float(gyromagnetic_ratio)
+    return require_finite((delta_b, delta_b / float(spacing)), "field step and gradient")

@@ -26,7 +26,8 @@ Three routes are provided and cross-checked against each other:
   ``lab_frame_propagator``, the state for ``integrate_lab_frame``.  The
   result is the same Magnus-4 as a step-by-step loop.  That covariance is
   the only assumption the oracle shares with the exact route, and it is
-  tested, not assumed.
+  tested, not assumed.  The power's rounding grows with its step count, so
+  one cap, ``MAX_STEPS``, bounds the steps of the whole pulse.
 * ``analytic_two_level`` — closed-form resonant solution for one driven
   pair of levels.
 
@@ -63,13 +64,13 @@ INTEGRATOR_NORM_TOL = 1e-6
 DEFAULT_STEP_DIVISOR = 200
 #: largest admissible step = shortest oscillation period / this factor
 MAX_STEP_DIVISOR = 20
-#: most integrator steps one carrier period (or a shorter pulse) may take.
-#: The cost is one matrix power, logarithmic in the count, so the cap does
-#: not bound time: it bounds rounding.  The step is unitary to rounding, so
-#: a product of n steps stays near n x 1e-16, ~1e-9 per period at the cap;
-#: at the 1e12 steps that energies far above the carrier can ask for it is
-#: ~1e-4, larger than the errors the oracle is there to find.
-MAX_STEPS_PER_PERIOD = 10**7
+#: most integrator steps one pulse may take.  The cost is one matrix power,
+#: logarithmic in the count, so the cap does not bound time: it bounds
+#: rounding.  The step is unitary to rounding, so a product of n steps
+#: drifts by about n x 1e-16: ~1e-6 at the cap, the oracle's own gate, and
+#: a unitarity error above 1 at the ~3e15 steps a 1e8-long pulse at a
+#: carrier of 1e6 asks for.
+MAX_STEPS = 10**10
 #: Gauss-Legendre nodes of the Magnus-4 step, as fractions of the step
 _GAUSS_NODES = np.array([0.5 - np.sqrt(3) / 6, 0.5 + np.sqrt(3) / 6])
 #: highest power of the Taylor sum for the exponential of a step
@@ -433,21 +434,6 @@ def _magnus_propagator(
     return np.exp(1j * pulse.carrier * pulse.duration * z)[:, None] * y
 
 
-def _step_count(span: float, step: float) -> int:
-    """max(1, ceil(span / step)), the steps over a span, as an int.
-
-    Raises ConfigurationError if the count passes 2^53, where a double no
-    longer counts steps, as when an energy near the double-precision limit
-    makes the step subnormal.
-    """
-    # a zero step (the shortest period of an infinite frequency) takes
-    # infinitely many
-    count = span / step if step else math.inf
-    if not count <= 2**53:
-        raise too_large(f"{span:.3e} / {step:.3e} steps")
-    return max(1, math.ceil(count))
-
-
 def _lab_steps(
     system: SpinSystem, pulse: PulseSpec, step: float | None, t_start: float = 0.0
 ) -> int:
@@ -477,15 +463,15 @@ def _lab_steps(
             f"step {step:.3e} too large: must be <= {max_step:.3e} "
             f"(shortest oscillation period {t_min:.3e} / {MAX_STEP_DIVISOR})"
         )
-
-    period = 2 * math.pi / carrier if carrier else math.inf
-    per_period = _step_count(min(period, tau), step)
-    if per_period > MAX_STEPS_PER_PERIOD:
-        raise ConfigurationError(
-            f"{per_period:.3e} steps per carrier period (or shorter pulse), more than"
-            f" MAX_STEPS_PER_PERIOD = {MAX_STEPS_PER_PERIOD:.0e}"
-        )
-    n_steps = _step_count(tau, step)
+    # a zero step (the shortest period of an infinite frequency) takes
+    # infinitely many; past 2^53 a double no longer counts steps, as when an
+    # energy near the double-precision limit makes the step subnormal
+    count = tau / step if step else math.inf
+    if not count <= 2**53:
+        raise too_large(f"{tau:.3e} / {step:.3e} steps")
+    n_steps = max(1, math.ceil(count))
+    if n_steps > MAX_STEPS:
+        raise ConfigurationError(f"{n_steps:.3e} steps, more than MAX_STEPS = {MAX_STEPS:.0e}")
     # the Magnus step forms H2 H1 - (H2 H1)^dagger (entries < 4 dim w_max^2) and h**2
     h = tau / n_steps
     require_finite(4 * system.dim * w_max * w_max + h * h, "Magnus step")
@@ -509,10 +495,9 @@ def lab_frame_propagator(
     ``step`` must resolve the fastest oscillation: at most
     (shortest period) / 20, default (shortest period) / 200.  Raises
     ConfigurationError if the energies or the Magnus step overflow double
-    precision or a step count passes 2^53, or if one carrier period (or a
-    shorter pulse) needs more than ``MAX_STEPS_PER_PERIOD`` steps (checked
-    before any step is taken), and if ``t_start`` or the drive angle
-    w t + phi over the pulse is not finite.
+    precision or the step count passes 2^53, or if the pulse needs more than
+    ``MAX_STEPS`` steps (checked before any step is taken), and if
+    ``t_start`` or the drive angle w t + phi over the pulse is not finite.
     """
     return _magnus_propagator(system, pulse, t_start, _lab_steps(system, pulse, step, t_start))
 

@@ -136,11 +136,6 @@ def _spin_flips(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ground, ground | (1 << (n_spins - 1 - spin)), spin
 
 
-def basis_label(index: int, n_spins: int) -> str:
-    """Bit-string ket label of a basis index, leftmost spin first."""
-    return format(index, f"0{n_spins}b")
-
-
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------

@@ -24,11 +24,15 @@ interference the last stage relies on:
   carries the phase it would have accumulated had it existed from t = 0, so
   the measured x distribution is delay independent.  This is exactly the
   phase structure a resonant pulse imprints automatically.
+
+The circuit is the paper's one: base 3, modulus 4, forward transform.  Its
+three stage matrices and the paths through them are built once, at import,
+as read-only constants; a run dresses copies of them.  ``run_shor(...,
+trace=True)`` also returns every final amplitude split into its path terms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +45,12 @@ DIM = 16
 X_VALUES = 4
 
 MODES = ("instantaneous", "bare-delay", "natural-phase")
+
+#: the circuit's base and modulus: y = 3^x mod 4, and the factor is read off 4
+_BASE = 3
+_MODULUS = 4
+#: an x carries support in a measured distribution above this probability
+_SUPPORT_TOL = 1e-12
 
 
 class PeriodExtractionError(RuntimeError):
@@ -105,69 +115,27 @@ class EnergyTable:
 # ---------------------------------------------------------------------------
 
 
-def _read_only(u: np.ndarray) -> np.ndarray:
-    u = u.astype(complex)
-    u.setflags(write=False)
-    return u
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
-@functools.lru_cache(maxsize=1)
-def _superpose_matrix() -> np.ndarray:
-    """Hadamard pair on the x register (complex, read-only, cached)."""
+def _build_stages() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three stages of the module docstring, in order (complex, read-only).
+
+    The transform is |x> -> (1/2) sum_k e^{2 pi i k x / 4} |k> over the x register.
+    """
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    return _read_only(np.kron(np.kron(h, h), np.eye(4)))
-
-
-def _oracle_matrix(base: int, modulus: int) -> np.ndarray:
-    """Permutation |x, y> -> |x, y + base^x mod 4> (complex, read-only, cached)."""
-    if modulus != 4:
-        raise ConfigurationError("the register encodes y mod 4; modulus must be 4")
-    if math.gcd(base, modulus) != 1:
-        raise ConfigurationError(f"base {base} is not coprime with {modulus}")
-    return _oracle_for_residue(base % modulus)
-
-
-@functools.lru_cache(maxsize=2)
-def _oracle_for_residue(base: int) -> np.ndarray:
-    # base^x mod 4 depends on base mod 4 only, and only 1 and 3 are coprime with 4
-    u = np.zeros((DIM, DIM))
-    for x in range(X_VALUES):
-        fx = pow(base, x, 4)
-        for y in range(4):
-            u[4 * x + (y + fx) % 4, 4 * x + y] = 1.0
-    return _read_only(u)
-
-
-@functools.lru_cache(maxsize=2)
-def _dft_matrix(inverse: bool = False) -> np.ndarray:
-    """Fourier transform over the x register (read-only, cached); pass a bool."""
-    sign = -1.0 if inverse else 1.0
+    # column 4x + y of the permutation is the basis vector of its image
+    images = [4 * x + (y + _BASE**x) % _MODULUS for x in range(X_VALUES) for y in range(4)]
     k = np.arange(X_VALUES)
-    f = 0.5 * np.exp(sign * 2j * np.pi * np.outer(k, k) / X_VALUES)
-    return _read_only(np.kron(f, np.eye(4)))
+    f = 0.5 * np.exp(2j * np.pi * np.outer(k, k) / X_VALUES)
+    stages = (np.kron(np.kron(h, h), np.eye(4)), np.eye(DIM)[:, images], np.kron(f, np.eye(4)))
+    return _read_only(*(u.astype(complex) for u in stages))
 
 
-def superpose_x(state: QuantumState) -> QuantumState:
-    """Hadamard pair on the x register; an involution.
-
-    From the ground state it produces four equal amplitudes 1/2 on the
-    y = 0 states.
-    """
-    return QuantumState(_superpose_matrix() @ state.amplitudes, check=False)
-
-
-def modexp_oracle(state: QuantumState, base: int = 3, modulus: int = 4) -> QuantumState:
-    """Modular-exponentiation oracle |x, y> -> |x, (y + base^x mod 4) mod 4>.
-
-    Modular addition extends the map unitarily over the whole y register;
-    on y = 0 inputs it writes y = base^x mod 4 directly.
-    """
-    return QuantumState(_oracle_matrix(base, modulus) @ state.amplitudes, check=False)
-
-
-def dft_x(state: QuantumState, inverse: bool = False) -> QuantumState:
-    """Discrete Fourier transform |x> -> (1/2) sum_k e^{2 pi i k x / 4} |k>."""
-    return QuantumState(_dft_matrix(bool(inverse)) @ state.amplitudes, check=False)
+_STAGES = _build_stages()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +163,14 @@ class PathTerm:
 
 @dataclass(frozen=True)
 class ShorTrace:
-    """Per-final-state decomposition of amplitudes into path terms."""
+    """Per-final-state decomposition of amplitudes into path terms.
+
+    A path is the sequence of basis states occupied after each stage; its
+    contribution is the product of the traversed matrix elements and the
+    phase factors collected during the delays.  The coherent sum of a
+    state's terms reproduces that state's final amplitude, which is how the
+    delay phases record the history of each term's origination.
+    """
 
     terms: dict[int, tuple[PathTerm, ...]]
 
@@ -209,7 +184,6 @@ class ShorRun:
 
     mode: str
     delays: tuple[float, float]
-    energies: EnergyTable | None
     final_state: QuantumState
     x_distribution: np.ndarray
     trace: ShorTrace | None = None
@@ -237,8 +211,8 @@ def _stage_matrices(
     tau1, tau2 = delays
     if not (0 <= tau1 < math.inf and 0 <= tau2 < math.inf):
         raise ConfigurationError(f"delays must be finite and >= 0 (got {tau1}, {tau2})")
-    # the cached stages are read-only; dressing below builds new arrays
-    stages = [_superpose_matrix(), _oracle_matrix(3, 4), _dft_matrix(False)]
+    # the stages are read-only; dressing below builds new arrays
+    stages = list(_STAGES)
     if mode == "instantaneous":
         ones = np.ones(DIM)
         return stages, [ones, ones]
@@ -264,7 +238,8 @@ def run_shor(
     """Run the three-stage pipeline from |00,00> in the given timing mode.
 
     Returns the final state, the exact measurement distribution over x
-    (marginal over y), and optionally the path-term decomposition.  Raises
+    (marginal over y), and with ``trace=True`` the path-term decomposition
+    (``ShorTrace``) of the matrices the run has just applied.  Raises
     ConfigurationError if delays x energies overflow double precision.
     """
     stages, phases = _stage_matrices(mode, delays, energies)
@@ -276,59 +251,41 @@ def run_shor(
     return ShorRun(
         mode=mode,
         delays=(float(delays[0]), float(delays[1])),
-        energies=energies,
         final_state=final,
         x_distribution=final.probabilities.reshape(X_VALUES, 4).sum(axis=1),
         trace=_gather_paths(stages, phases) if trace else None,
     )
 
 
-def trace_paths(run: ShorRun) -> ShorTrace:
-    """Decompose every final amplitude into its interfering path terms.
-
-    A path is the sequence of basis states occupied after each stage; its
-    contribution is the product of the traversed matrix elements and the
-    phase factors collected during the delays.  The coherent sum of a
-    state's terms reproduces that state's final amplitude, which is how the
-    delay phases record the history of each term's origination.  A run made
-    with ``trace=True`` already holds its trace, which is returned as is.
-    """
-    if run.trace is not None:
-        return run.trace
-    return _gather_paths(*_stage_matrices(run.mode, run.delays, run.energies))
-
-
-@functools.lru_cache(maxsize=1)
-def _path_topology() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The states (s1, s2, s3) every path from |00,00> occupies (read-only, cached).
+def _path_topology(u1, u2, u3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states (s1, s2, s3) every path from |00,00> occupies (read-only).
 
     Each stage keeps the paths in order and expands every one into the
     nonzero entries of its current state's column, in increasing order, so
     the paths come out ordered by (s1, s2, s3).  Every mode runs the same
     three stages, and dressing and delays only multiply their entries by
-    unit-modulus phases, so the paths read off the cached stages are the
-    paths of every run.
+    unit-modulus phases, so the paths read off ``_STAGES`` are the paths of
+    every run.
     """
-    u1, u2, u3 = _superpose_matrix(), _oracle_matrix(3, 4), _dft_matrix(False)
     s1 = np.flatnonzero(np.abs(u1[:, 0]) > 1e-15)
     # rows of u[:, s].T are the columns of the paths' current states, in path order
     path, s2 = np.nonzero(np.abs(u2[:, s1].T) > 1e-15)
     s1 = s1[path]
     path, s3 = np.nonzero(np.abs(u3[:, s2].T) > 1e-15)
-    paths = (s1[path], s2[path], s3)
-    for s in paths:
-        s.setflags(write=False)
-    return paths
+    return _read_only(s1[path], s2[path], s3)
+
+
+_PATHS = _path_topology(*_STAGES)
 
 
 def _gather_paths(stages: list[np.ndarray], phases: list[np.ndarray]) -> ShorTrace:
-    """Path terms from |00,00> through the stage matrices, along ``_path_topology``.
+    """Path terms from |00,00> through the stage matrices, along ``_PATHS``.
 
     A path's amplitude is u1[s1, 0] p1[s1] u2[s2, s1] p2[s2] u3[s3, s2],
     multiplied left to right; its terms come out ordered by (s1, s2, s3).
     """
     u1, u2, u3 = stages
-    s1, s2, s3 = _path_topology()
+    s1, s2, s3 = _PATHS
     amp = u1[s1, 0] * phases[0][s1] * u2[s2, s1] * phases[1][s2] * u3[s3, s2]
     terms: dict[int, list[PathTerm]] = {}
     for states, phase, magnitude in zip(
@@ -340,14 +297,13 @@ def _gather_paths(stages: list[np.ndarray], phases: list[np.ndarray]) -> ShorTra
     return ShorTrace(terms={k: tuple(v) for k, v in terms.items()})
 
 
-def extract_period(
-    distribution, modulus: int = 4, base: int = 3, tol: float = 1e-12
-) -> PeriodResult:
+def extract_period(distribution) -> PeriodResult:
     """Read the function period and a factor off the measured x distribution.
 
     Takes the smallest nonzero x with nonzero probability as x2, sets
-    T = D / x2 with D the number of x values, computes z = base^(T/2), and
-    returns GCD(z - 1, modulus) as the factor.  A distribution confined to
+    T = D / x2 with D the number of x values, computes z = 3^(T/2), and
+    returns GCD(z - 1, 4) as the factor.  An x has nonzero probability above
+    1e-12.  A distribution confined to
     x = 0 (or yielding a fractional period) carries no period information
     and raises PeriodExtractionError.
     """
@@ -357,17 +313,17 @@ def extract_period(
     values = probs.tolist()
     if not abs(sum(values) - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError("distribution must be normalized")
-    x2 = next((x for x in range(1, X_VALUES) if values[x] > tol), None)
+    x2 = next((x for x in range(1, X_VALUES) if values[x] > _SUPPORT_TOL), None)
     if x2 is None:
         raise PeriodExtractionError("no support on x > 0: no period information")
     if X_VALUES % x2 != 0:
         raise PeriodExtractionError(f"x = {x2} implies a fractional period {X_VALUES}/{x2}")
     period = X_VALUES // x2  # x2 is 1 or 2, so the period is even
-    z = base ** (period // 2)
-    factor = math.gcd(z - 1, modulus)
+    z = _BASE ** (period // 2)
+    factor = math.gcd(z - 1, _MODULUS)
     note = None
-    if factor in (1, modulus):
-        note = f"gcd({z} - 1, {modulus}) = {factor} is not a proper factor"
+    if factor in (1, _MODULUS):
+        note = f"gcd({z} - 1, {_MODULUS}) = {factor} is not a proper factor"
     return PeriodResult(period=period, factor=factor, x_measured=x2, note=note)
 
 

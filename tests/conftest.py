@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from spinpulse import PulseSpec, SpinSystem
+from spinpulse.shor import _stage_matrices
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -60,6 +61,28 @@ def kron_lab_energies(system: SpinSystem) -> np.ndarray:
     """Oracle: drive-free lab energies via tensor products."""
     zero_pulse = PulseSpec(carrier=0.0, phase=0.0, rabi=np.zeros(system.n_spins), duration=1.0)
     return np.real(np.diag(kron_rotating_hamiltonian(system, zero_pulse)))
+
+
+def loop_trace(mode, delays, energies) -> dict:
+    """Reference path terms by a triple loop over the stage matrices' columns.
+
+    Maps each final state to its (states, phase, magnitude) triples, ordered
+    by (s1, s2, s3).
+    """
+    stages, phases = _stage_matrices(mode, delays, energies)
+    terms = {}
+    start = 0
+    u1, u2, u3 = stages
+    for s1 in np.flatnonzero(np.abs(u1[:, start]) > 1e-15):
+        amp1 = u1[s1, start] * phases[0][s1]
+        for s2 in np.flatnonzero(np.abs(u2[:, s1]) > 1e-15):
+            amp2 = amp1 * u2[s2, s1] * phases[1][s2]
+            for s3 in np.flatnonzero(np.abs(u3[:, s2]) > 1e-15):
+                amp3 = amp2 * u3[s3, s2]
+                terms.setdefault(int(s3), []).append(
+                    ((start, int(s1), int(s2), int(s3)), float(np.angle(amp3)), float(np.abs(amp3)))
+                )
+    return terms
 
 
 @contextlib.contextmanager

@@ -43,7 +43,7 @@ from spinpulse.cli import (
 )
 from spinpulse.sweep import SWEEP_FIELDS, SWEEP_INITIAL, sweep_cell_deviation
 
-from conftest import GATE_FINAL, GATE_INITIAL
+from conftest import GATE_FINAL, GATE_INITIAL, loop_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 SWEEP_CONFIG = str(CONFIGS / "sweep.json")
@@ -303,7 +303,17 @@ class TestRunShor:
             csv.reader(out.with_suffix(".trace.csv").read_text().splitlines())
         )
         assert trace_rows[0] == ["final_state", "path", "phase", "magnitude"]
-        assert len(trace_rows) > 1
+        energies = EnergyTable.from_xy_table(config["energies"]["table"])
+        expected = [
+            (index, states, phase, magnitude)
+            for index, terms in sorted(loop_trace("bare-delay", (1.0, 2.0), energies).items())
+            for states, phase, magnitude in terms
+        ]
+        assert len(trace_rows) == 1 + len(expected) == 17
+        for row, (index, states, phase, magnitude) in zip(trace_rows[1:], expected):
+            assert row[:2] == [str(index), ">".join(map(str, states))]
+            assert abs(float(row[2]) - phase) <= 1e-12
+            assert abs(float(row[3]) - magnitude) <= 1e-12
 
     def test_no_period_is_null_with_the_reason(self, monkeypatch, tmp_path):
         # no run_shor distribution lacks a period, so the extraction is made to fail

@@ -582,8 +582,17 @@ class TestIntegrateLabFrame:
         # about 3e12 RK4 steps per carrier period: this ran until killed
         system = SpinSystem(2, [1e12, 5e11], [[0, 5], [5, 0]])
         start = time.perf_counter()
-        with pytest.raises(ConfigurationError, match="MAX_STEPS_PER_PERIOD"):
+        with pytest.raises(ConfigurationError, match="MAX_STEPS = 1e\\+10$"):
             lab_frame_propagator(system, PulseSpec(100.0, 0.0, [0.1, 0.1], 1.0))
+        assert time.perf_counter() - start < 1.0
+
+    def test_whole_pulse_step_count_bounded(self):
+        # 3.2e15 steps, a few hundred per carrier period: this returned a U
+        # whose unitarity error was 1.26, with no error
+        system = SpinSystem(1, [1e6], [[0.0]])
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="^3.183e\\+15 steps, more than MAX_STEPS"):
+            lab_frame_propagator(system, PulseSpec(1e6, 0.0, [1.0], 1e8))
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("error_state", ["warn", "raise"])
@@ -781,8 +790,7 @@ class TestMagnusPropagator:
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-8
 
     def test_many_period_pulse_is_accepted(self, ensemble_system):
-        # tau ~ 31416 takes ~5e8 steps: over any whole-pulse cap, but a few
-        # hundred per carrier period
+        # tau ~ 31416 takes ~5e8 steps, below MAX_STEPS
         pulse = cn_pulse(ensemble_system, 2, 3, "complementary", rabi=[1e-4] * 4)
         u = lab_frame_propagator(ensemble_system, pulse, t_start=7.7)
         assert np.max(np.abs(u - pulse_propagator(ensemble_system, pulse, 7.7))) <= 1e-6

@@ -24,17 +24,22 @@ from spinpulse import (
     SpinSystem,
     analytic_two_level,
     apply_sequence,
+    approx_rotation_angle,
     build_rotating_hamiltonian,
     cn_pulse,
     design_2pik,
     evolve_delay,
     evolve_deviation,
     evolve_pulse,
+    frequency_ladder,
+    gradient_estimate,
     init_deviation,
     integrate_lab_frame,
     lab_frame_propagator,
     lab_hamiltonian,
+    offresonant_excitation_probability,
     pulse_propagator,
+    rotation_angle,
     run_shor,
     run_sweep,
     to_interaction_picture,
@@ -114,6 +119,10 @@ GATE = SpinSystem(2, [500.0, 100.0], [[0.0, 5.0], [5.0, 0.0]])
             ),
             "sequence clock not finite",
         ),
+        # the closed forms: a math domain error, [inf inf inf] and (inf, inf) before
+        (lambda: offresonant_excitation_probability(1e308, 1e308, 1e308), "rotation angle not finite"),
+        (lambda: frequency_ladder(1e308, 1e308, 3), "frequency ladder not finite"),
+        (lambda: gradient_estimate(1e308, 1e-320), "field step and gradient not finite"),
     ],
 )
 @pytest.mark.parametrize("error_state", ["warn", "raise"])
@@ -201,6 +210,8 @@ def test_every_entry_returns_finite_numbers_or_refuses(
 ):
     rabi = np.abs(rabi)
     duration, delay = abs(duration), abs(delay)
+    # the closed forms take a positive Rabi frequency and spin spacing
+    positive_rabi, spacing = rabi[0] or 1.0, duration or 1.0
     j = np.zeros((4, 4))
     j[np.triu_indices(4, 1)] = couplings
     j = j + j.T
@@ -247,6 +258,13 @@ def test_every_entry_returns_finite_numbers_or_refuses(
             0.6 + 0.8j, larmor[0], larmor[1], rabi[0], carrier, t, duration
         ),
         "design_2pik": lambda: design_2pik(carrier),
+        "rotation_angle": lambda: rotation_angle(rabi[0], carrier, duration),
+        "approx_rotation_angle": lambda: approx_rotation_angle(positive_rabi, carrier),
+        "offresonant_excitation_probability": lambda: offresonant_excitation_probability(
+            rabi[0], carrier, duration
+        ),
+        "frequency_ladder": lambda: frequency_ladder(carrier, rabi[0], 3),
+        "gradient_estimate": lambda: gradient_estimate(positive_rabi, spacing),
         "run_sweep": lambda: run_sweep([abs(larmor[2])], [abs(larmor[3])], rabi[0], carrier),
     }
     for name, call in calls.items():

@@ -14,28 +14,16 @@ from spinpulse import (
     PeriodExtractionError,
     QuantumState,
     diagonal_energies,
-    dft_x,
     extract_period,
-    modexp_oracle,
     register_index,
     register_values,
     run_shor,
     sample_x,
-    superpose_x,
-    trace_paths,
 )
 
-from spinpulse.shor import (
-    MODES,
-    _dft_matrix,
-    _oracle_for_residue,
-    _oracle_matrix,
-    _path_topology,
-    _stage_matrices,
-    _superpose_matrix,
-)
+from spinpulse.shor import MODES, _PATHS, _STAGES, _stage_matrices
 
-from conftest import random_state, warnings_are_errors
+from conftest import loop_trace, random_state, warnings_are_errors
 
 index_of = register_index
 
@@ -67,26 +55,29 @@ def brute_force_pipeline(mode, tau1, tau2, energies):
     return f_dressed @ d2 @ o_dressed @ d1 @ w @ psi
 
 
+def staged(stage, amplitudes):
+    return QuantumState(_STAGES[stage] @ np.asarray(amplitudes), check=False)
+
+
 class TestStages:
     def test_superpose_ground_state(self):
-        out = superpose_x(QuantumState.basis(4, 0))
+        out = staged(0, QuantumState.basis(4, 0).amplitudes)
         expected = np.zeros(16)
         expected[[index_of(x, 0) for x in range(4)]] = 0.5
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_superpose_is_involution(self):
         state = QuantumState.basis(4, 0)
-        twice = superpose_x(superpose_x(state))
+        twice = staged(0, staged(0, state.amplitudes).amplitudes)
         np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_superpose_preserves_norm(self, rng):
-        out = superpose_x(QuantumState(random_state(rng, 16)))
+        out = staged(0, random_state(rng, 16))
         assert abs(out.norm - 1.0) < 1e-12
 
     def test_oracle_function_values(self):
         # y(x) = 3^x mod 4 cycles 1, 3, 1, 3
-        state = superpose_x(QuantumState.basis(4, 0))
-        out = modexp_oracle(state)
+        out = staged(1, _STAGES[0][:, 0])
         expected = np.zeros(16)
         for x, y in ((0, 1), (1, 3), (2, 1), (3, 3)):
             expected[index_of(x, y)] = 0.5
@@ -94,35 +85,27 @@ class TestStages:
 
     def test_oracle_on_nonzero_y(self):
         # x = 1, y = 0 -> y = 3
-        out = modexp_oracle(QuantumState.basis(4, index_of(1, 0)))
+        out = staged(1, QuantumState.basis(4, index_of(1, 0)).amplitudes)
         assert out.probabilities[index_of(1, 3)] == pytest.approx(1.0)
 
     def test_oracle_is_permutation(self):
-        u = _oracle_matrix(3, 4)
+        u = _STAGES[1]
         assert np.all(u.sum(axis=0) == 1.0)
         assert np.all(u.sum(axis=1) == 1.0)
         assert np.all((u == 0.0) | (u == 1.0))
 
-    def test_oracle_rejects_noncoprime_base(self):
-        with pytest.raises(ConfigurationError, match="coprime"):
-            modexp_oracle(QuantumState.basis(4, 0), base=2)
-
-    def test_oracle_rejects_modulus_other_than_4(self):
-        with pytest.raises(ConfigurationError, match="modulus must be 4$"):
-            modexp_oracle(QuantumState.basis(4, 0), base=3, modulus=5)
-
     def test_dft_single_x_value(self):
         # |x=0> spreads evenly with unit phases
-        out = dft_x(QuantumState.basis(4, index_of(0, 1)))
+        out = staged(2, QuantumState.basis(4, index_of(0, 1)).amplitudes)
         expected = np.zeros(16, dtype=complex)
         for k in range(4):
             expected[index_of(k, 1)] = 0.5
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
 
     def test_dft_inverse_roundtrip(self, rng):
-        state = QuantumState(random_state(rng, 16))
-        back = dft_x(dft_x(state), inverse=True)
-        np.testing.assert_allclose(back.amplitudes, state.amplitudes, atol=1e-12)
+        state = random_state(rng, 16)
+        back = _STAGES[2].conj().T @ staged(2, state).amplitudes
+        np.testing.assert_allclose(back, state, atol=1e-12)
 
 
 class TestRunShor:
@@ -288,8 +271,7 @@ class TestTracePaths:
         }
 
     def test_instantaneous_paths_share_phase(self):
-        run = run_shor("instantaneous")
-        trace = trace_paths(run)
+        trace = run_shor("instantaneous", trace=True).trace
         terms = trace.terms[index_of(0, 1)]
         assert len(terms) == 2
         phases = [t.phase for t in terms]
@@ -297,38 +279,18 @@ class TestTracePaths:
 
     def test_coherent_sums_reproduce_amplitudes(self, rng):
         energies = EnergyTable(rng.uniform(-5, 5, size=16))
-        run = run_shor("bare-delay", delays=(0.8, 1.7), energies=energies)
-        trace = trace_paths(run)
+        run = run_shor("bare-delay", delays=(0.8, 1.7), energies=energies, trace=True)
         for index in range(16):
-            assert trace.amplitude(index) == pytest.approx(
+            assert run.trace.amplitude(index) == pytest.approx(
                 run.final_state.amplitudes[index], abs=1e-12
             )
 
     def test_path_magnitudes_quarter(self, rng):
         energies = EnergyTable(rng.uniform(-5, 5, size=16))
-        run = run_shor("bare-delay", delays=(1.0, 1.0), energies=energies)
-        trace = trace_paths(run)
+        trace = run_shor("bare-delay", delays=(1.0, 1.0), energies=energies, trace=True).trace
         for terms in trace.terms.values():
             for term in terms:
                 assert term.magnitude == pytest.approx(0.25, abs=1e-12)
-
-
-def loop_trace(run):
-    """Reference: the path terms by a triple loop over the stage matrices' columns."""
-    stages, phases = _stage_matrices(run.mode, run.delays, run.energies)
-    terms = {}
-    start = 0
-    u1, u2, u3 = stages
-    for s1 in np.flatnonzero(np.abs(u1[:, start]) > 1e-15):
-        amp1 = u1[s1, start] * phases[0][s1]
-        for s2 in np.flatnonzero(np.abs(u2[:, s1]) > 1e-15):
-            amp2 = amp1 * u2[s2, s1] * phases[1][s2]
-            for s3 in np.flatnonzero(np.abs(u3[:, s2]) > 1e-15):
-                amp3 = amp2 * u3[s3, s2]
-                terms.setdefault(int(s3), []).append(
-                    ((start, int(s1), int(s2), int(s3)), float(np.angle(amp3)), float(np.abs(amp3)))
-                )
-    return terms
 
 
 class TestTraceMatchesLoop:
@@ -337,30 +299,23 @@ class TestTraceMatchesLoop:
         for _ in range(20):
             energies = EnergyTable(rng.uniform(-20, 20, size=16))
             delays = tuple(rng.uniform(0, 5, size=2))
-            traced = run_shor(mode, delays=delays, energies=energies, trace=True)
-            reference = loop_trace(traced)
-            for trace in (traced.trace, trace_paths(run_shor(mode, delays, energies))):
-                assert list(trace.terms) == list(reference)
-                for index, expected in reference.items():
-                    terms = trace.terms[index]
-                    assert [t.states for t in terms] == [states for states, _, _ in expected]
-                    for term, (_, phase, magnitude) in zip(terms, expected):
-                        assert abs(term.phase - phase) <= 1e-15
-                        assert abs(term.magnitude - magnitude) <= 1e-15
+            trace = run_shor(mode, delays=delays, energies=energies, trace=True).trace
+            reference = loop_trace(mode, delays, energies)
+            assert list(trace.terms) == list(reference)
+            for index, expected in reference.items():
+                terms = trace.terms[index]
+                assert [t.states for t in terms] == [states for states, _, _ in expected]
+                for term, (_, phase, magnitude) in zip(terms, expected):
+                    assert abs(term.phase - phase) <= 1e-15
+                    assert abs(term.magnitude - magnitude) <= 1e-15
 
     @pytest.mark.parametrize("mode", ["bare-delay", "natural-phase"])
-    def test_cached_topology_is_the_dressed_stages_sparsity(self, rng, mode):
-        paths = _path_topology()
-        assert _path_topology() is paths
-        for s in paths:
-            with pytest.raises(ValueError):
-                s[0] = 0
-        cached = [_superpose_matrix(), _oracle_matrix(3, 4), _dft_matrix(False)]
+    def test_path_topology_is_the_dressed_stages_sparsity(self, rng, mode):
         for _ in range(20):
             energies = EnergyTable(rng.uniform(-20, 20, size=16))
             delays = tuple(rng.uniform(0, 5, size=2))
             stages, _ = _stage_matrices(mode, delays, energies)
-            for u, bare in zip(stages, cached):
+            for u, bare in zip(stages, _STAGES):
                 assert np.array_equal(np.abs(u) > 1e-15, np.abs(bare) > 1e-15)
             u1, u2, u3 = stages
             expected = [
@@ -369,53 +324,28 @@ class TestTraceMatchesLoop:
                 for s2 in np.flatnonzero(np.abs(u2[:, s1]) > 1e-15).tolist()
                 for s3 in np.flatnonzero(np.abs(u3[:, s2]) > 1e-15).tolist()
             ]
-            assert list(zip(*(s.tolist() for s in paths))) == expected
+            assert list(zip(*(s.tolist() for s in _PATHS))) == expected
 
-    def test_trace_paths_returns_the_runs_trace(self):
-        run = run_shor("instantaneous", trace=True)
-        assert trace_paths(run) is run.trace
-
-    def test_instantaneous_run_matches_stage_functions(self):
-        staged = dft_x(modexp_oracle(superpose_x(QuantumState.basis(4, 0))))
+    def test_instantaneous_run_matches_the_stages(self):
+        applied = _STAGES[2] @ (_STAGES[1] @ (_STAGES[0] @ QuantumState.basis(4, 0).amplitudes))
         np.testing.assert_allclose(
-            run_shor("instantaneous").final_state.amplitudes, staged.amplitudes, rtol=0, atol=1e-15
+            run_shor("instantaneous").final_state.amplitudes, applied, rtol=0, atol=1e-15
         )
 
 
-class TestStageCache:
-    @pytest.mark.parametrize(
-        "build",
-        [_superpose_matrix, lambda: _oracle_matrix(3, 4), lambda: _oracle_matrix(5, 4),
-         lambda: _dft_matrix(False), lambda: _dft_matrix(True)],
-    )
-    def test_cached_stages_are_read_only(self, build):
-        u = build()
+class TestStageConstants:
+    @pytest.mark.parametrize("array", [*_STAGES, *_PATHS])
+    def test_stages_and_paths_are_read_only(self, array):
         with pytest.raises(ValueError):
-            u[0, 0] = 2.0
-        assert build() is u
+            array[0, ...] = 0
 
-    def test_dressing_leaves_the_cached_stages_alone(self, rng):
+    def test_dressing_leaves_the_stages_alone(self, rng):
         for _ in range(5):
             energies = EnergyTable(rng.uniform(-5, 5, size=16))
             run_shor("natural-phase", tuple(rng.uniform(0, 4, size=2)), energies, trace=True)
         np.testing.assert_allclose(
             run_shor("instantaneous").x_distribution, [0.5, 0.0, 0.5, 0.0], atol=1e-12
         )
-
-    def test_oracle_depends_on_base_mod_4(self, rng):
-        state = QuantumState(random_state(rng, 16))
-        np.testing.assert_array_equal(
-            modexp_oracle(state, base=7).amplitudes, modexp_oracle(state, base=3).amplitudes
-        )
-
-    def test_oracle_cache_keyed_on_residue(self):
-        _oracle_for_residue.cache_clear()
-        state = QuantumState.basis(4, 0)
-        for base in (3, 5, 7, 11, 15):
-            modexp_oracle(state, base=base)
-        info = _oracle_for_residue.cache_info()
-        assert info.currsize <= 2
-        assert info.misses == 2
 
 
 class TestExtractPeriod:
