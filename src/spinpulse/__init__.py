@@ -71,7 +71,7 @@ from .shor import (
     run_shor,
     sample_x,
 )
-from .sweep import run_sweep, sweep_cell_deviation
+from .sweep import run_sweep
 
 __version__ = "0.1.0"
 
@@ -140,7 +140,6 @@ __all__ = [
     "sample_x",
     "run_config",
     "run_sweep",
-    "sweep_cell_deviation",
     "sweep_to_csv",
     "__version__",
 ]

@@ -29,7 +29,6 @@ import numpy as np
 
 from .model import (
     REQUIRED,
-    ConfigError,
     ConfigurationError,
     PulseSpec,
     QuantumState,
@@ -139,6 +138,8 @@ def _energies(doc) -> shor.EnergyTable:
 def _check_gate(p: dict, problems: list[str], **shapes: tuple) -> None:
     if p["rabi"] is None and p["exact_2pik"] is None:
         problems.append("rabi: required field missing (or set exact_2pik)")
+    if p["rabi"] is not None and p["exact_2pik"] is not None:
+        problems.append("rabi: not used with exact_2pik")
     shapes["rabi"] = (p["system"].n_spins,)
     problems += [
         f"{name}: expected shape {shape}, got {p[name].shape}"
@@ -234,9 +235,9 @@ def _ensemble_csv(r_block: np.ndarray, b_diag: np.ndarray) -> str:
 def _run_ensemble(p: dict, out: str | None, fmt: str) -> int:
     summary_path = Path(out).with_suffix(".json") if out is not None and fmt == "csv" else None
     if summary_path is not None and summary_path == Path(out):
-        raise ConfigError(
-            [f"out: the csv table and its JSON summary would both go to {out}; "
-             "choose another suffix or --format json"]
+        raise ConfigurationError(
+            f"out: the csv table and its JSON summary would both go to {out}; "
+            "choose another suffix or --format json"
         )
     system: SpinSystem = p["system"]
     pulse = _gate_pulse(p)
@@ -464,26 +465,28 @@ def parse_config(doc: Mapping) -> ExperimentConfig:
 
     The kind's fields are read by ``model.read_fields`` (unknown fields are
     rejected, an absent or null field takes its default), then the kind's
-    cross-field check runs.  Raises ConfigError listing the problems found.
+    cross-field check runs.  Raises ConfigurationError listing the problems found.
     """
     if not isinstance(doc, Mapping):
-        raise ConfigError([f"config: expected a JSON object, got {type(doc).__name__}"])
+        raise ConfigurationError(f"config: expected a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     spec = KIND_TABLE.get(kind) if isinstance(kind, str) else None
     if spec is None:
-        raise ConfigError([f"kind: {reprlib.repr(kind)} is not one of {', '.join(KIND_TABLE)}"])
+        raise ConfigurationError(
+            f"kind: {reprlib.repr(kind)} is not one of {', '.join(KIND_TABLE)}"
+        )
     problems: list[str] = []
     try:
         payload = read_fields({k: v for k, v in doc.items() if k not in ("kind", "output")},
                               spec.fields)
-    except ConfigError as exc:
+    except ConfigurationError as exc:
         problems = exc.problems
     else:
         if spec.check is not None:
             spec.check(payload, problems)
     out, fmt = _output(doc.get("output", {}), problems)
     if problems:
-        raise ConfigError(problems)
+        raise ConfigurationError(*problems)
     return ExperimentConfig(kind=kind, payload=payload, out=out, fmt=fmt)
 
 
@@ -498,7 +501,8 @@ def run_config(
 
     ``config`` may be a mapping, a path to a JSON document, or an already
     parsed ExperimentConfig.  Output goes to ``out`` (or stdout).  ``seed``
-    and ``trace`` reach only the runners that take them (``shor``).
+    and ``trace`` are options of the ``shor`` kind only; either one set for
+    another kind raises ConfigurationError, as every invalid config does.
     """
     if isinstance(config, ExperimentConfig):
         cfg = config
@@ -508,10 +512,14 @@ def run_config(
     out = out if out is not None else cfg.out
     fmt = fmt or cfg.fmt or spec.formats[0]
     if fmt not in spec.formats:
-        raise ConfigError(
-            [f"format: {cfg.kind} output must be {' or '.join(spec.formats)} (got {fmt!r})"]
+        raise ConfigurationError(
+            f"format: {cfg.kind} output must be {' or '.join(spec.formats)} (got {fmt!r})"
         )
     options = {"seed": seed, "trace": trace}
+    unused = [name for name, unset in (("seed", None), ("trace", False))
+              if name not in spec.options and options[name] != unset]
+    if unused:
+        raise ConfigurationError(*(f"{name}: not used with kind {cfg.kind!r}" for name in unused))
     return spec.runner(cfg.payload, out, fmt, **{name: options[name] for name in spec.options})
 
 
@@ -553,7 +561,9 @@ def _config_from_args(args: argparse.Namespace):
     if isinstance(doc, dict):
         found = doc.setdefault("kind", kind)
         if found != kind:
-            raise ConfigError([f"kind: config is {reprlib.repr(found)}, command needs {kind!r}"])
+            raise ConfigurationError(
+                f"kind: config is {reprlib.repr(found)}, command needs {kind!r}"
+            )
         for name in KIND_TABLE[kind].flags:
             text = getattr(args, name)
             if text is not None:
@@ -568,12 +578,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         with np.errstate(over="raise", invalid="raise"):  # inputs too large for doubles
             cfg = parse_config(_config_from_args(args))
             return run_config(cfg, out=args.out, fmt=args.fmt, **options)
-    except ConfigError as exc:
+    except ConfigurationError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FloatingPointError as exc:
         print(f"config error: {too_large(str(exc))}", file=sys.stderr)

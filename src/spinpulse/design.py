@@ -69,10 +69,6 @@ class TwoPiKDesign:
         if abs(angle - 2 * math.pi * self.k) > 1e-12 * max(1.0, angle):
             raise ConfigurationError("design violates omega_e * tau = 2 pi k")
 
-    @property
-    def effective_field(self) -> float:
-        return math.hypot(self.rabi, self.delta_omega)
-
 
 def design_2pik(delta_omega: float, k: int = 1, n: int = 1) -> TwoPiKDesign:
     """Rabi frequency and duration of a pi/n-pulse that is 2pi-k for |delta|.
@@ -162,9 +158,10 @@ def cn_pulse(
     spin ground.  With ``exact_2pik=k`` the Rabi frequency and duration come
     from the 2pi-k design for delta = 2 J_ct, making the pulse an exact
     multiple of 2 pi for the complementary control state; all spins are then
-    driven at the designed Rabi frequency.  Otherwise ``rabi`` supplies the
-    per-spin drive amplitudes (non-target spins keep their configured values
-    during the pulse) and the duration is a pi-pulse for the target.
+    driven at the designed Rabi frequency, and a ``rabi`` given as well
+    raises ConfigurationError.  Otherwise ``rabi`` supplies the per-spin
+    drive amplitudes (non-target spins keep their configured values during
+    the pulse) and the duration is a pi-pulse for the target.
     """
     if variant not in ("standard", "complementary"):
         raise ConfigurationError(f"unknown CN variant {variant!r}")
@@ -179,6 +176,8 @@ def cn_pulse(
     carrier = transition_frequency(system, target, spectators)
 
     if exact_2pik is not None:
+        if rabi is not None:
+            raise ConfigurationError("rabi amplitudes are not used with exact_2pik")
         j = system.couplings[control, target]
         if j == 0.0:
             raise ConfigurationError(
@@ -201,18 +200,15 @@ def cn_pulse(
     return PulseSpec(carrier=carrier, phase=phase, rabi=amplitudes, duration=duration)
 
 
-def gradient_estimate(
-    omega_rabi: float,
-    spacing: float,
-    gyromagnetic_ratio: float = PROTON_GYROMAGNETIC_RATIO,
-) -> tuple[float, float]:
-    """Field step and gradient realizing a frequency-ladder spacing of 8 Omega.
+def gradient_estimate(omega_rabi: float, spacing: float) -> tuple[float, float]:
+    """Field step and gradient realizing a frequency-ladder spacing of 8 Omega for protons.
 
     Returns (delta_B, dB/dx) in Tesla and Tesla/meter when omega_rabi is in
-    rad/s and spacing in meters: delta_B = 8 Omega / gamma, gradient =
-    delta_B / spacing.  Linear in Omega, inverse-linear in spacing.
+    rad/s and spacing in meters: delta_B = 8 Omega / gamma, with gamma the
+    proton's ``PROTON_GYROMAGNETIC_RATIO``, and gradient = delta_B / spacing.
+    Linear in Omega, inverse-linear in spacing.
     """
-    if omega_rabi <= 0 or spacing <= 0 or gyromagnetic_ratio <= 0:
-        raise ValueError("omega_rabi, spacing, and gyromagnetic_ratio must be positive")
-    delta_b = LADDER_SPACING_FACTOR * float(omega_rabi) / float(gyromagnetic_ratio)
+    if omega_rabi <= 0 or spacing <= 0:
+        raise ValueError("omega_rabi and spacing must be positive")
+    delta_b = LADDER_SPACING_FACTOR * float(omega_rabi) / PROTON_GYROMAGNETIC_RATIO
     return require_finite((delta_b, delta_b / float(spacing)), "field step and gradient")

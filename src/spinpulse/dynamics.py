@@ -12,8 +12,9 @@ Three routes are provided and cross-checked against each other:
   ``evolve_pulse`` applies the factors (the frame diagonals, the
   eigenvectors and the eigenphases) to the state and never forms the
   propagator; ``pulse_propagator`` forms it from the same checked factors.
-  ``pulse_propagators`` forms the propagators of a stack of pulses with one
-  stacked eigensolve.
+  ``pulse_propagators`` forms the propagators of a stack of pulses that
+  start at t = 0, each drive carrying its pulse's phase, with one stacked
+  eigensolve.
 * ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
   Magnus integration of the explicitly time-dependent lab-frame Schrodinger
   equation.  H(t) enters only through one ``lab_hamiltonian`` call at the
@@ -154,25 +155,16 @@ def _exact_factors(
 
 
 def pulse_propagators(
-    energies: np.ndarray,
-    carrier: np.ndarray,
-    drive: np.ndarray,
-    duration: float,
-    t_start: float = 0.0,
-    phase: float | np.ndarray = 0.0,
+    energies: np.ndarray, carrier: np.ndarray, drive: np.ndarray, duration: float
 ) -> np.ndarray:
-    """Exact lab-frame propagators of a stack of n pulses.
+    """Exact lab-frame propagators of a stack of n pulses, each starting at t = 0.
 
-    Each is U = exp(+i (w t1 + phi) Z) exp(-i H_rot tau) exp(-i (w t0 + phi) Z)
-    with Z the total I^z, t0 = t_start, t1 = t_start + duration and H_rot the
-    rotating-frame Hamiltonian that ``model.rotating_hamiltonian`` builds
-    from the Ising diagonal ``energies`` (n, dim), the carrier w (n,) and
-    the drive ``drive`` (n, dim, dim).  The drive's phase phi (a scalar or
-    (n,)) is a turn of the frame about Z, e^{i phi} R = e^{i phi Z} R
-    e^{-i phi Z}, so it enters through the two frame diagonals: with the
-    real drive half R of ``model.drive_half`` H_rot is real symmetric and
-    the stacked eigensolve runs in real arithmetic.  A complex drive stack
-    e^{i phi} R, with ``phase`` 0, gives the same U up to rounding.
+    Each is U = exp(+i w tau Z) exp(-i H_rot tau) with Z the total I^z and
+    H_rot the rotating-frame Hamiltonian that ``model.rotating_hamiltonian``
+    builds from the Ising diagonal ``energies`` (n, dim), the carrier w (n,)
+    and the drive half ``drive`` (n, dim, dim).  The drive carries the
+    pulse's phase: a complex stack e^{i phi} R, with R the real drive half
+    of ``model.drive_half``, gives the U of a pulse at phase phi.
 
     Returns U (n, dim, dim).  A pulse whose energies or carrier are not
     finite is left out of the eigensolve and its U is NaN; a U can also
@@ -185,10 +177,7 @@ def pulse_propagators(
         ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
         if not ok.all():
             energies, carrier, drive = energies[ok], carrier[ok], drive[ok]
-            phase = np.broadcast_to(phase, ok.shape)[ok]
-        vecs, phases, left, right = _exact_factors(
-            energies, carrier, drive, duration, t_start, phase
-        )
+        vecs, phases, left, right = _exact_factors(energies, carrier, drive, duration, 0.0, 0.0)
         u = (vecs * phases[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
         u = left[:, :, None] * u * right[:, None, :]
     if len(u) < n:
@@ -225,10 +214,11 @@ def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0)
 
     U = exp(+i (w t1 + phi) Z) exp(-i H_rot tau) exp(-i (w t0 + phi) Z) with
     Z the total I^z, H_rot the real symmetric rotating-frame Hamiltonian of
-    the phase-zero drive and t1 = t_start + duration: the propagator
-    ``pulse_propagators`` gives for a stack of one, formed from the checked
-    factors ``evolve_pulse`` applies.  Raises ConfigurationError if
-    ``t_start``, the energies, the carrier or a factor of U are not finite.
+    the phase-zero drive and t1 = t_start + duration, formed from the
+    checked factors ``evolve_pulse`` applies.  At t_start = 0 it is, up to
+    rounding, the U ``pulse_propagators`` gives for a stack of one with the
+    drive e^{i phi} R.  Raises ConfigurationError if ``t_start``, the
+    energies, the carrier or a factor of U are not finite.
     """
     vecs, phases, left, right = _pulse_factors(system, pulse, t_start)
     return left[:, None] * (vecs * phases).dot(vecs.T) * right
@@ -540,12 +530,15 @@ def apply_sequence(
     """Apply pulses and delays in order, advancing the absolute-time clock.
 
     ``method`` selects the pulse route: "exact-rotating" (default) or
-    "lab-integrator".  Delays are always applied as exact phase factors.
-    Raises ConfigurationError if ``t_start`` is not finite or the clock
-    overflows double precision.
+    "lab-integrator", whose integrator takes ``step``.  Delays are always
+    applied as exact phase factors.  Raises ValueError for an unknown method
+    or a ``step`` with "exact-rotating", and ConfigurationError if
+    ``t_start`` is not finite or the clock overflows double precision.
     """
     if method not in ("exact-rotating", "lab-integrator"):
         raise ValueError(f"unknown evolution method {method!r}")
+    if step is not None and method == "exact-rotating":
+        raise ValueError("step is not used with method 'exact-rotating'")
     if not math.isfinite(t_start):
         raise ConfigurationError(f"t_start must be finite, got {t_start}")
     t = t_start = float(t_start)

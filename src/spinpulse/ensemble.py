@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem
+from .model import ConfigurationError, PulseSpec, SpinSystem, require_finite
 from .dynamics import free_evolution_phases, pulse_propagator
 
 N_SPINS = 4
@@ -46,7 +46,8 @@ class DeviationDensityMatrix:
         self.entries = np.array(self.entries, dtype=complex)
         if self.entries.shape != (DIM, DIM):
             raise ConfigurationError(f"deviation matrix must be {DIM}x{DIM}")
-        dev = abs(self.entries - self.entries.conj().T).max()
+        with np.errstate(over="ignore", invalid="ignore"):  # a difference too large is inf
+            dev = abs(self.entries - self.entries.conj().T).max()
         if not dev <= 1e-9:  # NaN fails too
             raise ConfigurationError(f"deviation matrix is not Hermitian ({dev:.3e})")
         self.entries.setflags(write=False)
@@ -116,20 +117,22 @@ def to_interaction_picture(
     return DeviationDensityMatrix(phases[:, None] * rho.entries * phases.conj()[None, :])
 
 
-def deviation_metric(r_obtained, r_reference, floor: float = METRIC_FLOOR):
+def deviation_metric(r_obtained, r_reference):
     """Worst-case relative entry deviation between two complex blocks.
 
-    max over entries of |obtained - reference| / max(|reference|, floor).
+    max over entries of |obtained - reference| / max(|reference|, METRIC_FLOOR).
     The comparison is on complex entries, so a global phase between
     otherwise identical blocks registers as a real deviation; compare
-    physically fixed blocks (e.g. interaction-picture ones).  Stacks of
-    blocks (..., m, m) give an array with one metric per block; a single
-    pair of blocks gives a float.
+    physically fixed blocks (e.g. interaction-picture ones).  A single pair
+    of blocks gives a float, and raises ConfigurationError if it overflows
+    double precision.  Stacks of blocks (..., m, m) give an array with one
+    metric per block, inf or NaN included, so that each block's caller
+    reports it.
     """
     a = np.asarray(r_obtained, dtype=complex)
     b = np.asarray(r_reference, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    scale = np.maximum(np.abs(b), floor)
-    metric = np.max(np.abs(a - b) / scale, axis=(-2, -1))
-    return float(metric) if metric.ndim == 0 else metric
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric = np.max(np.abs(a - b) / np.maximum(np.abs(b), METRIC_FLOOR), axis=(-2, -1))
+    return metric if metric.ndim else require_finite(float(metric), "deviation metric")

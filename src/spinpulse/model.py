@@ -31,13 +31,13 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Raised when a system, pulse, or config document is inconsistent."""
+    """Raised when a system, pulse, or config document is inconsistent.
 
+    ``problems`` lists what is wrong, one ``<field>: <problem>`` each for a
+    JSON document; the message is ``"; ".join(problems)``.
+    """
 
-class ConfigError(ConfigurationError):
-    """A JSON document failed validation; carries one ``<field>: <problem>`` per problem."""
-
-    def __init__(self, problems: Sequence[str]):
+    def __init__(self, *problems: str):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
 
@@ -300,11 +300,9 @@ class QuantumState:
         return f"QuantumState(n_spins={self.n_spins})"
 
 
-def fidelity(a: QuantumState | np.ndarray, b: QuantumState | np.ndarray) -> float:
+def fidelity(a: QuantumState, b: QuantumState) -> float:
     """Overlap fidelity |<a|b>|^2 between two pure states."""
-    va = a.amplitudes if isinstance(a, QuantumState) else np.asarray(a)
-    vb = b.amplitudes if isinstance(b, QuantumState) else np.asarray(b)
-    return float(abs(np.vdot(va, vb)) ** 2)
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +441,12 @@ def read_fields(doc, fields: Mapping[str, tuple[Callable, object]]) -> dict:
     """The fields of a JSON object, each value through its field's converter.
 
     ``fields`` maps each field name to (converter, default or REQUIRED); an
-    absent or null field takes its default.  Raises ConfigError with one
+    absent or null field takes its default.  Raises ConfigurationError with one
     ``<field>: <problem>`` per unknown field, missing required field or
     converter error; a nested document's problems carry its field's name.
     """
     if not isinstance(doc, Mapping):
-        raise ConfigError([f"expected a JSON object, got {type(doc).__name__}"])
+        raise ConfigurationError(f"expected a JSON object, got {type(doc).__name__}")
     problems = [f"{name}: unknown field" for name in doc if name not in fields]
     values = {}
     for name, (convert, default) in fields.items():
@@ -463,7 +461,7 @@ def read_fields(doc, fields: Mapping[str, tuple[Callable, object]]) -> dict:
         except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
             problems += [f"{name}: {problem}" for problem in getattr(exc, "problems", [exc])]
     if problems:
-        raise ConfigError(problems)
+        raise ConfigurationError(*problems)
     return values
 
 

@@ -76,7 +76,6 @@ class EnergyTable:
     """Energy E_xy of each register state, indexed by basis index 4x + y."""
 
     values: np.ndarray
-    source: str = "explicit-config"
 
     def __post_init__(self):
         try:
@@ -92,22 +91,18 @@ class EnergyTable:
         return float(self.values[4 * x + y])
 
     @classmethod
-    def zeros(cls) -> "EnergyTable":
-        return cls(np.zeros(DIM), source="explicit-config")
-
-    @classmethod
     def from_xy_table(cls, table) -> "EnergyTable":
         """Table given as rows over x, columns over y."""
         if np.shape(table) != (X_VALUES, X_VALUES):
             raise ConfigurationError("x/y energy table must be 4x4")
-        return cls([value for row in table for value in row], source="explicit-config")
+        return cls([value for row in table for value in row])
 
     @classmethod
     def from_spin_system(cls, system: SpinSystem) -> "EnergyTable":
         """Energies of a physical four-spin register."""
         if system.n_spins != N_QUBITS:
             raise ConfigurationError("energy table derivation needs a 4-spin system")
-        return cls(system.energies, source="derived-from-spin-system")
+        return cls(system.energies)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +151,6 @@ class PathTerm:
     phase: float
     magnitude: float
 
-    @property
-    def contribution(self) -> complex:
-        return self.magnitude * np.exp(1j * self.phase)
-
 
 @dataclass(frozen=True)
 class ShorTrace:
@@ -175,7 +166,8 @@ class ShorTrace:
     terms: dict[int, tuple[PathTerm, ...]]
 
     def amplitude(self, index: int) -> complex:
-        return complex(sum(t.contribution for t in self.terms.get(index, ())))
+        """The coherent sum of the final state's path terms, magnitude * e^{i phase}."""
+        return complex(sum(t.magnitude * np.exp(1j * t.phase) for t in self.terms.get(index, ())))
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,13 +9,14 @@ isolates the frequency-separation effect the sweep studies; drive-induced
 phases on the coupled target transition, which do not depend on the
 separation, cancel out.
 
-The grid is evaluated in blocks of cells: the rotating Hamiltonians of a
-block (two per cell, control driven and undriven) are built as one stack
-and exponentiated by one stacked eigensolve, with the same numbers as a
-cell-by-cell evaluation.  A bad cell (an invalid system, or numbers that
-overflow double precision) still yields its own ``error:`` row and is kept
-out of the other cells' arithmetic.  The ``sweep`` command of
-``spinpulse.cli`` writes the cells as CSV.
+``run_sweep`` is the one entry; one cell is a 1 x 1 grid.  The grid is
+evaluated in blocks of cells: the rotating Hamiltonians of a block (two per
+cell, control driven and undriven, each pulse starting at t = 0 with its
+phase in the drive) are built as one stack and exponentiated by one stacked
+eigensolve, with the same numbers as a cell-by-cell evaluation.  A bad cell
+(an invalid system, or numbers that overflow double precision) still yields
+its own ``error:`` row and is kept out of the other cells' arithmetic.  The
+``sweep`` command of ``spinpulse.cli`` writes the cells as CSV.
 """
 
 from __future__ import annotations
@@ -143,35 +144,6 @@ def _block_deviations(
     return out
 
 
-def _deviations(
-    delta_ratio: np.ndarray, j_ratio: np.ndarray, rabi: float, base_larmor: float
-) -> list[float | str]:
-    """Deviation of each cell (delta_ratio[i], j_ratio[i]), or its error text, block by block."""
-    try:
-        pulse = _sweep_drive(rabi)
-    except (ConfigurationError, FloatingPointError) as exc:  # FloatingPointError under main
-        pulse = str(exc)
-    out = []
-    for first in range(0, len(delta_ratio), _SWEEP_BLOCK):
-        block = slice(first, first + _SWEEP_BLOCK)
-        out += _block_deviations(delta_ratio[block], j_ratio[block], rabi, base_larmor, pulse)
-    return out
-
-
-def sweep_cell_deviation(
-    delta_ratio: float, j_ratio: float, rabi: float = 0.1, base_larmor: float = 100.0
-) -> float:
-    """Deviation of one sweep cell (see module docstring for the protocol).
-
-    It is the sweep's block evaluation on a block of one cell; raises
-    ConfigurationError with the cell's error text if the cell fails.
-    """
-    [value] = _deviations(np.array([delta_ratio]), np.array([j_ratio]), rabi, base_larmor)
-    if isinstance(value, str):
-        raise ConfigurationError(value)
-    return value
-
-
 def run_sweep(
     delta_ratios: Sequence[float],
     j_ratios: Sequence[float],
@@ -183,14 +155,22 @@ def run_sweep(
     The arguments are read as a ``sweep`` config's fields (``SWEEP_FIELDS``:
     axes strictly positive and sorted ascending, rabi > 0, default 0.1,
     base_larmor default 100); a bad one raises ConfigurationError, and None
-    takes the default.  Per-cell failures are recorded in the row and do
-    not stop the sweep.
+    takes the default.  The cells are evaluated block by block; a cell's
+    failure is recorded in its row and does not stop the sweep.
     """
     args = read_fields({"delta_ratios": delta_ratios, "j_ratios": j_ratios, "rabi": rabi,
                         "base_larmor": base_larmor}, SWEEP_FIELDS)
+    rabi, base_larmor = args["rabi"], args["base_larmor"]
     grid = [(dr, jr) for dr in args["delta_ratios"] for jr in args["j_ratios"]]
     delta_ratio, j_ratio = np.array(grid).reshape(-1, 2).T
-    values = _deviations(delta_ratio, j_ratio, args["rabi"], args["base_larmor"])
+    try:
+        pulse = _sweep_drive(rabi)
+    except (ConfigurationError, FloatingPointError) as exc:  # FloatingPointError under main
+        pulse = str(exc)
+    values = []
+    for first in range(0, len(grid), _SWEEP_BLOCK):
+        block = slice(first, first + _SWEEP_BLOCK)
+        values += _block_deviations(delta_ratio[block], j_ratio[block], rabi, base_larmor, pulse)
     return [
         SweepCell(dr, jr, None, error=v) if isinstance(v, str) else SweepCell(dr, jr, v)
         for (dr, jr), v in zip(grid, values)

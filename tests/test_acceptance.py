@@ -43,7 +43,7 @@ from spinpulse import (
     integrate_lab_frame,
     offresonant_excitation_probability,
     run_shor,
-    sweep_cell_deviation,
+    run_sweep,
     to_interaction_picture,
 )
 from spinpulse.ensemble import to_interaction_picture as density_to_interaction_picture
@@ -191,11 +191,8 @@ def test_criterion_5_oracle_equivalence(gate_system, gate_pulse, rng):
 
 
 def test_criterion_6_threshold_sweep():
-    deviations = {
-        (dr, jr): sweep_cell_deviation(dr, jr)
-        for dr in (30.0, 300.0, 1000.0)
-        for jr in (5.0, 50.0)
-    }
+    cells = run_sweep([30.0, 300.0, 1000.0], [5.0, 50.0])
+    deviations = {(cell.delta_ratio, cell.j_ratio): cell.deviation for cell in cells}
     checks = []
     for dr in (300.0, 1000.0):
         for jr in (5.0, 50.0):

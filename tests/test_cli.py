@@ -36,12 +36,11 @@ from spinpulse.cli import (
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
     KIND_TABLE,
-    ConfigError,
     SweepCell,
     main,
     parse_config,
 )
-from spinpulse.sweep import SWEEP_FIELDS, SWEEP_INITIAL, sweep_cell_deviation
+from spinpulse.sweep import SWEEP_FIELDS, SWEEP_INITIAL
 
 from conftest import GATE_FINAL, GATE_INITIAL, loop_trace
 
@@ -110,37 +109,37 @@ def ensemble_config(**overrides):
 
 class TestParseConfig:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError, match="kind"):
+        with pytest.raises(ConfigurationError, match="kind"):
             parse_config({"kind": "teleport"})
 
     def test_missing_rabi_named(self):
         doc = cn_config()
         del doc["rabi"]
-        with pytest.raises(ConfigError, match="rabi"):
+        with pytest.raises(ConfigurationError, match="rabi"):
             parse_config(doc)
 
     def test_missing_system_named(self):
         doc = cn_config()
         del doc["system"]
-        with pytest.raises(ConfigError, match="system"):
+        with pytest.raises(ConfigurationError, match="system"):
             parse_config(doc)
 
     def test_bad_amplitude_shape_named(self):
-        with pytest.raises(ConfigError, match="initial_state"):
+        with pytest.raises(ConfigurationError, match="initial_state"):
             parse_config(cn_config(initial_state=[[1.0, 0.0]]))
 
     def test_sweep_axes_must_be_sorted(self):
         doc = {"kind": "sweep", "delta_ratios": [300.0, 30.0], "j_ratios": [5.0]}
-        with pytest.raises(ConfigError, match="sorted"):
+        with pytest.raises(ConfigurationError, match="sorted"):
             parse_config(doc)
 
     def test_sweep_axes_must_be_positive(self):
         doc = {"kind": "sweep", "delta_ratios": [0.0, 30.0], "j_ratios": [5.0]}
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigurationError, match="positive"):
             parse_config(doc)
 
     def test_shor_delay_mode_needs_energies(self):
-        with pytest.raises(ConfigError, match="energies"):
+        with pytest.raises(ConfigurationError, match="energies"):
             parse_config({"kind": "shor", "mode": "bare-delay", "tau1": 1.0})
 
     @pytest.mark.parametrize(
@@ -164,7 +163,7 @@ class TestParseConfig:
     )
     def test_strict_field_rejected_alone(self, doc, field):
         # integers reject fractions, bools and strings instead of truncating them
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(ConfigurationError) as exc:
             parse_config(doc)
         assert [problem.split(":")[0] for problem in exc.value.problems] == [field]
 
@@ -174,17 +173,29 @@ class TestParseConfig:
 
     def test_unknown_fields_named(self):
         doc = cn_config(rabbi=[0.5, 0.1], output={"path": "x.json", "fmt": "csv"})
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(ConfigurationError) as exc:
             parse_config(doc)
         assert [problem.split(":")[0] for problem in exc.value.problems] == ["rabbi", "output.fmt"]
 
     def test_nested_document_problems_carry_its_field(self):
         system = {**cn_config()["system"], "rabbi": 1, "larmor": None}
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(ConfigurationError) as exc:
             parse_config(cn_config(system=system))
         assert exc.value.problems == [
             "system: rabbi: unknown field", "system: larmor: required field missing"
         ]
+
+    def test_nested_system_error_carries_its_field(self):
+        # SpinSystem's own one-text error, under the field that held the system
+        system = {**cn_config()["system"], "couplings": [[0.0, 5.0], [4.0, 0.0]]}
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(cn_config(system=system))
+        assert exc.value.problems == ["system: couplings must be symmetric"]
+
+    def test_rabi_with_exact_2pik_rejected(self):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(cn_config(exact_2pik=1))
+        assert exc.value.problems == ["rabi: not used with exact_2pik"]
 
     def test_sweep_fields_are_run_sweeps_arguments(self):
         assert KIND_TABLE["sweep"].fields is SWEEP_FIELDS
@@ -199,9 +210,9 @@ class TestParseConfig:
             "target": 1,
             "delta_omega": 10.0,
         }
-        with pytest.raises(ConfigError, match="delta_omega: not used with system"):
+        with pytest.raises(ConfigurationError, match="delta_omega: not used with system"):
             parse_config(doc)
-        with pytest.raises(ConfigError, match="control: not used without system"):
+        with pytest.raises(ConfigurationError, match="control: not used without system"):
             parse_config({"kind": "design", "delta_omega": 10.0, "control": 0})
 
     def test_demo_configs_parse(self):
@@ -335,6 +346,26 @@ class TestRunShor:
         run_config(config, out=str(out2), seed=11)
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize(
+        "config, option",
+        [
+            (cn_config(), {"seed": 3}),
+            (cn_config(), {"seed": 0}),
+            (ensemble_config(), {"trace": True}),
+            ({"kind": "design", "delta_omega": 2.0}, {"seed": 1}),
+            ({"kind": "sweep", "delta_ratios": [30.0], "j_ratios": [5.0]}, {"trace": True}),
+        ],
+    )
+    def test_options_rejected_for_other_kinds(self, tmp_path, config, option):
+        # seed and trace were dropped without a word for every kind but shor
+        [name] = option
+        out = tmp_path / "out.txt"
+        message = f"^{name}: not used with kind '{config['kind']}'$"
+        with pytest.raises(ConfigurationError, match=message):
+            run_config(config, out=str(out), **option)
+        assert not out.exists()
+        assert run_config(config, out=str(out), seed=None, trace=False) == EXIT_OK
+
 
 class TestDesignPulse:
     def test_direct_parameters(self, tmp_path):
@@ -366,7 +397,7 @@ class TestDesignPulse:
         assert doc["delta_omega"] == pytest.approx(10.0)
 
     def test_zero_detuning_invalid(self):
-        with pytest.raises(ConfigError, match="delta_omega"):
+        with pytest.raises(ConfigurationError, match="delta_omega"):
             parse_config({"kind": "design", "delta_omega": 0.0})
 
 
@@ -383,7 +414,7 @@ class TestSweep:
         }
         for dr in (300.0, 30.0):
             for jr in (50.0, 5.0):
-                assert sweep_cell_deviation(dr, jr) == forward[(dr, jr)]
+                assert run_sweep([dr], [jr])[0].deviation == forward[(dr, jr)]
 
     @pytest.mark.parametrize(
         "args, problem",
@@ -400,7 +431,7 @@ class TestSweep:
             run_sweep(*args)
 
     def test_degradation_toward_small_separation(self):
-        assert sweep_cell_deviation(30.0, 5.0) > sweep_cell_deviation(300.0, 5.0)
+        assert run_sweep([30.0], [5.0])[0].deviation > run_sweep([300.0], [5.0])[0].deviation
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -517,8 +548,8 @@ class TestBatchedSweep:
             assert overflow.error.startswith("values too large for double precision")
         # main raises on overflow, which must not stop the other cells
         assert main_sweep_csv(tmp_path, doc) == (EXIT_OK, sweep_to_csv(cells))
-        with pytest.raises(ConfigurationError, match="double precision"):
-            sweep_cell_deviation(1.5e308, 5.0, rabi=0.1)
+        [alone] = run_sweep([1.5e308], [5.0], rabi=0.1)
+        assert alone.deviation is None and "double precision" in alone.error
 
     @pytest.mark.parametrize(
         "rabi, base_larmor, j_ratio",
@@ -529,7 +560,7 @@ class TestBatchedSweep:
     )
     def test_overflowing_numbers_fail_alone(self, rabi, base_larmor, j_ratio):
         cells = run_sweep([1.0], [1.0, j_ratio], rabi=rabi, base_larmor=base_larmor)
-        assert cells[0].deviation == sweep_cell_deviation(1.0, 1.0, rabi, base_larmor)
+        assert cells[0].deviation == run_sweep([1.0], [1.0], rabi, base_larmor)[0].deviation
         assert cells[1].error == "values too large for double precision (deviation not finite)"
 
     def test_memory_is_bounded_by_the_block(self):
@@ -599,6 +630,14 @@ class TestMainEntryPoint:
             argv = argv + ["--config", str(config)]
         assert main(argv) == EXIT_VALIDATION
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_rabi_with_exact_2pik_exits_2(self, tmp_path, capsys):
+        # the demo gate with exact_2pik ran with its rabi ignored and exited 3
+        config = tmp_path / "cn.json"
+        config.write_text(json.dumps({**json.loads((CONFIGS / "cn.json").read_text()),
+                                      "exact_2pik": 1}))
+        assert main(["run-cn", "--config", str(config)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "config error: rabi: not used with exact_2pik\n"
 
     def test_system_number_as_text_exits_2(self, tmp_path, capsys):
         system = {**cn_config()["system"], "larmor": ["500", 100.0]}

@@ -57,3 +57,17 @@ print(hasattr(spinpulse, "no_such_name"))
     result = run("-c", script)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.splitlines() == ["[]", "spinpulse.cli spinpulse.cli", "False"]
+
+
+def test_star_import_binds_every_public_name():
+    # __all__ is the public surface: each name once, each one bound, the
+    # names the command line provides included
+    script = """
+import spinpulse
+from spinpulse import *
+names = spinpulse.__all__
+print(len(names) == len(set(names)), [name for name in names if name not in globals()])
+"""
+    result = run("-c", script)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == ["True []"]

@@ -223,6 +223,13 @@ class TestCnPulse:
         with pytest.raises(ConfigurationError, match="coupling"):
             cn_pulse(system, control=0, target=1, exact_2pik=1)
 
+    def test_rabi_with_exact_rejected(self, gate_system):
+        # the design drives every spin at its own Rabi frequency; a given
+        # rabi was dropped without a word
+        message = "^rabi amplitudes are not used with exact_2pik$"
+        with pytest.raises(ConfigurationError, match=message):
+            cn_pulse(gate_system, control=0, target=1, rabi=[0.5, 0.1], exact_2pik=1)
+
     def test_missing_rabi_rejected(self, gate_system):
         with pytest.raises(ConfigurationError, match="rabi"):
             cn_pulse(gate_system, control=0, target=1)

@@ -464,39 +464,34 @@ class TestPulsePropagators:
     def test_stack_matches_one_pulse_at_a_time(self, rng):
         systems = [random_system(rng, 3) for _ in range(5)]
         pulses = [
-            PulseSpec(rng.uniform(10, 150), rng.uniform(0, 2 * np.pi), rng.uniform(0, 0.5, 3), 2.5)
-            for _ in systems
+            PulseSpec(rng.uniform(10, 150), 0.0, rng.uniform(0, 0.5, 3), 2.5) for _ in systems
         ]
         energies = np.array([diagonal_energies(s) for s in systems])
         carrier = np.array([p.carrier for p in pulses])
         drive = np.array([drive_half(s, p) for s, p in zip(systems, pulses)])
-        phase = np.array([p.phase for p in pulses])
-        u = pulse_propagators(energies, carrier, drive, 2.5, t_start=1.25, phase=phase)
+        u = pulse_propagators(energies, carrier, drive, 2.5)
         for i, (system, pulse) in enumerate(zip(systems, pulses)):
-            assert np.array_equal(u[i], pulse_propagator(system, pulse, t_start=1.25))
+            assert np.array_equal(u[i], pulse_propagator(system, pulse))
 
     @settings(max_examples=300, deadline=None)
     @given(
         n_spins=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
         carrier=st.floats(-200.0, 200.0),
-        phase=st.floats(-10.0, 10.0),
         duration=st.floats(0.01, 50.0),
-        t_start=st.floats(-100.0, 100.0),
     )
-    def test_one_pulse_is_the_stack_of_one(
-        self, n_spins, seed, carrier, phase, duration, t_start
-    ):
+    def test_one_pulse_is_the_stack_of_one(self, n_spins, seed, carrier, duration):
         # the single-pulse route forms U from its own checked factors, in the
-        # stack's order of operations: bit for bit the same U
+        # stack's order of operations: bit for bit the same U for a pulse at
+        # t = 0 and phase 0, whose drive half is real in both routes
         rng = np.random.default_rng(seed)
         system = random_system(rng, n_spins)
-        pulse = PulseSpec(carrier, phase, rng.uniform(0, 0.5, size=n_spins), duration)
+        pulse = PulseSpec(carrier, 0.0, rng.uniform(0, 0.5, size=n_spins), duration)
         [u] = pulse_propagators(
             system.energies[None], np.array([pulse.carrier]), drive_half(system, pulse)[None],
-            duration, t_start, pulse.phase,
+            duration,
         )
-        assert np.array_equal(pulse_propagator(system, pulse, t_start), u)
+        assert np.array_equal(pulse_propagator(system, pulse), u)
 
     def test_bad_pulse_fails_alone(self, gate_system, gate_pulse):
         # one pulse with an infinite energy, one with a NaN carrier (both
@@ -839,6 +834,11 @@ class TestApplySequence:
     def test_unknown_method_rejected(self, gate_system):
         with pytest.raises(ValueError, match="method"):
             apply_sequence(QuantumState(GATE_INITIAL), gate_system, [], method="magic")
+
+    def test_step_with_the_exact_method_rejected(self, gate_system, gate_pulse):
+        # the exact route takes no step; it was dropped without a word
+        with pytest.raises(ValueError, match="^step is not used with method 'exact-rotating'$"):
+            apply_sequence(QuantumState(GATE_INITIAL), gate_system, [gate_pulse], step=0.01)
 
     def test_event_neither_pulse_nor_delay_rejected(self, gate_system):
         with pytest.raises(TypeError, match="^events must be PulseSpec or DelaySpec"):

@@ -23,7 +23,7 @@ from spinpulse import (
 )
 from spinpulse.ensemble import to_interaction_picture as density_to_interaction_picture
 
-from conftest import GATE_INITIAL
+from conftest import GATE_INITIAL, warnings_are_errors
 
 #: active block of the initial deviation matrix (4-decimal table)
 R_BEFORE = np.array(
@@ -182,6 +182,16 @@ class TestDeviationMetric:
         metrics = deviation_metric(a.reshape(3, 1, 4, 4), b.reshape(3, 1, 4, 4))
         assert metrics.shape == (3, 1)
         assert metrics[:, 0].tolist() == [deviation_metric(x, R_AFTER) for x in a]
+
+
+    def test_stack_keeps_a_non_finite_block(self):
+        # the sweep reports each block's metric itself, so a stack neither
+        # raises nor warns on one that overflows
+        a = np.stack([np.full((2, 2), 1e308), np.eye(2)])
+        b = np.stack([np.full((2, 2), -1e308), np.eye(2)])
+        with warnings_are_errors("raise"):
+            metrics = deviation_metric(a, b)
+        assert metrics.tolist() == [np.inf, 0.0]
 
 
 class TestDeviationMatrixType:

@@ -118,9 +118,9 @@ def test_constructors_copy_the_callers_array(build, name, value, dtype):
     [
         lambda: SpinSystem.uniform([1.0, 2.0], 1.0),
         lambda: PulseSpec(95.0, 0.0, [0.5, 0.1], 1.0),
-        EnergyTable.zeros,
+        lambda: EnergyTable(np.zeros(16)),
         lambda: DeviationDensityMatrix(np.eye(16)),
-        lambda: run_shor("bare-delay", (1.0, 1.0), EnergyTable.zeros()),
+        lambda: run_shor("bare-delay", (1.0, 1.0), EnergyTable(np.zeros(16))),
     ],
     ids=["system", "pulse", "energy-table", "deviation", "shor-run"],
 )
@@ -352,6 +352,16 @@ class TestTransitionFrequency:
     def test_spectator_value_not_a_bit_rejected(self, gate_system):
         with pytest.raises(ConfigurationError, match="^spectator value for spin 0 must be 0 or 1$"):
             transition_frequency(gate_system, 1, {0: 2})
+
+
+class TestConfigurationError:
+    def test_problems_joined_into_the_message(self):
+        exc = ConfigurationError("a", "b")
+        assert exc.problems == ["a", "b"] and str(exc) == "a; b"
+
+    def test_one_text_is_one_problem(self):
+        exc = ConfigurationError("couplings must be symmetric")
+        assert exc.problems == [str(exc)] == ["couplings must be symmetric"]
 
 
 class TestJsonLoading:

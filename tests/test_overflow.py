@@ -13,11 +13,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from spinpulse import (
     ConfigurationError,
     DelaySpec,
+    DeviationDensityMatrix,
     EnergyTable,
     PulseSpec,
     QuantumState,
@@ -28,6 +29,7 @@ from spinpulse import (
     build_rotating_hamiltonian,
     cn_pulse,
     design_2pik,
+    deviation_metric,
     evolve_delay,
     evolve_deviation,
     evolve_pulse,
@@ -53,6 +55,10 @@ from conftest import GATE_INITIAL, warnings_are_errors
 #: gap between the target's levels is not
 EDGE = SpinSystem(2, [1.79e308, 0.0], [[0.0, 1e307], [1e307, 0.0]])
 GATE = SpinSystem(2, [500.0, 100.0], [[0.0, 5.0], [5.0, 0.0]])
+#: a deviation matrix with 1e308 at (0, 1) and -1e308 at (1, 0): finite
+#: entries, but rho - rho^dagger is not
+SKEW = np.zeros((16, 16))
+SKEW[0, 1], SKEW[1, 0] = 1e308, -1e308
 
 
 @pytest.mark.parametrize(
@@ -123,6 +129,11 @@ GATE = SpinSystem(2, [500.0, 100.0], [[0.0, 5.0], [5.0, 0.0]])
         (lambda: offresonant_excitation_probability(1e308, 1e308, 1e308), "rotation angle not finite"),
         (lambda: frequency_ladder(1e308, 1e308, 3), "frequency ladder not finite"),
         (lambda: gradient_estimate(1e308, 1e-320), "field step and gradient not finite"),
+        # "overflow encountered in subtract" before
+        (
+            lambda: deviation_metric(np.full((2, 2), 1e308), np.full((2, 2), -1e308)),
+            "deviation metric not finite",
+        ),
     ],
 )
 @pytest.mark.parametrize("error_state", ["warn", "raise"])
@@ -151,11 +162,17 @@ def test_overflow_refused_with_one_message(call, what, error_state):
             ConfigurationError,
             "active amplitudes must be normalized",
         ),
+        (
+            lambda: DeviationDensityMatrix(SKEW),
+            ConfigurationError,
+            "deviation matrix is not Hermitian (inf)",
+        ),
     ],
 )
 @pytest.mark.parametrize("error_state", ["warn", "raise"])
 def test_a_check_that_overflows_fails_as_itself(call, error, message, error_state):
-    # J_kn - J_nk and the squared norm overflowed with a numpy warning first
+    # J_kn - J_nk, the squared norm and rho - rho^dagger overflowed with a
+    # numpy warning first
     with warnings_are_errors(error_state):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
@@ -194,7 +211,13 @@ def _outcome(call, error_state: str):
     return "ok", tokens
 
 
-@settings(max_examples=150, deadline=None)
+# no shrink phase: shrinking re-runs every entry per step, which turned a
+# failure's report into minutes; the failing example is reported as drawn
+@settings(
+    max_examples=150,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target, Phase.explain),
+)
 @given(
     larmor=st.lists(VALUES, min_size=4, max_size=4),
     couplings=st.lists(VALUES, min_size=6, max_size=6),
@@ -216,6 +239,10 @@ def test_every_entry_returns_finite_numbers_or_refuses(
     j[np.triu_indices(4, 1)] = couplings
     j = j + j.T
     state = QuantumState(GATE_INITIAL)
+    # a 4 x 4 block of the table, Hermitian only where the table is symmetric
+    block = np.reshape(table, (4, 4))
+    rho = np.zeros((16, 16))
+    rho[:4, :4] = block
 
     def two():
         return SpinSystem(2, larmor[:2], j[:2, :2])
@@ -248,6 +275,8 @@ def test_every_entry_returns_finite_numbers_or_refuses(
         "density_to_interaction_picture": lambda: density_to_interaction_picture(
             init_deviation([0.6, 0.8, 0, 0]), four(), t
         ),
+        "DeviationDensityMatrix": lambda: DeviationDensityMatrix(rho),
+        "deviation_metric": lambda: deviation_metric(block, block.T),
         "run_shor bare-delay": lambda: run_shor(
             "bare-delay", (delay, duration), EnergyTable(table), trace=True
         ),

@@ -210,7 +210,7 @@ class TestRunShor:
     @pytest.mark.parametrize("delays", [(np.nan, 1.0), (1.0, np.inf)])
     def test_non_finite_delays_rejected(self, mode, delays):
         with pytest.raises(ConfigurationError, match="finite"):
-            run_shor(mode, delays=delays, energies=EnergyTable.zeros())
+            run_shor(mode, delays=delays, energies=EnergyTable(np.zeros(16)))
 
     @pytest.mark.parametrize("mode", ["bare-delay", "natural-phase"])
     @pytest.mark.parametrize("trace", [False, True])
@@ -226,7 +226,6 @@ class TestEnergyTable:
     def test_from_spin_system(self, ensemble_system):
         table = EnergyTable.from_spin_system(ensemble_system)
         np.testing.assert_allclose(table.values, diagonal_energies(ensemble_system))
-        assert table.source == "derived-from-spin-system"
 
     def test_xy_indexing(self):
         table = EnergyTable.from_xy_table(np.arange(16.0).reshape(4, 4))
