@@ -65,8 +65,6 @@ class ExperimentConfig:
 
     kind: str
     payload: dict
-    out: str | None = None
-    fmt: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +155,7 @@ def _check_ensemble(p: dict, problems: list[str]) -> None:
     if p["system"].n_spins != 4:
         problems.append("system: ensemble runs need a 4-spin system")
     else:
-        _check_gate(p, problems, initial_amplitudes=(4,), reference_active=(4, 4),
-                    reference_background_diagonal=BACKGROUND_DIAGONAL.shape)
+        _check_gate(p, problems, initial_amplitudes=(4,), reference_active=(4, 4))
 
 
 def _check_shor(p: dict, problems: list[str]) -> None:
@@ -167,12 +164,12 @@ def _check_shor(p: dict, problems: list[str]) -> None:
 
 
 def _check_design(p: dict, problems: list[str]) -> None:
-    """Either a system with control and target, or a nonzero delta_omega (and a carrier)."""
+    """Either a system with control and target, or a nonzero delta_omega."""
     on_system = p["system"] is not None
     for name in ("control", "target") if on_system else ("delta_omega",):
         if p[name] is None:
             problems.append(f"{name}: required field missing")
-    for name in ("delta_omega", "carrier") if on_system else ("control", "target"):
+    for name in ("delta_omega",) if on_system else ("control", "target"):
         if p[name] is not None:
             problems.append(f"{name}: not used {'with' if on_system else 'without'} system")
     if p["delta_omega"] == 0.0:
@@ -256,7 +253,7 @@ def _run_ensemble(p: dict, out: str | None, fmt: str) -> int:
     code = EXIT_OK
     if p["reference_active"] is not None:
         max_abs = float(np.max(np.abs(r_block - p["reference_active"])))
-        max_abs_b = float(np.max(np.abs(b_diag - p["reference_background_diagonal"])))
+        max_abs_b = float(np.max(np.abs(b_diag - BACKGROUND_DIAGONAL)))
         summary["max_abs_deviation"] = max_abs
         summary["max_abs_deviation_background"] = max_abs_b
         summary["relative_deviation_metric"] = deviation_metric(
@@ -340,7 +337,7 @@ def _run_design(p: dict, out: str | None, fmt: str) -> int:
         carrier = pulse.carrier
     else:
         design = design_2pik(p["delta_omega"], k=p["k"], n=p["n"])
-        carrier = p["carrier"]
+        carrier = None
     doc = {
         "omega": carrier,
         "rabi": design.rabi,
@@ -419,7 +416,6 @@ KIND_TABLE: dict[str, Kind] = {
         "variant": (_VARIANT, "complementary"),
         "initial_amplitudes": (_state, REQUIRED),
         "reference_active": (_pairs, None),
-        "reference_background_diagonal": (finite_reals, BACKGROUND_DIAGONAL),
         "max_abs_deviation": (finite_real, 0.005),
     }),
     "shor": Kind("run-shor", ("json",), _run_shor, _check_shor, {
@@ -437,7 +433,6 @@ KIND_TABLE: dict[str, Kind] = {
         "control": (integer, None),
         "target": (integer, None),
         "delta_omega": (finite_real, None),
-        "carrier": (finite_real, None),
         "k": (_POSITIVE, 1),
         "n": (_POSITIVE, 1),
     }, flags=("delta_omega", "k", "n")),
@@ -445,19 +440,6 @@ KIND_TABLE: dict[str, Kind] = {
 }
 #: flags that name a JSON file holding the field's value
 _FILE_FLAGS = ("energies",)
-
-
-def _output(value, problems: list[str]) -> tuple[str | None, object]:
-    if not isinstance(value, Mapping):
-        problems.append("output: expected an object with optional path and format")
-        return None, None
-    problems += [
-        f"output.{name}: unknown field" for name in value if name not in ("path", "format")
-    ]
-    out = value.get("path")
-    if out is not None and not isinstance(out, str):
-        problems.append(f"output.path: expected a string, got {reprlib.repr(out)}")
-    return out, value.get("format")
 
 
 def parse_config(doc: Mapping) -> ExperimentConfig:
@@ -475,19 +457,13 @@ def parse_config(doc: Mapping) -> ExperimentConfig:
         raise ConfigurationError(
             f"kind: {reprlib.repr(kind)} is not one of {', '.join(KIND_TABLE)}"
         )
+    payload = read_fields({k: v for k, v in doc.items() if k != "kind"}, spec.fields)
     problems: list[str] = []
-    try:
-        payload = read_fields({k: v for k, v in doc.items() if k not in ("kind", "output")},
-                              spec.fields)
-    except ConfigurationError as exc:
-        problems = exc.problems
-    else:
-        if spec.check is not None:
-            spec.check(payload, problems)
-    out, fmt = _output(doc.get("output", {}), problems)
+    if spec.check is not None:
+        spec.check(payload, problems)
     if problems:
         raise ConfigurationError(*problems)
-    return ExperimentConfig(kind=kind, payload=payload, out=out, fmt=fmt)
+    return ExperimentConfig(kind=kind, payload=payload)
 
 
 def run_config(
@@ -499,18 +475,14 @@ def run_config(
 ) -> int:
     """Validate and run one experiment config; returns the process exit code.
 
-    ``config`` may be a mapping, a path to a JSON document, or an already
-    parsed ExperimentConfig.  Output goes to ``out`` (or stdout).  ``seed``
+    ``config`` is a config mapping or an already parsed ExperimentConfig.
+    Output goes to ``out`` (or stdout) as ``fmt`` (or the kind's default).  ``seed``
     and ``trace`` are options of the ``shor`` kind only; either one set for
     another kind raises ConfigurationError, as every invalid config does.
     """
-    if isinstance(config, ExperimentConfig):
-        cfg = config
-    else:
-        cfg = parse_config(config if isinstance(config, Mapping) else read_json(config))
+    cfg = config if isinstance(config, ExperimentConfig) else parse_config(config)
     spec = KIND_TABLE[cfg.kind]
-    out = out if out is not None else cfg.out
-    fmt = fmt or cfg.fmt or spec.formats[0]
+    fmt = fmt or spec.formats[0]
     if fmt not in spec.formats:
         raise ConfigurationError(
             f"format: {cfg.kind} output must be {' or '.join(spec.formats)} (got {fmt!r})"

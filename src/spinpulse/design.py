@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem, require_finite, transition_frequency
+from .model import ConfigurationError, PulseSpec, SpinSystem, transition_frequency
+from .model import require_finite, require_finite_arguments
 
 #: proton gyromagnetic ratio, rad s^-1 T^-1
 PROTON_GYROMAGNETIC_RATIO = 2.6752218744e8
@@ -93,19 +94,21 @@ def design_2pik(delta_omega: float, k: int = 1, n: int = 1) -> TwoPiKDesign:
     )
 
 
-# The closed forms below compute in Python floats, where an overflow is inf
-# with no numpy warning, and refuse it through require_finite.
+# The closed forms below reject a non-finite argument by name, then compute in
+# Python floats, where an overflow is inf with no warning, refused by require_finite.
 
 
 def rotation_angle(omega_rabi: float, delta_omega: float, tau: float) -> float:
     """Exact rotation angle omega_e * tau of a spin detuned by delta_omega."""
-    if tau < 0:
+    require_finite_arguments(omega_rabi=omega_rabi, delta_omega=delta_omega, tau=tau)
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
     return require_finite(math.hypot(omega_rabi, delta_omega) * float(tau), "rotation angle")
 
 
 def approx_rotation_angle(omega_rabi: float, delta_omega: float) -> float:
     """Large-detuning estimate pi |delta| / Omega of a pi-pulse return angle; Omega > 0."""
+    require_finite_arguments(omega_rabi=omega_rabi, delta_omega=delta_omega)
     if not omega_rabi > 0:
         raise ValueError("omega_rabi must be > 0")
     angle = math.pi * abs(float(delta_omega)) / float(omega_rabi)
@@ -120,6 +123,7 @@ def offresonant_excitation_probability(
     Closed form for a two-level spin detuned by delta_omega from the drive;
     vanishes identically when the pulse satisfies a 2pi-k condition.
     """
+    require_finite_arguments(omega_rabi=omega_rabi, delta_omega=delta_omega, tau=tau)
     omega_e = math.hypot(omega_rabi, delta_omega)
     if omega_e == 0.0:
         return 0.0
@@ -135,6 +139,7 @@ def frequency_ladder(omega0: float, omega_rabi: float, count: int) -> np.ndarray
     multiples of 8 pi (ladder spacings, like detunings, are in units of
     Omega, not pi).
     """
+    require_finite_arguments(omega0=omega0, omega_rabi=omega_rabi)
     if count < 1:
         raise ConfigurationError("ladder length must be >= 1")
     spacing = LADDER_SPACING_FACTOR * float(omega_rabi)
@@ -208,7 +213,8 @@ def gradient_estimate(omega_rabi: float, spacing: float) -> tuple[float, float]:
     proton's ``PROTON_GYROMAGNETIC_RATIO``, and gradient = delta_B / spacing.
     Linear in Omega, inverse-linear in spacing.
     """
-    if omega_rabi <= 0 or spacing <= 0:
+    require_finite_arguments(omega_rabi=omega_rabi, spacing=spacing)
+    if not (omega_rabi > 0 and spacing > 0):
         raise ValueError("omega_rabi and spacing must be positive")
     delta_b = LADDER_SPACING_FACTOR * float(omega_rabi) / PROTON_GYROMAGNETIC_RATIO
     return require_finite((delta_b, delta_b / float(spacing)), "field step and gradient")

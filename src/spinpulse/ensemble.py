@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem, require_finite
+from .model import ConfigurationError, PulseSpec, SpinSystem
+from .model import require_finite, require_finite_arguments
 from .dynamics import free_evolution_phases, pulse_propagator
 
 N_SPINS = 4
@@ -36,14 +37,14 @@ BACKGROUND_DIAGONAL = np.array(
 METRIC_FLOOR = 1e-3
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DeviationDensityMatrix:
-    """Traceless 16x16 deviation density matrix, active block in indices 0..3."""
+    """Traceless 16x16 deviation density matrix, active block in indices 0..3 (immutable)."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.array(self.entries, dtype=complex)
+        object.__setattr__(self, "entries", np.array(self.entries, dtype=complex))
         if self.entries.shape != (DIM, DIM):
             raise ConfigurationError(f"deviation matrix must be {DIM}x{DIM}")
         with np.errstate(over="ignore", invalid="ignore"):  # a difference too large is inf
@@ -124,7 +125,8 @@ def deviation_metric(r_obtained, r_reference):
     The comparison is on complex entries, so a global phase between
     otherwise identical blocks registers as a real deviation; compare
     physically fixed blocks (e.g. interaction-picture ones).  A single pair
-    of blocks gives a float, and raises ConfigurationError if it overflows
+    of blocks gives a float; it raises ValueError naming a block that is not
+    finite, and ConfigurationError if the metric of finite blocks overflows
     double precision.  Stacks of blocks (..., m, m) give an array with one
     metric per block, inf or NaN included, so that each block's caller
     reports it.
@@ -135,4 +137,6 @@ def deviation_metric(r_obtained, r_reference):
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         metric = np.max(np.abs(a - b) / np.maximum(np.abs(b), METRIC_FLOOR), axis=(-2, -1))
+    if metric.ndim == 0 and not np.isfinite(metric):  # only then check the inputs
+        require_finite_arguments(r_obtained=a, r_reference=b)
     return metric if metric.ndim else require_finite(float(metric), "deviation metric")

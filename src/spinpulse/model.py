@@ -59,6 +59,13 @@ def require_finite(values, what: str):
     return values
 
 
+def require_finite_arguments(**values) -> None:
+    """Raises ValueError naming the first argument that holds a NaN or an infinity."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # fields of JSON documents: converters take a JSON value and return the field's
 # value or raise ValueError; bools and strings are not numbers
@@ -205,9 +212,9 @@ class SpinSystem:
         return cls(n, larmor, j)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PulseSpec:
-    """One circularly polarized resonant pulse.
+    """One circularly polarized resonant pulse (immutable).
 
     carrier:  angular frequency of the rotating field
     phase:    field phase phi; phi = 0 imprints the standard +pi/2 phase
@@ -222,7 +229,7 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self):
-        self.rabi = np.array(self.rabi, dtype=float)
+        object.__setattr__(self, "rabi", np.array(self.rabi, dtype=float))
         if self.rabi.ndim != 1:
             raise ConfigurationError("rabi must be a 1-d sequence")
         if np.any(self.rabi < 0) or not np.all(np.isfinite(self.rabi)):
@@ -233,7 +240,7 @@ class PulseSpec:
             raise ConfigurationError(
                 f"carrier and phase must be finite (got {self.carrier}, {self.phase})"
             )
-        self.phase = float(self.phase) % (2 * np.pi)
+        object.__setattr__(self, "phase", float(self.phase) % (2 * np.pi))
         self.rabi.setflags(write=False)
 
     def check_against(self, system: SpinSystem) -> None:

@@ -13,7 +13,9 @@ separation, cancel out.
 evaluated in blocks of cells: the rotating Hamiltonians of a block (two per
 cell, control driven and undriven, each pulse starting at t = 0 with its
 phase in the drive) are built as one stack and exponentiated by one stacked
-eigensolve, with the same numbers as a cell-by-cell evaluation.  A bad cell
+complex eigensolve, with the same numbers as a cell-by-cell evaluation by a
+complex eigensolve each; the cell-by-cell public route through
+``pulse_propagator``, whose eigensolve is real, agrees within 1e-11.  A bad cell
 (an invalid system, or numbers that overflow double precision) still yields
 its own ``error:`` row and is kept out of the other cells' arithmetic.  The
 ``sweep`` command of ``spinpulse.cli`` writes the cells as CSV.

@@ -3,7 +3,8 @@ exit codes, and sweep determinism.
 
 The block-batched sweep is pinned to the per-cell loop it replaced, kept
 here as ``reference_cell_deviation``: one system, two pulses and two
-eigensolves per cell.
+complex eigensolves per cell, bit for bit up to 1e-12.  The library's own
+per-cell route, ``library_cell_deviation``, agrees within 1e-11.
 """
 
 import contextlib
@@ -17,17 +18,21 @@ import numpy as np
 import pytest
 
 from spinpulse import (
+    BACKGROUND_DIAGONAL,
     ConfigurationError,
     EnergyTable,
+    QuantumState,
     SpinSystem,
     build_rotating_hamiltonian,
     cn_pulse,
     deviation_metric,
     diagonal_energies,
+    pulse_propagator,
     run_config,
     run_shor,
     run_sweep,
     sweep_to_csv,
+    to_interaction_picture,
     total_spin_z,
 )
 from spinpulse import cli, shor
@@ -175,7 +180,12 @@ class TestParseConfig:
         doc = cn_config(rabbi=[0.5, 0.1], output={"path": "x.json", "fmt": "csv"})
         with pytest.raises(ConfigurationError) as exc:
             parse_config(doc)
-        assert [problem.split(":")[0] for problem in exc.value.problems] == ["rabbi", "output.fmt"]
+        assert [problem.split(":")[0] for problem in exc.value.problems] == ["rabbi", "output"]
+
+    def test_run_config_takes_no_path(self):
+        # main reads the file; a path given to run_config is not a config document
+        with pytest.raises(ConfigurationError, match="expected a JSON object, got str"):
+            run_config(ENSEMBLE_CONFIG)
 
     def test_nested_document_problems_carry_its_field(self):
         system = {**cn_config()["system"], "rabbi": 1, "larmor": None}
@@ -464,6 +474,19 @@ def reference_cell_deviation(delta_ratio, j_ratio, rabi=0.1, base_larmor=100.0):
     return deviation_metric(rhos[0], rhos[1])
 
 
+def library_cell_deviation(delta_ratio, j_ratio, rabi, base_larmor):
+    """The sweep cell through the public route: cn_pulse, pulse_propagator (a
+    real eigensolve), to_interaction_picture and deviation_metric."""
+    system = SpinSystem.uniform([base_larmor + delta_ratio * rabi, base_larmor], j_ratio * rabi)
+    rhos = []
+    for control_rabi in (rabi, 0.0):
+        pulse = cn_pulse(system, control=0, target=1, variant="standard", rabi=[control_rabi, rabi])
+        final = QuantumState(pulse_propagator(system, pulse) @ SWEEP_INITIAL)
+        psi = to_interaction_picture(final, system, pulse.duration).amplitudes
+        rhos.append(np.outer(psi, psi.conj()))
+    return deviation_metric(rhos[0], rhos[1])
+
+
 def reference_sweep(delta_ratios, j_ratios, rabi=0.1, base_larmor=100.0):
     cells = []
     for dr in delta_ratios:
@@ -510,6 +533,10 @@ class TestBatchedSweep:
                 ref.delta_ratio, ref.j_ratio, ref.error
             )
             assert abs(cell.deviation - ref.deviation) <= 1e-12
+            # 1.22e-12 apart at most over these seven grids: a real against a
+            # complex eigensolve
+            library = library_cell_deviation(cell.delta_ratio, cell.j_ratio, rabi, base)
+            assert abs(cell.deviation - library) <= 1e-11
 
     def test_hostile_grid_rows(self, tmp_path):
         expected = sweep_to_csv(reference_sweep(**HOSTILE_GRID))
@@ -620,7 +647,14 @@ class TestMainEntryPoint:
             (["run-cn"], cn_config(initial_state=[1.0, 0.0, 0.0, 0.0]), "initial_state"),
             (["run-cn"], cn_config(initial_state=[[1e308, 0.0]] * 4), "initial_state"),
             (["run-ensemble"], ensemble_config(system=cn_config()["system"]), "system"),
-            (["run-shor"], {"kind": "shor", "output": {"path": 5}}, "output.path"),
+            # settings the command line or the run already fixes are unknown fields
+            (["run-shor"], {"kind": "shor", "output": {"format": "json"}}, "output"),
+            (["design-pulse"], {"kind": "design", "delta_omega": 1.0, "carrier": 50.0}, "carrier"),
+            (
+                ["run-ensemble"],
+                ensemble_config(reference_background_diagonal=list(BACKGROUND_DIAGONAL)),
+                "reference_background_diagonal",
+            ),
         ],
     )
     def test_bad_input_exits_2_naming_the_field(self, tmp_path, capsys, argv, doc, field):

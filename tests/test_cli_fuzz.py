@@ -89,7 +89,7 @@ def test_demo_config_with_one_field_replaced(kind, data, value):
 def test_unknown_field_exits_2_naming_it(case, data, value):
     command, doc, nested = case
     if nested is None:
-        known, prefix = {*KIND_TABLE[doc["kind"]].fields, "kind", "output"}, ""
+        known, prefix = {*KIND_TABLE[doc["kind"]].fields, "kind"}, ""
     else:  # an energies document with n_spins is a system document
         known, prefix = {*doc[nested], "n_spins"}, f"{nested}: "
     name = data.draw(st.text(min_size=1, max_size=8).filter(lambda s: s not in known), label="name")

@@ -132,6 +132,22 @@ def test_array_holders_compare_and_hash_by_identity(build):
 
 
 @pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (lambda: PulseSpec(95.0, 0.0, [0.5, 0.1], 1.0), "duration", -3.0),
+        (lambda: PulseSpec(95.0, 0.0, [0.5, 0.1], 1.0), "phase", 100.0),
+        (lambda: DeviationDensityMatrix(np.eye(16)), "entries", np.ones((3, 3))),
+    ],
+    ids=["pulse-duration", "pulse-phase", "deviation-entries"],
+)
+def test_checked_holders_are_frozen(build, name, value):
+    # an assignment after construction skipped the checks: a negative-length
+    # pulse ran, a phase stayed unwrapped, a 3x3 deviation matrix was kept
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(build(), name, value)
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: QuantumState([np.nan, 0.0]),

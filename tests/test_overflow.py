@@ -5,7 +5,8 @@ finite inputs.  Every public entry must then refuse with a
 ConfigurationError (``values too large for double precision (...)`` or a
 validation error), never a numpy warning, a FloatingPointError or a NaN,
 and it must do the same whatever numpy's error state.  A validation check
-whose own arithmetic overflows fails as that check.
+whose own arithmetic overflows fails as that check.  An argument that is
+already NaN or infinite is refused by name, not as an overflow.
 """
 
 import dataclasses
@@ -142,6 +143,28 @@ def test_overflow_refused_with_one_message(call, what, error_state):
     with warnings_are_errors(error_state):
         with pytest.raises(ConfigurationError, match=message):
             call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda x: gradient_estimate(x, 1.0), "omega_rabi"),
+        (lambda x: gradient_estimate(1.0, x), "spacing"),
+        (lambda x: approx_rotation_angle(1.0, x), "delta_omega"),
+        (lambda x: rotation_angle(x, 1.0, 1.0), "omega_rabi"),
+        (lambda x: rotation_angle(1.0, 1.0, x), "tau"),
+        (lambda x: frequency_ladder(x, 1.0, 2), "omega0"),
+        (lambda x: offresonant_excitation_probability(x, 1, 1), "omega_rabi"),
+        (lambda x: deviation_metric(np.full((2, 2), x), np.eye(2)), "r_obtained"),
+        (lambda x: deviation_metric(np.eye(2), np.full((2, 2), x)), "r_reference"),
+    ],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_argument_named(call, name, value):
+    # "values too large for double precision (... not finite)" before, or a
+    # range message, for an input that was never finite
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        call(value)
 
 
 @pytest.mark.parametrize(
