@@ -18,11 +18,12 @@ yields an exact single-pulse CN gate of duration sqrt(3) pi / (2 J) at k = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem, transition_frequency
+from .model import ConfigurationError, PulseSpec, SpinSystem, _level_gap
 from .model import require_finite, require_finite_arguments
 
 #: proton gyromagnetic ratio, rad s^-1 T^-1
@@ -173,12 +174,14 @@ def cn_pulse(
     if control == target:
         raise ConfigurationError("control and target must be distinct spins")
     for spin in (control, target):
+        if not isinstance(spin, numbers.Integral):  # a float index selects no basis bit
+            raise ConfigurationError(f"spin index {spin!r} is not an integer")
         if not 0 <= spin < system.n_spins:
             raise ConfigurationError(f"spin index {spin} out of range")
 
-    spectators = {s: 0 for s in range(system.n_spins) if s != target}
-    spectators[control] = 1 if variant == "standard" else 0
-    carrier = transition_frequency(system, target, spectators)
+    # the target's flip with every other spin ground, the control excited if "standard"
+    ground = 1 << (system.n_spins - 1 - control) if variant == "standard" else 0
+    carrier = _level_gap(system, ground, ground | (1 << (system.n_spins - 1 - target)))
 
     if exact_2pik is not None:
         if rabi is not None:

@@ -83,6 +83,9 @@ _TAYLOR_COEFFS = np.array([1 / math.factorial(k) for k in range(_TAYLOR_TERMS + 
 _TAYLOR_BLOCKS = np.zeros((4, 5))
 _TAYLOR_BLOCKS[:, :4] = _TAYLOR_COEFFS[:-1].reshape(4, 4)
 _TAYLOR_BLOCKS[3, 4] = _TAYLOR_COEFFS[-1]
+_GAUSS_NODES.setflags(write=False)
+_TAYLOR_COEFFS.setflags(write=False)
+_TAYLOR_BLOCKS.setflags(write=False)
 
 
 @dataclass

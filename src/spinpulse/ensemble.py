@@ -28,10 +28,11 @@ N_SPINS = 4
 DIM = 16
 ACTIVE_DIM = 4
 
-#: thermal-equilibrium diagonal of the background block, indices 4..15
+#: thermal-equilibrium diagonal of the background block, indices 4..15 (read-only)
 BACKGROUND_DIAGONAL = np.array(
     [-0.5, 0.5, 0.5, 0.5, 0.5, -0.5, -0.5, -0.5, -1.0, 0.0, 0.0, 0.0]
 )
+BACKGROUND_DIAGONAL.setflags(write=False)
 
 #: relative floor used by deviation_metric for near-zero reference entries
 METRIC_FLOOR = 1e-3
@@ -52,6 +53,20 @@ class DeviationDensityMatrix:
         if not dev <= 1e-9:  # NaN fails too
             raise ConfigurationError(f"deviation matrix is not Hermitian ({dev:.3e})")
         self.entries.setflags(write=False)
+
+    @classmethod
+    def _built(cls, entries: np.ndarray) -> "DeviationDensityMatrix":
+        """A deviation matrix on fresh ``entries`` that are Hermitian by construction.
+
+        Like ``QuantumState(check=False)``, it neither copies nor re-checks
+        them: an absolute Hermiticity tolerance would refuse only rounding,
+        which grows with the entries.  Raises ConfigurationError if an entry
+        is not finite, that is if the arithmetic that built them overflowed.
+        """
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "entries", require_finite(entries, "deviation matrix"))
+        entries.setflags(write=False)
+        return rho
 
     @property
     def active_block(self) -> np.ndarray:
@@ -97,12 +112,16 @@ def evolve_deviation(
 
     rho -> U rho U+ preserves Hermiticity, spectrum, and trace; only the
     traceless deviation needs evolving since the identity part commutes with
-    everything.
+    everything.  The result is Hermitian by construction and is built
+    without a re-check; raises ConfigurationError if an entry of it
+    overflows double precision.
     """
     if system.n_spins != N_SPINS:
         raise ConfigurationError(f"ensemble dynamics is defined for {N_SPINS}-spin systems")
     u = pulse_propagator(system, pulse, t_start=t_start)
-    return DeviationDensityMatrix(u @ rho.entries @ u.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, refused
+        entries = u @ rho.entries @ u.conj().T
+    return DeviationDensityMatrix._built(entries)
 
 
 def to_interaction_picture(
@@ -112,10 +131,14 @@ def to_interaction_picture(
 
     Diagonal entries are untouched; coherences lose the phases accumulated at
     the energy differences, making them comparable against ideal gate
-    targets.
+    targets.  As with ``evolve_deviation``, the result is built without a
+    re-check, and an entry that overflows double precision raises
+    ConfigurationError.
     """
     phases = free_evolution_phases(system, -t)
-    return DeviationDensityMatrix(phases[:, None] * rho.entries * phases.conj()[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, refused
+        entries = phases[:, None] * rho.entries * phases.conj()[None, :]
+    return DeviationDensityMatrix._built(entries)
 
 
 def deviation_metric(r_obtained, r_reference):

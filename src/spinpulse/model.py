@@ -138,9 +138,12 @@ def total_spin_z(n_spins: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _spin_flips(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (ground, excited, spin) of every single-spin flip (cached)."""
+    """Index arrays (ground, excited, spin) of every single-spin flip (read-only, cached)."""
     ground, spin = np.nonzero(spin_z_values(n_spins) > 0)
-    return ground, ground | (1 << (n_spins - 1 - spin)), spin
+    flips = ground, ground | (1 << (n_spins - 1 - spin)), spin
+    for a in flips:
+        a.setflags(write=False)
+    return flips
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +235,10 @@ class PulseSpec:
         object.__setattr__(self, "rabi", np.array(self.rabi, dtype=float))
         if self.rabi.ndim != 1:
             raise ConfigurationError("rabi must be a 1-d sequence")
-        if np.any(self.rabi < 0) or not np.all(np.isfinite(self.rabi)):
+        # a pulse drives a few spins: Python floats check them faster than numpy
+        if not all(0 <= r < math.inf for r in self.rabi.tolist()):  # NaN fails too
             raise ConfigurationError("rabi frequencies must be finite and >= 0")
-        if not (self.duration > 0 and np.isfinite(self.duration)):
+        if not 0 < self.duration < math.inf:
             raise ConfigurationError("pulse duration must be strictly positive")
         if not (math.isfinite(self.carrier) and math.isfinite(self.phase)):
             raise ConfigurationError(
@@ -413,13 +417,20 @@ def transition_frequency(
             f"spectator assignment must cover every non-target spin exactly "
             f"(missing {missing}, unexpected {extra})"
         )
-    energies = system.energies
     ground = 0
     for spin, bit in spectator_state.items():
         if bit not in (0, 1):
             raise ConfigurationError(f"spectator value for spin {spin} must be 0 or 1")
         ground |= bit << (system.n_spins - 1 - spin)
-    excited = ground | (1 << (system.n_spins - 1 - target))
+    return _level_gap(system, ground, ground | (1 << (system.n_spins - 1 - target)))
+
+
+def _level_gap(system: SpinSystem, ground: int, excited: int) -> float:
+    """E(excited) - E(ground) for two basis indices, unchecked: the carrier of that flip.
+
+    Raises ConfigurationError if the difference overflows double precision.
+    """
+    energies = system.energies
     frequency = float(energies[excited]) - float(energies[ground])
     return require_finite(frequency, "transition frequency")
 

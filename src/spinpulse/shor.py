@@ -27,14 +27,17 @@ interference the last stage relies on:
 
 The circuit is the paper's one: base 3, modulus 4, forward transform.  Its
 three stage matrices and the paths through them are built once, at import,
-as read-only constants; a run dresses copies of them.  ``run_shor(...,
-trace=True)`` also returns every final amplitude split into its path terms.
+as read-only constants, and no run copies them: ``natural-phase`` applies a
+stage at time t to the state as D(t) U D(t)^+, two diagonal multiplies
+around the stage's matrix.  ``run_shor(..., trace=True)`` also returns
+every final amplitude split into its path terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,10 +102,16 @@ class EnergyTable:
 
     @classmethod
     def from_spin_system(cls, system: SpinSystem) -> "EnergyTable":
-        """Energies of a physical four-spin register."""
+        """Energies of a physical four-spin register.
+
+        ``system.energies`` are 16 finite, read-only values already, so the
+        table holds them without a second check.
+        """
         if system.n_spins != N_QUBITS:
             raise ConfigurationError("energy table derivation needs a 4-spin system")
-        return cls(system.energies)
+        table = object.__new__(cls)
+        object.__setattr__(table, "values", system.energies)
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +147,8 @@ _STAGES = _build_stages()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathTerm:
-    """One interfering contribution to a final amplitude.
+class PathTerm(NamedTuple):
+    """One interfering contribution to a final amplitude (immutable).
 
     ``states`` lists the basis index occupied after each stage (initial,
     post-superposition, post-oracle, post-transform); ``phase`` and
@@ -189,13 +197,13 @@ class PeriodResult:
     note: str | None = None
 
 
-def _stage_matrices(
+def _delay_phases(
     mode: str, delays: tuple[float, float], energies: EnergyTable | None
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Stage unitaries and the inter-stage phase diagonals for a mode.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The phase diagonals p1, p2 applied after stages 1 and 2 in a mode.
 
-    Returns (stages, phases) with stages = [U1, U2, U3] applied in order and
-    phases = [p1, p2] diagonal factors applied after stages 1 and 2.  Raises
+    They are exp(-i E tau) for the delays of ``bare-delay`` and
+    ``natural-phase`` and ones for ``instantaneous``.  Raises
     ConfigurationError if a delay phase overflows double precision.
     """
     if mode not in MODES:
@@ -203,22 +211,15 @@ def _stage_matrices(
     tau1, tau2 = delays
     if not (0 <= tau1 < math.inf and 0 <= tau2 < math.inf):
         raise ConfigurationError(f"delays must be finite and >= 0 (got {tau1}, {tau2})")
-    # the stages are read-only; dressing below builds new arrays
-    stages = list(_STAGES)
     if mode == "instantaneous":
         ones = np.ones(DIM)
-        return stages, [ones, ones]
+        return ones, ones
     if energies is None:
         raise ConfigurationError(f"mode {mode!r} requires an energy table")
     with np.errstate(over="ignore"):
         angles = np.multiply.outer((tau1, tau2), energies.values)
     p1, p2 = np.exp(-1j * require_finite(angles, "delay phases"))
-    if mode == "natural-phase":
-        # dress each stage at its application time: U -> D(t) U D(t)^+
-        d2 = p1 * p2
-        stages[1] = np.multiply.outer(p1, p1.conj()) * stages[1]
-        stages[2] = np.multiply.outer(d2, d2.conj()) * stages[2]
-    return stages, [p1, p2]
+    return p1, p2
 
 
 def run_shor(
@@ -231,21 +232,28 @@ def run_shor(
 
     Returns the final state, the exact measurement distribution over x
     (marginal over y), and with ``trace=True`` the path-term decomposition
-    (``ShorTrace``) of the matrices the run has just applied.  Raises
-    ConfigurationError if delays x energies overflow double precision.
+    (``ShorTrace``) of the stages and phases the run has just applied.
+    Raises ConfigurationError if delays x energies overflow double precision.
     """
-    stages, phases = _stage_matrices(mode, delays, energies)
-    psi = phases[0] * stages[0][:, 0]  # stage 1 applied to |00,00>
-    psi = stages[1] @ psi
-    psi = phases[1] * psi
-    psi = stages[2] @ psi
+    p1, p2 = _delay_phases(mode, delays, energies)
+    u1, u2, u3 = _STAGES
+    psi = p1 * u1[:, 0]  # stage 1 applied to |00,00>
+    if mode == "natural-phase":
+        # stages 2 and 3 act at tau1 and tau1 + tau2 as D U D^+, with the
+        # free-evolution diagonals D = p1 and p1 p2 applied to the state
+        dressing = d2, d3 = p1, p1 * p2
+        psi = p2 * (d2 * (u2 @ (d2.conj() * psi)))
+        psi = d3 * (u3 @ (d3.conj() * psi))
+    else:
+        dressing = None
+        psi = u3 @ (p2 * (u2 @ psi))
     final = QuantumState(psi, check=False)
     return ShorRun(
         mode=mode,
         delays=(float(delays[0]), float(delays[1])),
         final_state=final,
         x_distribution=final.probabilities.reshape(X_VALUES, 4).sum(axis=1),
-        trace=_gather_paths(stages, phases) if trace else None,
+        trace=_gather_paths((p1, p2), dressing) if trace else None,
     )
 
 
@@ -270,15 +278,25 @@ def _path_topology(u1, u2, u3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _PATHS = _path_topology(*_STAGES)
 
 
-def _gather_paths(stages: list[np.ndarray], phases: list[np.ndarray]) -> ShorTrace:
-    """Path terms from |00,00> through the stage matrices, along ``_PATHS``.
+def _gather_paths(
+    phases: tuple[np.ndarray, np.ndarray], dressing: tuple[np.ndarray, np.ndarray] | None
+) -> ShorTrace:
+    """Path terms from |00,00> through the stages, along ``_PATHS``.
 
     A path's amplitude is u1[s1, 0] p1[s1] u2[s2, s1] p2[s2] u3[s3, s2],
     multiplied left to right; its terms come out ordered by (s1, s2, s3).
+    With ``dressing`` = (d2, d3), the diagonals D of stages 2 and 3, each
+    entry u[s', s] is dressed as (d[s'] conj(d[s])) u[s', s], the entry of
+    D U D^+.
     """
-    u1, u2, u3 = stages
+    u1, u2, u3 = _STAGES
     s1, s2, s3 = _PATHS
-    amp = u1[s1, 0] * phases[0][s1] * u2[s2, s1] * phases[1][s2] * u3[s3, s2]
+    e2, e3 = u2[s2, s1], u3[s3, s2]
+    if dressing is not None:
+        d2, d3 = dressing
+        e2 = (d2[s2] * d2.conj()[s1]) * e2
+        e3 = (d3[s3] * d3.conj()[s2]) * e3
+    amp = u1[s1, 0] * phases[0][s1] * e2 * phases[1][s2] * e3
     terms: dict[int, list[PathTerm]] = {}
     for states, phase, magnitude in zip(
         zip(s1.tolist(), s2.tolist(), s3.tolist()),

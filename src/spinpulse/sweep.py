@@ -85,6 +85,7 @@ SWEEP_FIELDS = {
 _SWEEP_BLOCK = 128
 #: the two-spin coupling matrix of a unit Ising constant
 _UNIT_COUPLING = np.array([[0.0, 1.0], [1.0, 0.0]])
+_UNIT_COUPLING.setflags(write=False)
 #: the stand-in system ``_sweep_drive`` designs the sweep pulse on
 _STAND_IN = SpinSystem.uniform([0.0, 0.0], 0.0)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from spinpulse import PulseSpec, SpinSystem
-from spinpulse.shor import _stage_matrices
+from spinpulse.shor import DIM, _STAGES
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = 0.5 * np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -63,13 +63,41 @@ def kron_lab_energies(system: SpinSystem) -> np.ndarray:
     return np.real(np.diag(kron_rotating_hamiltonian(system, zero_pulse)))
 
 
+def dressed_stages(mode, delays, energies) -> tuple[list, list]:
+    """Reference: the stage matrices of a run as dressed 16x16 copies, and its delay phases.
+
+    Returns (stages, phases): stages = [U1, U2, U3] applied in order and
+    phases = [p1, p2] applied after stages 1 and 2.  In ``natural-phase``
+    each stage applied at time t is the matrix D(t) U D(t)^+, built from an
+    outer product of the diagonal D(t) with its conjugate.
+    """
+    stages = list(_STAGES)
+    if mode == "instantaneous":
+        return stages, [np.ones(DIM), np.ones(DIM)]
+    p1, p2 = np.exp(-1j * np.multiply.outer(tuple(delays), energies.values))
+    if mode == "natural-phase":
+        d2 = p1 * p2
+        stages[1] = np.multiply.outer(p1, p1.conj()) * stages[1]
+        stages[2] = np.multiply.outer(d2, d2.conj()) * stages[2]
+    return stages, [p1, p2]
+
+
+def dressed_run(mode, delays, energies) -> np.ndarray:
+    """Reference: a run's final amplitudes from the dressed stage matrices."""
+    stages, phases = dressed_stages(mode, delays, energies)
+    psi = phases[0] * stages[0][:, 0]
+    psi = stages[1] @ psi
+    psi = phases[1] * psi
+    return stages[2] @ psi
+
+
 def loop_trace(mode, delays, energies) -> dict:
-    """Reference path terms by a triple loop over the stage matrices' columns.
+    """Reference path terms by a triple loop over the dressed stage matrices' columns.
 
     Maps each final state to its (states, phase, magnitude) triples, ordered
     by (s1, s2, s3).
     """
-    stages, phases = _stage_matrices(mode, delays, energies)
+    stages, phases = dressed_stages(mode, delays, energies)
     terms = {}
     start = 0
     u1, u2, u3 = stages

@@ -244,6 +244,9 @@ class TestCnPulse:
             ({"variant": "inverted"}, "unknown CN variant 'inverted'"),
             ({"target": 2}, "spin index 2 out of range"),
             ({"control": -1}, "spin index -1 out of range"),
+            # a float control was taken as an index, a float target raised TypeError
+            ({"control": 0.0}, "spin index 0.0 is not an integer"),
+            ({"target": 1.0}, "spin index 1.0 is not an integer"),
             ({"rabi": [0.5, 0.1, 0.1]}, "rabi must list 2 per-spin amplitudes"),
             ({"rabi": [0.5, 0.0]}, "target Rabi frequency must be positive"),
             ({"rabi": [0.5, -0.1]}, "target Rabi frequency must be positive"),

@@ -151,6 +151,20 @@ class TestEvolveDeviation:
         outer = np.outer(final.amplitudes[:4], final.amplitudes[:4].conj())
         assert np.max(np.abs(evolved.active_block - outer)) < 0.01
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e8, 1e10, 1e300])
+    def test_results_scale_with_the_deviation(self, ensemble_system, ensemble_pulse, scale):
+        # the dynamics are linear; a Hermiticity re-check of the results with
+        # an absolute tolerance refused 1e8 rho ("not Hermitian (7.451e-09)")
+        rho = init_deviation([0.6, 0.8, 0, 0])
+        scaled = DeviationDensityMatrix(scale * rho.entries)
+        for f in (
+            lambda r: evolve_deviation(r, ensemble_system, ensemble_pulse, t_start=3.0),
+            lambda r: density_to_interaction_picture(r, ensemble_system, 3.0),
+        ):
+            expected = scale * f(rho).entries
+            error = np.abs(f(scaled).entries - expected).max()
+            assert error <= 1e-12 * np.abs(expected).max()
+
     def test_wrong_system_size_rejected(self, gate_system, ensemble_pulse):
         with pytest.raises(ConfigurationError, match="4-spin"):
             evolve_deviation(init_deviation(GATE_INITIAL), gate_system, ensemble_pulse)

@@ -6,11 +6,14 @@ frequencies, and the JSON loaders.
 """
 
 import dataclasses
+import importlib
 import json
+import pkgutil
 
 import numpy as np
 import pytest
 
+import spinpulse
 from spinpulse import (
     ConfigurationError,
     DelaySpec,
@@ -37,6 +40,7 @@ from spinpulse import (
     transition_frequency,
 )
 from spinpulse.ensemble import to_interaction_picture as density_to_interaction_picture
+from spinpulse.model import _spin_flips
 
 from conftest import (
     kron_lab_energies,
@@ -145,6 +149,41 @@ def test_checked_holders_are_frozen(build, name, value):
     # pulse ran, a phase stayed unwrapped, a 3x3 deviation matrix was kept
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(build(), name, value)
+
+
+def _module_arrays(value):
+    """The ndarrays a module global holds, directly, in a tuple or list, or as a state."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _module_arrays(item)
+    elif isinstance(value, QuantumState):
+        yield value.amplitudes
+
+
+@pytest.mark.parametrize(
+    "module",
+    [spinpulse]
+    + [
+        importlib.import_module(f"spinpulse.{m.name}")
+        for m in pkgutil.iter_modules(spinpulse.__path__)
+        if m.name != "__main__"  # importing it runs the command line
+    ],
+    ids=lambda module: module.__name__,
+)
+def test_module_arrays_are_read_only(module):
+    # one write to a shared table changed every later run:
+    # BACKGROUND_DIAGONAL[0] = 7.0 gave init_deviation a trace of 7.5
+    for name, value in vars(module).items():
+        for array in _module_arrays(value):
+            assert not array.flags.writeable, f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("n_spins", [1, 2, 4])
+def test_cached_index_arrays_are_read_only(n_spins):
+    for array in (*_spin_flips(n_spins), spin_z_values(n_spins), total_spin_z(n_spins)):
+        assert not array.flags.writeable
 
 
 @pytest.mark.parametrize(

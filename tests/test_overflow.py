@@ -60,6 +60,11 @@ GATE = SpinSystem(2, [500.0, 100.0], [[0.0, 5.0], [5.0, 0.0]])
 #: entries, but rho - rho^dagger is not
 SKEW = np.zeros((16, 16))
 SKEW[0, 1], SKEW[1, 0] = 1e308, -1e308
+#: a Hermitian deviation matrix with finite entries whose phases or
+#: conjugation by a unitary overflow
+HUGE = np.zeros((16, 16), dtype=complex)
+HUGE[0, 1], HUGE[1, 0] = 1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j
+REGISTER = SpinSystem.uniform([100.0, 200.0, 300.0, 400.0], 10.0)
 
 
 @pytest.mark.parametrize(
@@ -134,6 +139,18 @@ SKEW[0, 1], SKEW[1, 0] = 1e308, -1e308
         (
             lambda: deviation_metric(np.full((2, 2), 1e308), np.full((2, 2), -1e308)),
             "deviation metric not finite",
+        ),
+        # "overflow encountered in multiply" and "in matmul" before
+        (
+            lambda: density_to_interaction_picture(DeviationDensityMatrix(HUGE), REGISTER, 1.0),
+            "deviation matrix not finite",
+        ),
+        (
+            lambda: evolve_deviation(
+                DeviationDensityMatrix(HUGE), REGISTER,
+                cn_pulse(REGISTER, 2, 3, "complementary", rabi=[0.1] * 4), 3.0,
+            ),
+            "deviation matrix not finite",
         ),
     ],
 )
@@ -266,6 +283,11 @@ def test_every_entry_returns_finite_numbers_or_refuses(
     block = np.reshape(table, (4, 4))
     rho = np.zeros((16, 16))
     rho[:4, :4] = block
+    # the block made Hermitian with no arithmetic that can overflow: the real
+    # part mirrors its upper triangle, the imaginary part its lower one
+    hermitian = np.zeros((16, 16), dtype=complex)
+    lower = np.tril(block, -1)
+    hermitian[:4, :4] = np.triu(block) + np.triu(block, 1).T + 1j * (lower - lower.T)
 
     def two():
         return SpinSystem(2, larmor[:2], j[:2, :2])
@@ -297,6 +319,12 @@ def test_every_entry_returns_finite_numbers_or_refuses(
         ),
         "density_to_interaction_picture": lambda: density_to_interaction_picture(
             init_deviation([0.6, 0.8, 0, 0]), four(), t
+        ),
+        "evolve_deviation drawn": lambda: evolve_deviation(
+            DeviationDensityMatrix(hermitian), four(), pulse(4), t
+        ),
+        "density_to_interaction_picture drawn": lambda: density_to_interaction_picture(
+            DeviationDensityMatrix(hermitian), four(), t
         ),
         "DeviationDensityMatrix": lambda: DeviationDensityMatrix(rho),
         "deviation_metric": lambda: deviation_metric(block, block.T),

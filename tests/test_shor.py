@@ -11,6 +11,7 @@ import pytest
 from spinpulse import (
     ConfigurationError,
     EnergyTable,
+    PathTerm,
     PeriodExtractionError,
     QuantumState,
     diagonal_energies,
@@ -21,9 +22,9 @@ from spinpulse import (
     sample_x,
 )
 
-from spinpulse.shor import MODES, _PATHS, _STAGES, _stage_matrices
+from spinpulse.shor import MODES, _PATHS, _STAGES
 
-from conftest import loop_trace, random_state, warnings_are_errors
+from conftest import dressed_run, dressed_stages, loop_trace, random_state, warnings_are_errors
 
 index_of = register_index
 
@@ -313,7 +314,7 @@ class TestTraceMatchesLoop:
         for _ in range(20):
             energies = EnergyTable(rng.uniform(-20, 20, size=16))
             delays = tuple(rng.uniform(0, 5, size=2))
-            stages, _ = _stage_matrices(mode, delays, energies)
+            stages, _ = dressed_stages(mode, delays, energies)
             for u, bare in zip(stages, _STAGES):
                 assert np.array_equal(np.abs(u) > 1e-15, np.abs(bare) > 1e-15)
             u1, u2, u3 = stages
@@ -324,6 +325,35 @@ class TestTraceMatchesLoop:
                 for s3 in np.flatnonzero(np.abs(u3[:, s2]) > 1e-15).tolist()
             ]
             assert list(zip(*(s.tolist() for s in _PATHS))) == expected
+
+    def test_natural_phase_matches_the_dressed_stages(self, rng):
+        # the run applies D U D^+ as diagonals on the state; the reference
+        # multiplies by the dressed matrices, which rounds differently
+        for _ in range(20):
+            energies = EnergyTable(rng.uniform(-20, 20, size=16))
+            delays = tuple(rng.uniform(0, 5, size=2))
+            run = run_shor("natural-phase", delays, energies)
+            expected = dressed_run("natural-phase", delays, energies)
+            assert np.abs(run.final_state.amplitudes - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("mode", ["instantaneous", "bare-delay"])
+    def test_undressed_modes_are_the_dressed_stages_bit_for_bit(self, rng, mode):
+        for _ in range(20):
+            energies = EnergyTable(rng.uniform(-20, 20, size=16))
+            delays = tuple(rng.uniform(0, 5, size=2))
+            run = run_shor(mode, delays, energies)
+            assert np.array_equal(run.final_state.amplitudes, dressed_run(mode, delays, energies))
+
+    def test_path_terms_are_immutable(self):
+        energies = EnergyTable(np.arange(16.0))
+        trace = run_shor("natural-phase", (0.7, 1.3), energies, trace=True).trace
+        term = trace.terms[register_index(0, 1)][0]
+        assert isinstance(term, PathTerm)
+        assert term.states[0] == 0 and term.states[3] == register_index(0, 1)
+        assert isinstance(term.phase, float) and term.magnitude == pytest.approx(0.25)
+        for field in ("states", "phase", "magnitude"):
+            with pytest.raises(AttributeError):
+                setattr(term, field, 0)
 
     def test_instantaneous_run_matches_the_stages(self):
         applied = _STAGES[2] @ (_STAGES[1] @ (_STAGES[0] @ QuantumState.basis(4, 0).amplitudes))
