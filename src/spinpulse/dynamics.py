@@ -12,9 +12,14 @@ Three routes are provided and cross-checked against each other:
   ``evolve_pulse`` applies the factors (the frame diagonals, the
   eigenvectors and the eigenphases) to the state and never forms the
   propagator; ``pulse_propagator`` forms it from the same checked factors.
+  Their overflow checks are made in Python floats before numpy computes
+  anything, so they need no numpy error state: one bound from the carrier,
+  the largest |E| and the two frame angles before the eigensolve, and the
+  two ends of the sorted eigenvalues times the duration after it.
   ``pulse_propagators`` forms the propagators of a stack of pulses that
   start at t = 0, each drive carrying its pulse's phase, with one stacked
-  eigensolve.
+  eigensolve.  Every route builds its Hamiltonians with
+  ``model.rotating_hamiltonian``.
 * ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
   Magnus integration of the explicitly time-dependent lab-frame Schrodinger
   equation.  H(t) enters only through one ``lab_hamiltonian`` call at the
@@ -51,7 +56,7 @@ from .model import (
     PulseSpec,
     QuantumState,
     SpinSystem,
-    drive_half,
+    max_abs,
     require_finite,
     rotating_hamiltonian,
     too_large,
@@ -129,45 +134,21 @@ def _require_normalized(state: QuantumState) -> None:
         raise ValueError(f"input state is not normalized (|norm - 1| = {drift:.3e})")
 
 
-def _exact_factors(
-    energies: np.ndarray,
-    carrier: float | np.ndarray,
-    drive: np.ndarray,
-    duration: float,
-    t_start: float,
-    phase: float | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The factors of U = L V exp(-i Lambda tau) V^dagger R, for one pulse or a stack.
-
-    V Lambda V^dagger is the eigendecomposition of the rotating-frame
-    Hamiltonian that ``model.rotating_hamiltonian`` builds from ``energies``,
-    ``carrier`` and ``drive``, in the drive's dtype; L = exp(+i (w t1 + phi) Z)
-    and R = exp(-i (w t0 + phi) Z) are diagonals, with Z the total I^z,
-    t0 = t_start and t1 = t_start + duration.  Returns V, exp(-i Lambda tau),
-    L and R; every entry of each has modulus at most 1 unless it is not
-    finite.
-    """
-    vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, drive))
-    z = total_spin_z(np.shape(energies)[-1].bit_length() - 1)
-    return (
-        vecs,
-        np.exp(-1j * vals * duration),
-        np.exp(np.multiply.outer(1j * (carrier * (t_start + duration) + phase), z)),
-        np.exp(np.multiply.outer(-1j * (carrier * t_start + phase), z)),
-    )
-
-
 def pulse_propagators(
-    energies: np.ndarray, carrier: np.ndarray, drive: np.ndarray, duration: float
+    energies: np.ndarray,
+    carrier: np.ndarray,
+    rabi: np.ndarray,
+    duration: float,
+    phase: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact lab-frame propagators of a stack of n pulses, each starting at t = 0.
 
     Each is U = exp(+i w tau Z) exp(-i H_rot tau) with Z the total I^z and
     H_rot the rotating-frame Hamiltonian that ``model.rotating_hamiltonian``
-    builds from the Ising diagonal ``energies`` (n, dim), the carrier w (n,)
-    and the drive half ``drive`` (n, dim, dim).  The drive carries the
-    pulse's phase: a complex stack e^{i phi} R, with R the real drive half
-    of ``model.drive_half``, gives the U of a pulse at phase phi.
+    builds from the Ising diagonal ``energies`` (n, dim), the carrier w (n,),
+    the Rabi frequencies ``rabi`` (n, N) and, as its field angle, the drive
+    phase ``phase`` (n,).  Without ``phase`` H_rot is the real symmetric
+    Hamiltonian of the phase-zero drive, as on the single-pulse route.
 
     Returns U (n, dim, dim).  A pulse whose energies or carrier are not
     finite is left out of the eigensolve and its U is NaN; a U can also
@@ -179,10 +160,14 @@ def pulse_propagators(
     with np.errstate(over="ignore", invalid="ignore"):
         ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
         if not ok.all():
-            energies, carrier, drive = energies[ok], carrier[ok], drive[ok]
-        vecs, phases, left, right = _exact_factors(energies, carrier, drive, duration, 0.0, 0.0)
-        u = (vecs * phases[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
-        u = left[:, :, None] * u * right[:, None, :]
+            energies, carrier, rabi = energies[ok], carrier[ok], rabi[ok]
+            phase = None if phase is None else phase[ok]
+        h = rotating_hamiltonian(energies, carrier[:, None], rabi, phase)
+        vals, vecs = np.linalg.eigh(h)
+        z = total_spin_z(dim.bit_length() - 1)
+        u = (vecs * np.exp(-1j * vals * duration)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
+        # the frame's turn exp(+i w tau Z); at t = 0 the right-hand turn is 1
+        u = np.exp(np.multiply.outer(1j * (carrier * duration), z))[:, :, None] * u
     if len(u) < n:
         u_ok, u = u, np.full((n, dim, dim), np.nan, dtype=complex)
         u[ok] = u_ok
@@ -192,24 +177,47 @@ def pulse_propagators(
 def _pulse_factors(
     system: SpinSystem, pulse: PulseSpec, t_start: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The factors of ``_exact_factors`` for one pulse, checked for finiteness.
+    """The factors of U = L V exp(-i Lambda tau) V^T R for one pulse, checked.
 
-    Both single-pulse routes take their factors from here, so they raise
-    together.  Raises ConfigurationError if ``t_start`` or a factor is not
-    finite.
+    V Lambda V^T is the eigendecomposition of the real symmetric
+    rotating-frame Hamiltonian of the phase-zero drive
+    (``model.rotating_hamiltonian``); L = exp(+i a1 Z) and R = exp(-i a0 Z)
+    are diagonals, with Z the total I^z and the frame angles
+    a0 = w t0 + phi and a1 = w (t0 + tau) + phi, t0 = t_start.  Returns V,
+    exp(-i Lambda tau), L and R.  Both single-pulse routes take their
+    factors from here, so they raise together.
+
+    The checks are made in Python floats, before numpy touches the numbers,
+    so they hold whatever numpy's error state:
+
+    * max(|a1|, |a0|, |w|) max|Z| + max|E| bounds every entry of the
+      diagonal E + w Z and every frame angle a Z; if it is finite, none of
+      them overflows;
+    * after the eigensolve, max(-lambda_0, lambda_last) tau bounds every
+      eigenphase, as the eigenvalues come sorted.
+
+    Raises ConfigurationError if ``t_start`` is not finite, or if the
+    pulse's energies, carrier or propagator leave double precision.
     """
     if not math.isfinite(t_start):
         raise ConfigurationError(f"t_start must be finite, got {t_start}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        factors = _exact_factors(
-            system.energies, pulse.carrier, drive_half(system, pulse), pulse.duration,
-            t_start, pulse.phase,
-        )
-        # np.vdot(x, x).real sums |x|^2; every entry has modulus <= 1 or is
-        # not finite, so the sum is finite exactly when every factor is
-        norms = sum(np.vdot(x, x).real for x in factors)
-    require_finite(norms, "pulse energies, carrier or propagator")
-    return factors
+    energies = system.energies
+    pulse.check_against(system)
+    t_start, carrier, tau = float(t_start), float(pulse.carrier), float(pulse.duration)
+    a0 = carrier * t_start + pulse.phase
+    a1 = carrier * (t_start + tau) + pulse.phase
+    z_max = 0.5 * system.n_spins
+    what = "pulse energies, carrier or propagator"
+    # a1 first: only a1 can be NaN (a zero carrier over an infinite t1), and
+    # max keeps a NaN first argument
+    require_finite(max(abs(a1), abs(a0), abs(carrier)) * z_max + max_abs(energies), what)
+    vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, pulse.rabi))
+    low, high = float(vals[0]), float(vals[-1])
+    require_finite(max(-low, high) * tau if low <= high else math.nan, what)
+    # both frame diagonals from one exponential
+    angles = np.multiply.outer(np.array((1j * a1, -1j * a0)), total_spin_z(system.n_spins))
+    left, right = np.exp(angles)
+    return vecs, np.exp(-1j * vals * tau), left, right
 
 
 def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0) -> np.ndarray:
@@ -220,7 +228,7 @@ def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0)
     the phase-zero drive and t1 = t_start + duration, formed from the
     checked factors ``evolve_pulse`` applies.  At t_start = 0 it is, up to
     rounding, the U ``pulse_propagators`` gives for a stack of one with the
-    drive e^{i phi} R.  Raises ConfigurationError if ``t_start``, the
+    pulse's phase.  Raises ConfigurationError if ``t_start``, the
     energies, the carrier or a factor of U are not finite.
     """
     vecs, phases, left, right = _pulse_factors(system, pulse, t_start)
@@ -264,11 +272,13 @@ def evolve_delay(
 def free_evolution_phases(system: SpinSystem, t: float) -> np.ndarray:
     """The phase factors exp(-i E_n t) of free evolution for a time t.
 
-    Raises ConfigurationError if E_n t overflows double precision.
+    Raises ConfigurationError if E_n t overflows double precision, checked
+    in Python floats as |t| max|E| before numpy computes anything.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = system.energies * t
-    return np.exp(-1j * require_finite(angles, "free-evolution phases"))
+    t = float(t)
+    energies = system.energies
+    require_finite(abs(t) * max_abs(energies), "free-evolution phases")
+    return np.exp(-1j * (energies * t))
 
 
 def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) -> QuantumState:
@@ -353,9 +363,9 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray)
         raise ConfigurationError(f"t must be finite, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
         angle = require_finite(pulse.carrier * np.asarray(t) + pulse.phase, "drive angle")
-    drive = np.exp(1j * angle)[..., None, None]
+    pulse.check_against(system)
     # the rotating-frame Hamiltonian of a zero carrier, field at angle w t + phi
-    return rotating_hamiltonian(system.energies, 0.0, drive * drive_half(system, pulse))
+    return rotating_hamiltonian(system.energies, 0.0, pulse.rabi, angle)
 
 
 def _power_onto(m: np.ndarray, n: int, y: np.ndarray | None = None) -> np.ndarray:

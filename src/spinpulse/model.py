@@ -59,6 +59,11 @@ def require_finite(values, what: str):
     return values
 
 
+def max_abs(values: np.ndarray) -> float:
+    """The largest |value| of a few numbers as a Python float, for bounds checked without numpy."""
+    return max(map(abs, values.tolist()))
+
+
 def require_finite_arguments(**values) -> None:
     """Raises ValueError naming the first argument that holds a NaN or an infinity."""
     for name, value in values.items():
@@ -138,9 +143,15 @@ def total_spin_z(n_spins: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _spin_flips(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (ground, excited, spin) of every single-spin flip (read-only, cached)."""
+    """Every single-spin flip of a (2^N, 2^N) matrix (read-only, cached).
+
+    Returns the flat indices of its (ground, excited) and (excited, ground)
+    entries, and the flipped spin.
+    """
+    dim = 2**n_spins
     ground, spin = np.nonzero(spin_z_values(n_spins) > 0)
-    flips = ground, ground | (1 << (n_spins - 1 - spin)), spin
+    excited = ground | (1 << (n_spins - 1 - spin))
+    flips = ground * dim + excited, excited * dim + ground, spin
     for a in flips:
         a.setflags(write=False)
     return flips
@@ -344,37 +355,40 @@ def diagonal_energies(system: SpinSystem) -> np.ndarray:
     return system.energies
 
 
-def drive_half(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
-    """(ground, excited) half R of the pulse drive, a real (float64) matrix.
+def rotating_hamiltonian(energies: np.ndarray, carrier, rabi: np.ndarray, angle=None):
+    """Rotating-frame Hamiltonians diag(E + omega Z) + e^{ia} R + e^{-ia} R^T.
 
-    The drive -sum_k Omega_k [cos(a) I^x_k - sin(a) I^y_k] at field angle a
-    equals e^{ia} R + e^{-ia} R^T, where R holds -Omega_k/2 at
-    (ground, ground with spin k flipped) for every spin k.  The angle is the
-    phase phi in the rotating frame and w t + phi in the lab frame.  R
-    raises the total I^z by one, so e^{ia} R = e^{iaZ} R e^{-iaZ}: the
-    angle is a turn of the frame about the total I^z axis Z, and at a = 0
-    the rotating-frame Hamiltonian is real symmetric.
+    Z is the total I^z and R the (ground, excited) half of the drive: it
+    holds -Omega_k/2 at (ground, ground with spin k flipped) for every spin
+    k.  The drive -sum_k Omega_k [cos(a) I^x_k - sin(a) I^y_k] at field
+    angle a is e^{ia} R + e^{-ia} R^T; the angle is the phase phi in the
+    rotating frame and w t + phi in the lab frame.  R raises the total I^z
+    by one, so e^{ia} R = e^{iaZ} R e^{-iaZ}: the angle is a turn of the
+    frame about Z.
+
+    The Rabi frequencies ``rabi`` (..., N) and the field angles ``angle``
+    (...) broadcast to the leading batch axes; the Ising diagonals
+    ``energies`` (..., dim) and the carrier frequencies omega (a number, or
+    (..., 1) for a stack) broadcast into them.  Without ``angle`` (a = 0)
+    the result is real symmetric (float64), otherwise complex Hermitian.
+    Each is built in one fresh buffer, at the flip indices of
+    ``_spin_flips``; nothing is checked here.
     """
-    pulse.check_against(system)
-    ground, excited, spin = _spin_flips(system.n_spins)
-    r = np.zeros((system.dim, system.dim))
-    r[ground, excited] = -0.5 * pulse.rabi[spin]
-    return r
-
-
-def rotating_hamiltonian(energies: np.ndarray, carrier, drive: np.ndarray) -> np.ndarray:
-    """Rotating-frame Hamiltonians diag(E + omega I^z_total) + D + D^dagger.
-
-    ``energies`` (..., dim) are Ising diagonals E, ``carrier`` (...) the
-    carrier frequencies omega and ``drive`` (..., dim, dim) the drive half
-    D = e^{i phi} R (see ``drive_half``), with the same leading batch axes.
-    The result has the drive's dtype: real symmetric for D = R (phi = 0).
-    """
-    dim = np.shape(energies)[-1]
-    h = drive + drive.conj().swapaxes(-1, -2)
-    diagonal = np.einsum("...ii->...i", h)  # a writable view
-    diagonal += energies + np.multiply.outer(carrier, total_spin_z(dim.bit_length() - 1))
-    return h
+    dim = energies.shape[-1]
+    n_spins = dim.bit_length() - 1
+    upper, lower, spin = _spin_flips(n_spins)
+    # R + R^T at (ground, excited) and at (excited, ground), flip by flip:
+    # -Omega/2 + 0 (the transposes index the last axis without an ellipsis)
+    above = below = (-0.5 * rabi + 0.0).T[spin].T
+    if angle is not None:
+        above = np.exp(1j * np.asarray(angle))[..., None] * above
+        below = above.conj()
+    batch = above.shape[:-1]
+    h = np.zeros((*batch, dim * dim), dtype=above.dtype)
+    h.T[upper] = above.T
+    h.T[lower] = below.T
+    h[..., :: dim + 1] += energies + carrier * total_spin_z(n_spins)
+    return h.reshape(*batch, dim, dim)
 
 
 def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> np.ndarray:
@@ -387,12 +401,13 @@ def build_rotating_hamiltonian(system: SpinSystem, pulse: PulseSpec) -> np.ndarr
     circularly polarized; no rotating-wave approximation is involved.  The
     diagonal is E_n + omega * I^z_total; off-diagonal elements connect
     single-spin-flip pairs with value -(Omega_k/2) e^{+i phi} on the
-    (ground, excited) side.  Returns a complex Hermitian ndarray.  Raises
-    ConfigurationError if the diagonal overflows double precision.
+    (ground, excited) side (see ``rotating_hamiltonian``).  Returns a
+    complex Hermitian ndarray.  Raises ConfigurationError if the diagonal
+    overflows double precision.
     """
-    drive = np.exp(1j * pulse.phase) * drive_half(system, pulse)
+    pulse.check_against(system)
     with np.errstate(over="ignore", invalid="ignore"):
-        h = rotating_hamiltonian(system.energies, pulse.carrier, drive)
+        h = rotating_hamiltonian(system.energies, pulse.carrier, pulse.rabi, pulse.phase)
     require_finite(h.diagonal(), "rotating-frame energies")
     return h
 

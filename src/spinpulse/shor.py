@@ -41,7 +41,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ConfigurationError, QuantumState, SpinSystem, finite_reals, require_finite
+from .model import (
+    ConfigurationError,
+    QuantumState,
+    SpinSystem,
+    finite_reals,
+    max_abs,
+    require_finite,
+)
 
 N_QUBITS = 4
 DIM = 16
@@ -52,7 +59,8 @@ MODES = ("instantaneous", "bare-delay", "natural-phase")
 #: the circuit's base and modulus: y = 3^x mod 4, and the factor is read off 4
 _BASE = 3
 _MODULUS = 4
-#: an x carries support in a measured distribution above this probability
+#: an x carries support in a measured distribution above this probability,
+#: and ``sample_x`` draws from probabilities on a grid of this spacing
 _SUPPORT_TOL = 1e-12
 
 
@@ -204,7 +212,8 @@ def _delay_phases(
 
     They are exp(-i E tau) for the delays of ``bare-delay`` and
     ``natural-phase`` and ones for ``instantaneous``.  Raises
-    ConfigurationError if a delay phase overflows double precision.
+    ConfigurationError if a delay phase overflows double precision; the
+    check is made in Python floats, before numpy computes the phases.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; choose one of {MODES}")
@@ -216,9 +225,9 @@ def _delay_phases(
         return ones, ones
     if energies is None:
         raise ConfigurationError(f"mode {mode!r} requires an energy table")
-    with np.errstate(over="ignore"):
-        angles = np.multiply.outer((tau1, tau2), energies.values)
-    p1, p2 = np.exp(-1j * require_finite(angles, "delay phases"))
+    # max(tau) max|E| bounds every angle tau E
+    require_finite(max(float(tau1), float(tau2)) * max_abs(energies.values), "delay phases")
+    p1, p2 = np.exp(-1j * np.multiply.outer((tau1, tau2), energies.values))
     return p1, p2
 
 
@@ -278,6 +287,34 @@ def _path_topology(u1, u2, u3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _PATHS = _path_topology(*_STAGES)
 
 
+def _path_constants():
+    """What every traced run reads off ``_PATHS`` (read-only).
+
+    Returns the undressed entries u1[s1, 0], u2[s2, s1] and u3[s3, s2] of
+    each path, in path order; the permutation that groups the paths by final
+    state, in order of first appearance and in path order within a group;
+    each path's ``states`` tuple in that grouped order; and each group as
+    (final state, first, end) positions in it.
+    """
+    u1, u2, u3 = _STAGES
+    s1, s2, s3 = _PATHS
+    groups: dict[int, list[int]] = {}
+    for path, final in enumerate(s3.tolist()):
+        groups.setdefault(final, []).append(path)
+    by_final = np.concatenate(list(groups.values()))
+    states = tuple((0, *path) for path in zip(*(s[by_final].tolist() for s in _PATHS)))
+    ends = np.cumsum([len(paths) for paths in groups.values()]).tolist()
+    return (
+        _read_only(u1[s1, 0], u2[s2, s1], u3[s3, s2]),
+        *_read_only(by_final),
+        states,
+        tuple(zip(groups, [0, *ends], ends)),
+    )
+
+
+_PATH_ENTRIES, _BY_FINAL, _PATH_STATES, _PATH_GROUPS = _path_constants()
+
+
 def _gather_paths(
     phases: tuple[np.ndarray, np.ndarray], dressing: tuple[np.ndarray, np.ndarray] | None
 ) -> ShorTrace:
@@ -287,24 +324,20 @@ def _gather_paths(
     multiplied left to right; its terms come out ordered by (s1, s2, s3).
     With ``dressing`` = (d2, d3), the diagonals D of stages 2 and 3, each
     entry u[s', s] is dressed as (d[s'] conj(d[s])) u[s', s], the entry of
-    D U D^+.
+    D U D^+.  The path constants are built at import, so a run only
+    multiplies the phases in and makes the terms.
     """
-    u1, u2, u3 = _STAGES
     s1, s2, s3 = _PATHS
-    e2, e3 = u2[s2, s1], u3[s3, s2]
+    e1, e2, e3 = _PATH_ENTRIES
     if dressing is not None:
         d2, d3 = dressing
         e2 = (d2[s2] * d2.conj()[s1]) * e2
         e3 = (d3[s3] * d3.conj()[s2]) * e3
-    amp = u1[s1, 0] * phases[0][s1] * e2 * phases[1][s2] * e3
-    terms: dict[int, list[PathTerm]] = {}
-    for states, phase, magnitude in zip(
-        zip(s1.tolist(), s2.tolist(), s3.tolist()),
-        np.angle(amp).tolist(),
-        np.abs(amp).tolist(),
-    ):
-        terms.setdefault(states[2], []).append(PathTerm((0, *states), phase, magnitude))
-    return ShorTrace(terms={k: tuple(v) for k, v in terms.items()})
+    amp = (e1 * phases[0][s1] * e2 * phases[1][s2] * e3)[_BY_FINAL]
+    # np.angle is arctan2(imag, real)
+    angles = np.arctan2(amp.imag, amp.real).tolist()
+    terms = tuple(map(PathTerm, _PATH_STATES, angles, np.abs(amp).tolist()))
+    return ShorTrace(terms={final: terms[first:end] for final, first, end in _PATH_GROUPS})
 
 
 def extract_period(distribution) -> PeriodResult:
@@ -340,7 +373,14 @@ def extract_period(distribution) -> PeriodResult:
 def sample_x(
     distribution, shots: int, seed: int | None = None
 ) -> dict[int, int]:
-    """Draw x-measurement counts from an exact distribution (demo output)."""
+    """Draw x-measurement counts from an exact distribution (demo output).
+
+    The normalized probabilities are snapped to multiples of 1e-12, the
+    support threshold of ``extract_period``, and normalized again before
+    the draw, so a seeded sample does not turn on the last bits that
+    rounding moves.
+    """
     probs = np.asarray(distribution, dtype=float)
-    counts = np.random.default_rng(seed).multinomial(shots, probs / probs.sum())
+    grid = np.rint(probs / probs.sum() / _SUPPORT_TOL)
+    counts = np.random.default_rng(seed).multinomial(shots, grid / grid.sum())
     return {x: int(c) for x, c in enumerate(counts) if c}

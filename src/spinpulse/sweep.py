@@ -35,7 +35,6 @@ from .model import (
     ConfigurationError,
     QuantumState,
     SpinSystem,
-    drive_half,
     finite_real,
     finite_reals,
     ising_diagonal,
@@ -90,17 +89,15 @@ _UNIT_COUPLING.setflags(write=False)
 _STAND_IN = SpinSystem.uniform([0.0, 0.0], 0.0)
 
 
-def _sweep_drive(rabi: float) -> tuple[float, np.ndarray]:
-    """Duration and drive halves (control driven, then undriven) of the sweep pulse.
+def _sweep_drive(rabi: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Duration, Rabi frequencies and phases of the sweep pulses: control driven, undriven.
 
-    Both depend on rabi alone, so every cell shares them.  cn_pulse builds
+    They depend on rabi alone, so every cell shares them.  cn_pulse builds
     them on a stand-in system, so a bad rabi fails as it does there.
     """
     pulses = [cn_pulse(_STAND_IN, 0, 1, "standard", rabi=[r, rabi]) for r in (rabi, 0.0)]
-    # the complex stack e^{i phi} R, with the phase left out of the frame: a
-    # real eigensolve would move the sweep's deviations by up to ~1.2e-12
-    drive = np.stack([np.exp(1j * p.phase) * drive_half(_STAND_IN, p) for p in pulses])
-    return pulses[0].duration, drive
+    rabis = np.stack([p.rabi for p in pulses])
+    return pulses[0].duration, rabis, np.array([p.phase for p in pulses])
 
 
 def _block_deviations(
@@ -108,7 +105,7 @@ def _block_deviations(
     j_ratio: np.ndarray,
     rabi: float,
     base_larmor: float,
-    pulse: tuple[float, np.ndarray] | str,
+    pulse: tuple[float, np.ndarray, np.ndarray] | str,
 ) -> list[float | str]:
     """Deviation of each cell of a block, or the text of the error that stopped it.
 
@@ -131,13 +128,17 @@ def _block_deviations(
                 out[i] = str(exc)
         if isinstance(pulse, str):
             return [pulse if v is None else v for v in out]
-        duration, drive = pulse
+        duration, rabis, phases = pulse
         energies = ising_diagonal(larmor[valid], coupling[valid, None, None] * _UNIT_COUPLING)
         energies = np.repeat(energies, 2, axis=0)  # each cell once per drive setting
         # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
         carrier = energies[:, 3] - energies[:, 2]
-        drives = np.tile(drive, (len(carrier) // 2, 1, 1))
-        u = pulse_propagators(energies, carrier, drives, duration)
+        # the phase stays in the drive, a complex eigensolve: a real one, with
+        # the phase in the frame, would move the deviations by up to ~1.2e-12
+        cells = len(carrier) // 2
+        u = pulse_propagators(
+            energies, carrier, np.tile(rabis, (cells, 1)), duration, np.tile(phases, cells)
+        )
         psi = np.exp(1j * energies * duration) * (u @ SWEEP_INITIAL)  # interaction picture
         rho = psi[:, :, None] * psi.conj()[:, None, :]
         # a non-finite energy, carrier, propagator or phase makes the deviation NaN

@@ -53,7 +53,7 @@ from spinpulse.dynamics import (
     pulse_propagators,
 )
 from spinpulse.ensemble import init_deviation, to_interaction_picture as density_to_interaction_picture
-from spinpulse.model import drive_half, total_spin_z
+from spinpulse.model import rotating_hamiltonian, spin_z_values, total_spin_z
 
 from conftest import (
     GATE_FINAL,
@@ -455,9 +455,68 @@ class TestRealEigensolve:
         pulse = PulseSpec(carrier, phase, rng.uniform(0, 0.5, size=n_spins), duration)
         u = pulse_propagator(system, pulse, t_start)
         assert np.max(np.abs(u - complex_route_propagator(system, pulse, t_start))) <= 3e-11
-        assert drive_half(system, pulse).dtype == np.float64
+        assert rotating_hamiltonian(system.energies, carrier, pulse.rabi).dtype == np.float64
         at_zero = PulseSpec(carrier, 0.0, pulse.rabi, duration)
         assert not np.imag(build_rotating_hamiltonian(system, at_zero)).any()
+
+
+def separate_build_factors(system, pulse, t_start):
+    """Reference: the exact route's factors, each built on its own.
+
+    The drive half R is scattered into a zero matrix of its own, H = R + R^T
+    gets E + w Z on its diagonal, and the eigenphases and the two frame
+    diagonals are three separate exponentials.  No check is made.
+    """
+    n = system.n_spins
+    ground, spin = np.nonzero(spin_z_values(n) > 0)
+    excited = ground | (1 << (n - 1 - spin))
+    r = np.zeros((system.dim, system.dim))
+    r[ground, excited] = -0.5 * pulse.rabi[spin]
+    h = r + r.conj().swapaxes(-1, -2)
+    z = total_spin_z(n)
+    diagonal = np.einsum("...ii->...i", h)
+    diagonal += system.energies + np.multiply.outer(pulse.carrier, z)
+    vals, vecs = np.linalg.eigh(h)
+    w, tau, phi = pulse.carrier, pulse.duration, pulse.phase
+    return (
+        vecs,
+        np.exp(-1j * vals * tau),
+        np.exp(np.multiply.outer(1j * (w * (t_start + tau) + phi), z)),
+        np.exp(np.multiply.outer(-1j * (w * t_start + phi), z)),
+    )
+
+
+class TestFactorsBitForBit:
+    """The one Hamiltonian builder and the Python-float checks move no bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_spins=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        carrier=st.just(0.0) | st.floats(-300.0, 300.0),
+        phase=st.just(0.0) | st.floats(0.0, 2 * np.pi),
+        duration=st.floats(0.01, 50.0),
+        t_start=st.just(0.0) | st.floats(-100.0, 100.0),
+        undriven=st.integers(0, 4),
+    )
+    def test_matches_the_separate_build(
+        self, n_spins, seed, carrier, phase, duration, t_start, undriven
+    ):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n_spins)
+        rabi = rng.uniform(0, 0.5, size=n_spins)
+        rabi[undriven:] = 0.0  # undriven spins: zero entries of R
+        pulse = PulseSpec(carrier, phase, rabi, duration)
+        state = random_state(rng, system.dim)
+        vecs, phases, left, right = separate_build_factors(system, pulse, t_start)
+        np.testing.assert_array_equal(
+            pulse_propagator(system, pulse, t_start),
+            left[:, None] * (vecs * phases).dot(vecs.T) * right,
+        )
+        np.testing.assert_array_equal(
+            evolve_pulse(QuantumState(state), system, pulse, t_start).amplitudes,
+            left * vecs.dot(phases * vecs.T.dot(right * state)),
+        )
 
 
 class TestPulsePropagators:
@@ -468,8 +527,8 @@ class TestPulsePropagators:
         ]
         energies = np.array([diagonal_energies(s) for s in systems])
         carrier = np.array([p.carrier for p in pulses])
-        drive = np.array([drive_half(s, p) for s, p in zip(systems, pulses)])
-        u = pulse_propagators(energies, carrier, drive, 2.5)
+        rabi = np.array([p.rabi for p in pulses])
+        u = pulse_propagators(energies, carrier, rabi, 2.5)
         for i, (system, pulse) in enumerate(zip(systems, pulses)):
             assert np.array_equal(u[i], pulse_propagator(system, pulse))
 
@@ -483,13 +542,12 @@ class TestPulsePropagators:
     def test_one_pulse_is_the_stack_of_one(self, n_spins, seed, carrier, duration):
         # the single-pulse route forms U from its own checked factors, in the
         # stack's order of operations: bit for bit the same U for a pulse at
-        # t = 0 and phase 0, whose drive half is real in both routes
+        # t = 0 and phase 0, whose Hamiltonian is real in both routes
         rng = np.random.default_rng(seed)
         system = random_system(rng, n_spins)
         pulse = PulseSpec(carrier, 0.0, rng.uniform(0, 0.5, size=n_spins), duration)
         [u] = pulse_propagators(
-            system.energies[None], np.array([pulse.carrier]), drive_half(system, pulse)[None],
-            duration,
+            system.energies[None], np.array([pulse.carrier]), pulse.rabi[None], duration
         )
         assert np.array_equal(pulse_propagator(system, pulse), u)
 
@@ -499,9 +557,9 @@ class TestPulsePropagators:
         energies = np.tile(diagonal_energies(gate_system), (4, 1))
         energies[1, 2] = np.inf
         carrier = np.array([gate_pulse.carrier, gate_pulse.carrier, np.nan, 1e308])
-        drive = np.tile(drive_half(gate_system, gate_pulse), (4, 1, 1))
+        rabi = np.tile(gate_pulse.rabi, (4, 1))
         with np.errstate(over="raise", invalid="raise"):
-            u = pulse_propagators(energies, carrier, drive, gate_pulse.duration)
+            u = pulse_propagators(energies, carrier, rabi, gate_pulse.duration)
         assert np.array_equal(u[0], pulse_propagator(gate_system, gate_pulse))
         assert [bool(np.isfinite(m).all()) for m in u] == [True, False, False, False]
         assert np.all(np.isnan(u[1:3]))
@@ -916,8 +974,13 @@ class TestDriveCovariance:
     def test_drive_raises_total_spin_z_by_one(self, case):
         system, pulse = case
         z = total_spin_z(system.n_spins)
-        rows, cols = np.nonzero(drive_half(system, pulse))
-        assert np.all(z[rows] - z[cols] == 1)
+        # R sits where the total I^z rises by one, and carries e^{+ia} there
+        r = rotating_hamiltonian(np.zeros(system.dim), 0.0, pulse.rabi)
+        h = rotating_hamiltonian(np.zeros(system.dim), 0.0, pulse.rabi, 1.0)
+        rows, cols = np.nonzero(r)
+        assert np.all(np.abs(z[rows] - z[cols]) == 1)
+        phase = np.where(z[rows] - z[cols] == 1, np.exp(1j), np.exp(-1j))
+        assert np.array_equal(h[rows, cols], phase * r[rows, cols])
 
     @settings(max_examples=80, deadline=None)
     @given(case=driven_systems(), t=st.floats(-1e3, 1e3))

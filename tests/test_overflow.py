@@ -162,6 +162,75 @@ def test_overflow_refused_with_one_message(call, what, error_state):
             call()
 
 
+#: a register whose control level sits at 1e8: a target Rabi frequency of
+#: 1e-300 makes a pi-pulse of 3.1e300, whose frame angles stay finite while
+#: tau times an eigenvalue of ~1e8 does not
+SLOW = SpinSystem(2, [1.0, 2e8], np.zeros((2, 2)))
+#: one spin with no energy at all
+ZERO = SpinSystem(1, [0.0], [[0.0]])
+#: the exact route's one overflow message
+PULSE_TOO_LARGE = (
+    "values too large for double precision (pulse energies, carrier or propagator not finite)"
+)
+
+
+@pytest.mark.parametrize(
+    "pulse, t_start",
+    [
+        # w Z on the diagonal: 2e308 for four spins
+        (PulseSpec(1e308, 0.0, [0.1] * 4, 1.0), 0.0),
+        # the eigenphases: tau lambda ~ 3e308
+        (cn_pulse(SLOW, 1, 0, rabi=[1e-300, 0.0]), 0.0),
+        # a frame angle: w t0 = 1e309
+        (PulseSpec(10.0, 0.0, [0.1] * 4, 1.0), 1e308),
+        # a NaN frame angle, w t1 = 0 x inf, on a Hamiltonian of zeros whose
+        # eigenphases are all 0
+        (PulseSpec(0.0, 0.0, [0.0], 1e308), 1e308),
+    ],
+    ids=["diagonal", "eigenphases", "frame-angle", "nan-frame-angle"],
+)
+@pytest.mark.parametrize("route", ["pulse_propagator", "evolve_pulse"])
+@pytest.mark.parametrize("error_state", ["warn", "raise"])
+def test_exact_route_refuses_in_python_floats(pulse, t_start, route, error_state):
+    # the checks run on Python floats before numpy computes, so numpy's error
+    # state cannot change what is refused or how
+    system = {1: ZERO, 2: SLOW, 4: REGISTER}[len(pulse.rabi)]
+    calls = {
+        "pulse_propagator": lambda: pulse_propagator(system, pulse, t_start),
+        "evolve_pulse": lambda: evolve_pulse(
+            QuantumState.basis(system.n_spins, 0), system, pulse, t_start
+        ),
+    }
+    with warnings_are_errors(error_state):
+        with pytest.raises(ConfigurationError) as refused:
+            calls[route]()
+    assert str(refused.value) == PULSE_TOO_LARGE
+
+
+@pytest.mark.parametrize(
+    "carrier, t_start",
+    # the bound takes the largest of |w|, |w t0| and |w t1|, not their sum,
+    # so it refuses no pulse whose factors double precision holds
+    [(1.7e308, 0.0), (3e307, 2.0)],
+)
+@pytest.mark.parametrize("error_state", ["warn", "raise"])
+def test_exact_route_keeps_what_double_precision_holds(carrier, t_start, error_state):
+    with warnings_are_errors(error_state):
+        u = pulse_propagator(GATE, PulseSpec(carrier, 0.0, [0.1, 0.1], 1.0), t_start)
+    assert np.isfinite(u).all()
+
+
+@pytest.mark.parametrize("mode", ["bare-delay", "natural-phase"])
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("error_state", ["warn", "raise"])
+def test_delay_phases_refused_in_python_floats(mode, trace, error_state):
+    energies = EnergyTable(np.full(16, 10.0))
+    with warnings_are_errors(error_state):
+        with pytest.raises(ConfigurationError) as refused:
+            run_shor(mode, delays=(1e308, 1.0), energies=energies, trace=trace)
+    assert str(refused.value) == "values too large for double precision (delay phases not finite)"
+
+
 @pytest.mark.parametrize(
     "call, name",
     [

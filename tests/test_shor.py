@@ -448,6 +448,15 @@ class TestSampling:
         assert sum(counts.values()) == 200
         assert set(counts) <= {0, 2}
 
+    def test_last_bit_does_not_move_the_sample(self):
+        # drawn as they are, 0.5 + 2.2e-16 gives {0: 30, 2: 20} and 0.5 gives {0: 20, 2: 30}
+        counts = {0: 20, 2: 30}
+        assert sample_x([0.5, 0.0, 0.5, 0.0], 50, seed=3) == counts
+        assert sample_x([0.5000000000000002, 0.0, 0.4999999999999998, 0.0], 50, seed=3) == counts
+        # the grid is laid over the normalized probabilities, at any scale
+        with warnings_are_errors("raise"):
+            assert sample_x([1e300, 0.0, 1e300, 0.0], 50, seed=3) == counts
+
     def test_shot_count_does_not_set_memory(self):
         # one draw per outcome, not per shot: 10^12 shots must not allocate 8 TB
         counts = sample_x([0.5, 0.0, 0.5, 0.0], 10**12, seed=3)
