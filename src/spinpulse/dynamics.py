@@ -17,7 +17,7 @@ Three routes are provided and cross-checked against each other:
   the largest |E| and the two frame angles before the eigensolve, and the
   two ends of the sorted eigenvalues times the duration after it.
   ``pulse_propagators`` forms the propagators of a stack of pulses that
-  start at t = 0, each drive carrying its pulse's phase, with one stacked
+  start at t = 0 from the same factor builder, with one stacked
   eigensolve.  Every route builds its Hamiltonians with
   ``model.rotating_hamiltonian``.
 * ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
@@ -134,21 +134,33 @@ def _require_normalized(state: QuantumState) -> None:
         raise ValueError(f"input state is not normalized (|norm - 1| = {drift:.3e})")
 
 
-def pulse_propagators(
-    energies: np.ndarray,
-    carrier: np.ndarray,
-    rabi: np.ndarray,
-    duration: float,
-    phase: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact lab-frame propagators of a stack of n pulses, each starting at t = 0.
+def _eigen_factors(energies: np.ndarray, carrier, rabi: np.ndarray, a0, a1):
+    """Lambda, V, L and R of U = L V exp(-i Lambda tau) V^T R, for one pulse or a stack.
 
-    Each is U = exp(+i w tau Z) exp(-i H_rot tau) with Z the total I^z and
-    H_rot the rotating-frame Hamiltonian that ``model.rotating_hamiltonian``
-    builds from the Ising diagonal ``energies`` (n, dim), the carrier w (n,),
-    the Rabi frequencies ``rabi`` (n, N) and, as its field angle, the drive
-    phase ``phase`` (n,).  Without ``phase`` H_rot is the real symmetric
-    Hamiltonian of the phase-zero drive, as on the single-pulse route.
+    V Lambda V^T is the eigendecomposition of the real symmetric
+    rotating-frame Hamiltonian of the phase-zero drive
+    (``model.rotating_hamiltonian``); L = exp(+i a1 Z) and R = exp(-i a0 Z)
+    are diagonals, with Z the total I^z and the frame angles
+    a0 = w t0 + phi and a1 = w (t0 + tau) + phi, t0 = t_start.  One pulse
+    takes energies (dim,) and numbers; a stack of n takes energies (n, dim),
+    carriers (n, 1) and angles (n,).  Nothing is checked here.
+    """
+    vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, rabi))
+    z = total_spin_z(energies.shape[-1].bit_length() - 1)
+    # both frame diagonals from one exponential
+    left, right = np.exp(np.multiply.outer(np.array((1j * a1, -1j * a0)), z))
+    return vals, vecs, left, right
+
+
+def pulse_propagators(
+    energies: np.ndarray, carrier: np.ndarray, rabi: np.ndarray, duration: float
+) -> np.ndarray:
+    """Exact lab-frame propagators of a stack of n phase-zero pulses, each starting at t = 0.
+
+    Each is U = L V exp(-i Lambda tau) V^T from the factors of
+    ``_eigen_factors`` at a0 = 0 and a1 = w tau, for the Ising diagonals
+    ``energies`` (n, dim), the carriers w (n,) and the Rabi frequencies
+    ``rabi`` (n, N): bit for bit the U of ``pulse_propagator``.
 
     Returns U (n, dim, dim).  A pulse whose energies or carrier are not
     finite is left out of the eigensolve and its U is NaN; a U can also
@@ -161,13 +173,10 @@ def pulse_propagators(
         ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
         if not ok.all():
             energies, carrier, rabi = energies[ok], carrier[ok], rabi[ok]
-            phase = None if phase is None else phase[ok]
-        h = rotating_hamiltonian(energies, carrier[:, None], rabi, phase)
-        vals, vecs = np.linalg.eigh(h)
-        z = total_spin_z(dim.bit_length() - 1)
-        u = (vecs * np.exp(-1j * vals * duration)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
-        # the frame's turn exp(+i w tau Z); at t = 0 the right-hand turn is 1
-        u = np.exp(np.multiply.outer(1j * (carrier * duration), z))[:, :, None] * u
+        a0, a1 = np.zeros_like(carrier), carrier * duration
+        vals, vecs, left, _ = _eigen_factors(energies, carrier[:, None], rabi, a0, a1)
+        phases = np.exp(-1j * vals * duration)[:, None, :]
+        u = left[:, :, None] * ((vecs * phases) @ np.swapaxes(vecs, 1, 2))
     if len(u) < n:
         u_ok, u = u, np.full((n, dim, dim), np.nan, dtype=complex)
         u[ok] = u_ok
@@ -177,18 +186,11 @@ def pulse_propagators(
 def _pulse_factors(
     system: SpinSystem, pulse: PulseSpec, t_start: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The factors of U = L V exp(-i Lambda tau) V^T R for one pulse, checked.
+    """V, exp(-i Lambda tau), L and R of ``_eigen_factors`` for one pulse, checked.
 
-    V Lambda V^T is the eigendecomposition of the real symmetric
-    rotating-frame Hamiltonian of the phase-zero drive
-    (``model.rotating_hamiltonian``); L = exp(+i a1 Z) and R = exp(-i a0 Z)
-    are diagonals, with Z the total I^z and the frame angles
-    a0 = w t0 + phi and a1 = w (t0 + tau) + phi, t0 = t_start.  Returns V,
-    exp(-i Lambda tau), L and R.  Both single-pulse routes take their
-    factors from here, so they raise together.
-
-    The checks are made in Python floats, before numpy touches the numbers,
-    so they hold whatever numpy's error state:
+    Both single-pulse routes take their factors from here, so they raise
+    together.  The checks are made in Python floats, before numpy touches
+    the numbers, so they hold whatever numpy's error state:
 
     * max(|a1|, |a0|, |w|) max|Z| + max|E| bounds every entry of the
       diagonal E + w Z and every frame angle a Z; if it is finite, none of
@@ -203,7 +205,7 @@ def _pulse_factors(
         raise ConfigurationError(f"t_start must be finite, got {t_start}")
     energies = system.energies
     pulse.check_against(system)
-    t_start, carrier, tau = float(t_start), float(pulse.carrier), float(pulse.duration)
+    t_start, carrier, tau = float(t_start), pulse.carrier, pulse.duration
     a0 = carrier * t_start + pulse.phase
     a1 = carrier * (t_start + tau) + pulse.phase
     z_max = 0.5 * system.n_spins
@@ -211,12 +213,9 @@ def _pulse_factors(
     # a1 first: only a1 can be NaN (a zero carrier over an infinite t1), and
     # max keeps a NaN first argument
     require_finite(max(abs(a1), abs(a0), abs(carrier)) * z_max + max_abs(energies), what)
-    vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, pulse.rabi))
+    vals, vecs, left, right = _eigen_factors(energies, carrier, pulse.rabi, a0, a1)
     low, high = float(vals[0]), float(vals[-1])
     require_finite(max(-low, high) * tau if low <= high else math.nan, what)
-    # both frame diagonals from one exponential
-    angles = np.multiply.outer(np.array((1j * a1, -1j * a0)), total_spin_z(system.n_spins))
-    left, right = np.exp(angles)
     return vecs, np.exp(-1j * vals * tau), left, right
 
 
@@ -226,9 +225,9 @@ def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0)
     U = exp(+i (w t1 + phi) Z) exp(-i H_rot tau) exp(-i (w t0 + phi) Z) with
     Z the total I^z, H_rot the real symmetric rotating-frame Hamiltonian of
     the phase-zero drive and t1 = t_start + duration, formed from the
-    checked factors ``evolve_pulse`` applies.  At t_start = 0 it is, up to
-    rounding, the U ``pulse_propagators`` gives for a stack of one with the
-    pulse's phase.  Raises ConfigurationError if ``t_start``, the
+    checked factors ``evolve_pulse`` applies.  For a phase-zero pulse at
+    t_start = 0 it is, bit for bit, the U ``pulse_propagators`` gives for a
+    stack of one.  Raises ConfigurationError if ``t_start``, the
     energies, the carrier or a factor of U are not finite.
     """
     vecs, phases, left, right = _pulse_factors(system, pulse, t_start)
@@ -265,7 +264,7 @@ def evolve_delay(
     """
     _require_dim(state, system)
     _require_normalized(state)
-    tau = delay.duration if isinstance(delay, DelaySpec) else float(DelaySpec(delay).duration)
+    tau = (delay if isinstance(delay, DelaySpec) else DelaySpec(delay)).duration
     return QuantumState(free_evolution_phases(system, tau) * state.amplitudes, check=False)
 
 
@@ -448,11 +447,10 @@ def _lab_steps(
     if not math.isfinite(t_start):
         raise ConfigurationError(f"t_start must be finite, got {t_start}")
     t_start = float(t_start)
-    carrier = abs(float(pulse.carrier))
-    tau = float(pulse.duration)
+    carrier, tau = abs(pulse.carrier), pulse.duration
     # |w| (|t0| + tau) bounds the drive angle w t + phi and the frame's turn w tau
     require_finite(carrier * (abs(t_start) + tau), "drive angle")
-    w_max = max(float(np.abs(system.energies).max()), carrier) + float(pulse.rabi.max(initial=0))
+    w_max = max(max_abs(system.energies), carrier) + float(pulse.rabi.max(initial=0))
     # no frequency at all (nothing to resolve) gives an infinite period
     t_min = 2 * math.pi / w_max if w_max else math.inf
     if step is None:

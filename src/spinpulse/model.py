@@ -228,7 +228,7 @@ class SpinSystem:
 
 @dataclass(frozen=True, eq=False)
 class PulseSpec:
-    """One circularly polarized resonant pulse (immutable).
+    """One circularly polarized resonant pulse (immutable; scalars stored as Python floats).
 
     carrier:  angular frequency of the rotating field
     phase:    field phase phi; phi = 0 imprints the standard +pi/2 phase
@@ -255,6 +255,8 @@ class PulseSpec:
             raise ConfigurationError(
                 f"carrier and phase must be finite (got {self.carrier}, {self.phase})"
             )
+        object.__setattr__(self, "carrier", float(self.carrier))
+        object.__setattr__(self, "duration", float(self.duration))
         object.__setattr__(self, "phase", float(self.phase) % (2 * np.pi))
         self.rabi.setflags(write=False)
 
@@ -268,13 +270,14 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Free-evolution interval between pulses (duration >= 0)."""
+    """Free-evolution interval between pulses (duration >= 0, a Python float)."""
 
     duration: float
 
     def __post_init__(self):
         if not (self.duration >= 0 and np.isfinite(self.duration)):
             raise ConfigurationError("delay duration must be finite and >= 0")
+        object.__setattr__(self, "duration", float(self.duration))
 
 
 class QuantumState:

@@ -11,14 +11,13 @@ separation, cancel out.
 
 ``run_sweep`` is the one entry; one cell is a 1 x 1 grid.  The grid is
 evaluated in blocks of cells: the rotating Hamiltonians of a block (two per
-cell, control driven and undriven, each pulse starting at t = 0 with its
-phase in the drive) are built as one stack and exponentiated by one stacked
-complex eigensolve, with the same numbers as a cell-by-cell evaluation by a
-complex eigensolve each; the cell-by-cell public route through
-``pulse_propagator``, whose eigensolve is real, agrees within 1e-11.  A bad cell
-(an invalid system, or numbers that overflow double precision) still yields
-its own ``error:`` row and is kept out of the other cells' arithmetic.  The
-``sweep`` command of ``spinpulse.cli`` writes the cells as CSV.
+cell, control driven and undriven, each phase-zero pulse starting at t = 0)
+are built as one stack and exponentiated by one stacked real eigensolve, bit
+for bit the numbers of the cell-by-cell public route through ``cn_pulse``
+and ``pulse_propagator``.  A bad cell (an invalid system, or numbers that
+overflow double precision) still yields its own ``error:`` row and is kept
+out of the other cells' arithmetic.  The ``sweep`` command of
+``spinpulse.cli`` writes the cells as CSV.
 """
 
 from __future__ import annotations
@@ -89,15 +88,15 @@ _UNIT_COUPLING.setflags(write=False)
 _STAND_IN = SpinSystem.uniform([0.0, 0.0], 0.0)
 
 
-def _sweep_drive(rabi: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Duration, Rabi frequencies and phases of the sweep pulses: control driven, undriven.
+def _sweep_drive(rabi: float) -> tuple[float, np.ndarray]:
+    """Duration and Rabi frequencies of the sweep pulses: control driven, undriven.
 
     They depend on rabi alone, so every cell shares them.  cn_pulse builds
     them on a stand-in system, so a bad rabi fails as it does there.
     """
     pulses = [cn_pulse(_STAND_IN, 0, 1, "standard", rabi=[r, rabi]) for r in (rabi, 0.0)]
     rabis = np.stack([p.rabi for p in pulses])
-    return pulses[0].duration, rabis, np.array([p.phase for p in pulses])
+    return pulses[0].duration, rabis
 
 
 def _block_deviations(
@@ -105,7 +104,7 @@ def _block_deviations(
     j_ratio: np.ndarray,
     rabi: float,
     base_larmor: float,
-    pulse: tuple[float, np.ndarray, np.ndarray] | str,
+    pulse: tuple[float, np.ndarray] | str,
 ) -> list[float | str]:
     """Deviation of each cell of a block, or the text of the error that stopped it.
 
@@ -128,17 +127,12 @@ def _block_deviations(
                 out[i] = str(exc)
         if isinstance(pulse, str):
             return [pulse if v is None else v for v in out]
-        duration, rabis, phases = pulse
+        duration, rabis = pulse
         energies = ising_diagonal(larmor[valid], coupling[valid, None, None] * _UNIT_COUPLING)
         energies = np.repeat(energies, 2, axis=0)  # each cell once per drive setting
         # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
         carrier = energies[:, 3] - energies[:, 2]
-        # the phase stays in the drive, a complex eigensolve: a real one, with
-        # the phase in the frame, would move the deviations by up to ~1.2e-12
-        cells = len(carrier) // 2
-        u = pulse_propagators(
-            energies, carrier, np.tile(rabis, (cells, 1)), duration, np.tile(phases, cells)
-        )
+        u = pulse_propagators(energies, carrier, np.tile(rabis, (len(carrier) // 2, 1)), duration)
         psi = np.exp(1j * energies * duration) * (u @ SWEEP_INITIAL)  # interaction picture
         rho = psi[:, :, None] * psi.conj()[:, None, :]
         # a non-finite energy, carrier, propagator or phase makes the deviation NaN

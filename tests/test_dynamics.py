@@ -540,9 +540,9 @@ class TestPulsePropagators:
         duration=st.floats(0.01, 50.0),
     )
     def test_one_pulse_is_the_stack_of_one(self, n_spins, seed, carrier, duration):
-        # the single-pulse route forms U from its own checked factors, in the
-        # stack's order of operations: bit for bit the same U for a pulse at
-        # t = 0 and phase 0, whose Hamiltonian is real in both routes
+        # both routes take their factors from one builder and form U in the
+        # same order of operations: bit for bit the same U for a pulse at
+        # t = 0 and phase 0
         rng = np.random.default_rng(seed)
         system = random_system(rng, n_spins)
         pulse = PulseSpec(carrier, 0.0, rng.uniform(0, 0.5, size=n_spins), duration)

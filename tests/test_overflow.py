@@ -207,6 +207,20 @@ def test_exact_route_refuses_in_python_floats(pulse, t_start, route, error_state
     assert str(refused.value) == PULSE_TOO_LARGE
 
 
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+@pytest.mark.parametrize("error_state", ["warn", "raise"])
+def test_numpy_scalar_specs_run_in_python_floats(scalar, error_state):
+    # pulses and delays store Python floats, so the clock overflows as itself
+    # and not in numpy's scalar arithmetic
+    clock = "values too large for double precision (sequence clock not finite)"
+    with warnings_are_errors(error_state):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(clock)}$"):
+            apply_sequence(QuantumState.basis(1, 0), ZERO, [DelaySpec(np.float64(1e308))] * 2)
+        events = [PulseSpec(scalar(1.0), 0.0, [0.5], scalar(0.25)), DelaySpec(scalar(0.5))]
+        elapsed = apply_sequence(QuantumState.basis(1, 0), ZERO, events).elapsed
+    assert type(elapsed) is float and elapsed == 0.75
+
+
 @pytest.mark.parametrize(
     "carrier, t_start",
     # the bound takes the largest of |w|, |w t0| and |w t1|, not their sum,
@@ -336,12 +350,16 @@ def _outcome(call, error_state: str):
     duration=VALUES,
     t=VALUES,
     delay=VALUES,
+    scalar=st.sampled_from([float, np.float64, np.float32]),
 )
 def test_every_entry_returns_finite_numbers_or_refuses(
-    larmor, couplings, rabi, table, carrier, duration, t, delay
+    larmor, couplings, rabi, table, carrier, duration, t, delay, scalar
 ):
     rabi = np.abs(rabi)
     duration, delay = abs(duration), abs(delay)
+    # pulses and delays also take numpy scalars; np.float32 rounds 1e308 to inf
+    with np.errstate(over="ignore"):
+        spec_carrier, spec_duration, spec_delay = map(scalar, (carrier, duration, delay))
     # the closed forms take a positive Rabi frequency and spin spacing
     positive_rabi, spacing = rabi[0] or 1.0, duration or 1.0
     j = np.zeros((4, 4))
@@ -365,7 +383,7 @@ def test_every_entry_returns_finite_numbers_or_refuses(
         return SpinSystem(4, larmor, j)
 
     def pulse(n_spins):
-        return PulseSpec(carrier, t, rabi[:n_spins], duration)
+        return PulseSpec(spec_carrier, t, rabi[:n_spins], spec_duration)
 
     calls = {
         "energies": lambda: two().energies,
@@ -376,12 +394,12 @@ def test_every_entry_returns_finite_numbers_or_refuses(
         "build_rotating_hamiltonian": lambda: build_rotating_hamiltonian(two(), pulse(2)),
         "pulse_propagator": lambda: pulse_propagator(two(), pulse(2), t),
         "evolve_pulse": lambda: evolve_pulse(state, two(), pulse(2), t),
-        "evolve_delay": lambda: evolve_delay(state, two(), delay),
+        "evolve_delay": lambda: evolve_delay(state, two(), spec_delay),
         "to_interaction_picture": lambda: to_interaction_picture(state, two(), t),
         "lab_hamiltonian": lambda: lab_hamiltonian(two(), pulse(2), t),
         "integrate_lab_frame": lambda: integrate_lab_frame(state, two(), pulse(2), t_start=t),
         "apply_sequence": lambda: apply_sequence(
-            state, two(), [DelaySpec(delay), pulse(2), DelaySpec(duration)], t_start=t
+            state, two(), [DelaySpec(spec_delay), pulse(2), DelaySpec(spec_duration)], t_start=t
         ),
         "evolve_deviation": lambda: evolve_deviation(
             init_deviation([0.6, 0.8, 0, 0]), four(), pulse(4), t
