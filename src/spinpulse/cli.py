@@ -52,7 +52,7 @@ from .ensemble import (
     to_interaction_picture as density_to_interaction_picture,
 )
 from . import shor
-from .sweep import SWEEP_FIELDS, SweepCell, run_sweep
+from .sweep import SWEEP_FIELDS, SweepCell, _grid_cells
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -61,7 +61,11 @@ EXIT_TOLERANCE = 3
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description.
+
+    ``payload`` holds the kind's fields as ``parse_config`` read them, defaults
+    filled in; the runners take it as it is and read no field again.
+    """
 
     kind: str
     payload: dict
@@ -350,18 +354,33 @@ def _run_design(p: dict, out: str | None, fmt: str) -> int:
     return EXIT_OK
 
 
+#: the header of ``sweep_to_csv`` and one row of numbers, as the csv module writes them
+_SWEEP_HEADER = "delta_ratio,j_ratio,deviation\r\n"
+_SWEEP_ROW = "%g,%g,%.12e\r\n"
+
+
 def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
-    """The cells of ``run_sweep`` as CSV; a failed cell's deviation reads ``error: <text>``."""
-    rows = (
-        [f"{c.delta_ratio:g}", f"{c.j_ratio:g}",
-         f"{c.deviation:.12e}" if c.deviation is not None else f"error: {c.error}"]
-        for c in cells
-    )
-    return _csv(["delta_ratio", "j_ratio", "deviation"], rows)
+    """The cells of ``run_sweep`` as CSV; a failed cell's deviation reads ``error: <text>``.
+
+    The bytes are the csv module's.  A number never needs quoting, so the
+    rows of numbers are formatted by one ``%`` over all cells; a failed
+    cell's row goes through the csv module, which quotes its error text
+    where it needs quotes.
+    """
+    template, values = [], []
+    for c in cells:
+        if c.deviation is None:
+            template.append("%s")
+            values.append(_csv((f"{c.delta_ratio:g}", f"{c.j_ratio:g}", f"error: {c.error}"), ()))
+        else:
+            template.append(_SWEEP_ROW)
+            values += c.delta_ratio, c.j_ratio, c.deviation
+    return _SWEEP_HEADER + "".join(template) % tuple(values)
 
 
 def _run_sweep_cmd(p: dict, out: str | None, fmt: str) -> int:
-    _write_text(sweep_to_csv(run_sweep(**p)), out)
+    # parse_config read the payload by SWEEP_FIELDS; run_sweep would read it again
+    _write_text(sweep_to_csv(_grid_cells(**p)), out)
     return EXIT_OK
 
 

@@ -134,22 +134,24 @@ def _require_normalized(state: QuantumState) -> None:
         raise ValueError(f"input state is not normalized (|norm - 1| = {drift:.3e})")
 
 
-def _eigen_factors(energies: np.ndarray, carrier, rabi: np.ndarray, a0, a1):
-    """Lambda, V, L and R of U = L V exp(-i Lambda tau) V^T R, for one pulse or a stack.
+def _eigen_factors(energies: np.ndarray, carrier, rabi: np.ndarray, *turns):
+    """Lambda, V and the frame diagonals of U = L V exp(-i Lambda tau) V^T R.
 
     V Lambda V^T is the eigendecomposition of the real symmetric
     rotating-frame Hamiltonian of the phase-zero drive
     (``model.rotating_hamiltonian``); L = exp(+i a1 Z) and R = exp(-i a0 Z)
     are diagonals, with Z the total I^z and the frame angles
-    a0 = w t0 + phi and a1 = w (t0 + tau) + phi, t0 = t_start.  One pulse
-    takes energies (dim,) and numbers; a stack of n takes energies (n, dim),
-    carriers (n, 1) and angles (n,).  Nothing is checked here.
+    a0 = w t0 + phi and a1 = w (t0 + tau) + phi, t0 = t_start.  One
+    diagonal exp(x Z) is returned for each exponent x in ``turns``: i a1
+    and -i a0 give L and R; i a1 alone gives L, for a pulse at t0 = 0,
+    where R is the identity.  One pulse takes energies (dim,) and numbers;
+    a stack of n takes energies (n, dim), carriers (n, 1) and exponents
+    (n,).  Nothing is checked here.
     """
     vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, rabi))
     z = total_spin_z(energies.shape[-1].bit_length() - 1)
-    # both frame diagonals from one exponential
-    left, right = np.exp(np.multiply.outer(np.array((1j * a1, -1j * a0)), z))
-    return vals, vecs, left, right
+    # every frame diagonal from one exponential
+    return vals, vecs, np.exp(np.multiply.outer(np.array(turns), z))
 
 
 def pulse_propagators(
@@ -158,9 +160,10 @@ def pulse_propagators(
     """Exact lab-frame propagators of a stack of n phase-zero pulses, each starting at t = 0.
 
     Each is U = L V exp(-i Lambda tau) V^T from the factors of
-    ``_eigen_factors`` at a0 = 0 and a1 = w tau, for the Ising diagonals
-    ``energies`` (n, dim), the carriers w (n,) and the Rabi frequencies
-    ``rabi`` (n, N): bit for bit the U of ``pulse_propagator``.
+    ``_eigen_factors`` at a1 = w tau (R is the identity, so it is not
+    built), for the Ising diagonals ``energies`` (n, dim), the carriers w
+    (n,) and the Rabi frequencies ``rabi`` (n, N): bit for bit the U of
+    ``pulse_propagator``.
 
     Returns U (n, dim, dim).  A pulse whose energies or carrier are not
     finite is left out of the eigensolve and its U is NaN; a U can also
@@ -173,8 +176,8 @@ def pulse_propagators(
         ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
         if not ok.all():
             energies, carrier, rabi = energies[ok], carrier[ok], rabi[ok]
-        a0, a1 = np.zeros_like(carrier), carrier * duration
-        vals, vecs, left, _ = _eigen_factors(energies, carrier[:, None], rabi, a0, a1)
+        turn = 1j * (carrier * duration)
+        vals, vecs, (left,) = _eigen_factors(energies, carrier[:, None], rabi, turn)
         phases = np.exp(-1j * vals * duration)[:, None, :]
         u = left[:, :, None] * ((vecs * phases) @ np.swapaxes(vecs, 1, 2))
     if len(u) < n:
@@ -213,7 +216,7 @@ def _pulse_factors(
     # a1 first: only a1 can be NaN (a zero carrier over an infinite t1), and
     # max keeps a NaN first argument
     require_finite(max(abs(a1), abs(a0), abs(carrier)) * z_max + max_abs(energies), what)
-    vals, vecs, left, right = _eigen_factors(energies, carrier, pulse.rabi, a0, a1)
+    vals, vecs, (left, right) = _eigen_factors(energies, carrier, pulse.rabi, 1j * a1, -1j * a0)
     low, high = float(vals[0]), float(vals[-1])
     require_finite(max(-low, high) * tau if low <= high else math.nan, what)
     return vecs, np.exp(-1j * vals * tau), left, right

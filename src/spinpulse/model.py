@@ -77,11 +77,20 @@ def require_finite_arguments(**values) -> None:
 # ---------------------------------------------------------------------------
 
 
-def finite_real(value, low: float = -math.inf, above: bool = False) -> float:
-    """A finite number >= low (> low if ``above``); raises ValueError otherwise."""
+def _real(value) -> float:
+    """A number as a float; raises ValueError for a bool, a string, a complex
+    number or an int too large for a double."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"expected a number, got {reprlib.repr(value)}")
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def finite_real(value, low: float = -math.inf, above: bool = False) -> float:
+    """A finite number >= low (> low if ``above``); raises ValueError otherwise."""
+    value = _real(value)
     if not math.isfinite(value):
         raise ValueError("must be finite")
     if value < low or above and value == low:
@@ -226,6 +235,14 @@ class SpinSystem:
         return cls(n, larmor, j)
 
 
+def _spec_number(name: str, value) -> float:
+    """A pulse's or delay's scalar by ``_real``; a ConfigurationError names the field."""
+    try:
+        return _real(value)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class PulseSpec:
     """One circularly polarized resonant pulse (immutable; scalars stored as Python floats).
@@ -235,6 +252,9 @@ class PulseSpec:
               shift on the driven transition, phi = pi/2 removes it
     rabi:     per-spin Rabi frequencies (length must match the system)
     duration: pulse length, strictly positive
+
+    A carrier, phase or duration that is not a number by the JSON reader's
+    rule (``finite_real``) raises ConfigurationError naming it.
     """
 
     carrier: float
@@ -243,21 +263,25 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self):
+        carrier, phase, duration = self.carrier, self.phase, self.duration
+        # Python floats, as cn_pulse gives, need no conversion
+        if not (type(carrier) is type(phase) is type(duration) is float):
+            carrier = _spec_number("carrier", carrier)
+            phase = _spec_number("phase", phase)
+            duration = _spec_number("duration", duration)
         object.__setattr__(self, "rabi", np.array(self.rabi, dtype=float))
         if self.rabi.ndim != 1:
             raise ConfigurationError("rabi must be a 1-d sequence")
         # a pulse drives a few spins: Python floats check them faster than numpy
         if not all(0 <= r < math.inf for r in self.rabi.tolist()):  # NaN fails too
             raise ConfigurationError("rabi frequencies must be finite and >= 0")
-        if not 0 < self.duration < math.inf:
+        if not 0 < duration < math.inf:
             raise ConfigurationError("pulse duration must be strictly positive")
-        if not (math.isfinite(self.carrier) and math.isfinite(self.phase)):
-            raise ConfigurationError(
-                f"carrier and phase must be finite (got {self.carrier}, {self.phase})"
-            )
-        object.__setattr__(self, "carrier", float(self.carrier))
-        object.__setattr__(self, "duration", float(self.duration))
-        object.__setattr__(self, "phase", float(self.phase) % (2 * np.pi))
+        if not (math.isfinite(carrier) and math.isfinite(phase)):
+            raise ConfigurationError(f"carrier and phase must be finite (got {carrier}, {phase})")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "phase", phase % (2 * np.pi))
         self.rabi.setflags(write=False)
 
     def check_against(self, system: SpinSystem) -> None:
@@ -270,14 +294,18 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Free-evolution interval between pulses (duration >= 0, a Python float)."""
+    """Free-evolution interval between pulses (duration >= 0, a Python float).
+
+    A duration that is not a number raises ConfigurationError naming it, as in PulseSpec.
+    """
 
     duration: float
 
     def __post_init__(self):
-        if not (self.duration >= 0 and np.isfinite(self.duration)):
+        duration = _spec_number("duration", self.duration)
+        if not 0 <= duration < math.inf:  # NaN fails too
             raise ConfigurationError("delay duration must be finite and >= 0")
-        object.__setattr__(self, "duration", float(self.duration))
+        object.__setattr__(self, "duration", duration)
 
 
 class QuantumState:

@@ -14,10 +14,13 @@ evaluated in blocks of cells: the rotating Hamiltonians of a block (two per
 cell, control driven and undriven, each phase-zero pulse starting at t = 0)
 are built as one stack and exponentiated by one stacked real eigensolve, bit
 for bit the numbers of the cell-by-cell public route through ``cn_pulse``
-and ``pulse_propagator``.  A bad cell (an invalid system, or numbers that
-overflow double precision) still yields its own ``error:`` row and is kept
-out of the other cells' arithmetic.  The ``sweep`` command of
-``spinpulse.cli`` writes the cells as CSV.
+and ``pulse_propagator``.  A block whose cells are all valid and finite,
+as every cell of an ordinary grid is, runs no Python per cell.  A bad cell
+(an invalid system, or numbers that overflow double precision) still yields
+its own ``error:`` row and is kept out of the other cells' arithmetic.  The
+``sweep`` command of ``spinpulse.cli`` validates its config once, at the
+edge, by the same fields (``SWEEP_FIELDS``), evaluates the grid without
+reading them again and writes the cells as CSV.
 """
 
 from __future__ import annotations
@@ -92,11 +95,12 @@ def _sweep_drive(rabi: float) -> tuple[float, np.ndarray]:
     """Duration and Rabi frequencies of the sweep pulses: control driven, undriven.
 
     They depend on rabi alone, so every cell shares them.  cn_pulse builds
-    them on a stand-in system, so a bad rabi fails as it does there.
+    the driven pulse on a stand-in system, so a bad rabi fails as it does
+    there; the undriven pulse differs from it only in the control's Rabi
+    frequency.
     """
-    pulses = [cn_pulse(_STAND_IN, 0, 1, "standard", rabi=[r, rabi]) for r in (rabi, 0.0)]
-    rabis = np.stack([p.rabi for p in pulses])
-    return pulses[0].duration, rabis
+    pulse = cn_pulse(_STAND_IN, 0, 1, "standard", rabi=[rabi, rabi])
+    return pulse.duration, np.array([pulse.rabi, [0.0, pulse.rabi[1]]])
 
 
 def _block_deviations(
@@ -116,19 +120,23 @@ def _block_deviations(
     # overflow is checked cell by cell below, so it must not raise for the block
     with np.errstate(over="ignore", invalid="ignore"):
         coupling = j_ratio * rabi
-        control_larmor = base_larmor + delta_ratio * rabi
-        larmor = np.stack((control_larmor, np.full_like(control_larmor, base_larmor)), 1)
+        larmor = np.empty((len(coupling), 2))
+        larmor[:, 0] = base_larmor + delta_ratio * rabi
+        larmor[:, 1] = base_larmor
         valid = np.isfinite(larmor).all(1) & np.isfinite(coupling)
+        all_valid = bool(valid.all())
         out: list = [None] * len(coupling)
-        for i in np.flatnonzero(~valid):
-            try:  # the cell's own SpinSystem raises with the same checks and text
-                SpinSystem.uniform(larmor[i], coupling[i])
-            except ConfigurationError as exc:
-                out[i] = str(exc)
+        if not all_valid:
+            for i in np.flatnonzero(~valid):
+                try:  # the cell's own SpinSystem raises with the same checks and text
+                    SpinSystem.uniform(larmor[i], coupling[i])
+                except ConfigurationError as exc:
+                    out[i] = str(exc)
+            larmor, coupling = larmor[valid], coupling[valid]
         if isinstance(pulse, str):
             return [pulse if v is None else v for v in out]
         duration, rabis = pulse
-        energies = ising_diagonal(larmor[valid], coupling[valid, None, None] * _UNIT_COUPLING)
+        energies = ising_diagonal(larmor, coupling[:, None, None] * _UNIT_COUPLING)
         energies = np.repeat(energies, 2, axis=0)  # each cell once per drive setting
         # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
         carrier = energies[:, 3] - energies[:, 2]
@@ -137,6 +145,8 @@ def _block_deviations(
         rho = psi[:, :, None] * psi.conj()[:, None, :]
         # a non-finite energy, carrier, propagator or phase makes the deviation NaN
         deviation = deviation_metric(rho[0::2], rho[1::2])
+    if all_valid and np.isfinite(deviation).all():  # the common case: no cell failed
+        return deviation.tolist()
     for i, value in zip(np.flatnonzero(valid).tolist(), deviation.tolist()):
         out[i] = value if math.isfinite(value) else str(too_large("deviation not finite"))
     return out
@@ -154,22 +164,30 @@ def run_sweep(
     axes strictly positive and sorted ascending, rabi > 0, default 0.1,
     base_larmor default 100); a bad one raises ConfigurationError, and None
     takes the default.  The cells are evaluated block by block; a cell's
-    failure is recorded in its row and does not stop the sweep.
+    failure is recorded in its row and does not stop the sweep.  The
+    ``sweep`` command, which has read these fields from its config, skips
+    this reading and evaluates the grid directly.
     """
-    args = read_fields({"delta_ratios": delta_ratios, "j_ratios": j_ratios, "rabi": rabi,
-                        "base_larmor": base_larmor}, SWEEP_FIELDS)
-    rabi, base_larmor = args["rabi"], args["base_larmor"]
-    grid = [(dr, jr) for dr in args["delta_ratios"] for jr in args["j_ratios"]]
-    delta_ratio, j_ratio = np.array(grid).reshape(-1, 2).T
+    fields = {"delta_ratios": delta_ratios, "j_ratios": j_ratios, "rabi": rabi,
+              "base_larmor": base_larmor}
+    return _grid_cells(**read_fields(fields, SWEEP_FIELDS))
+
+
+def _grid_cells(
+    delta_ratios: list[float], j_ratios: list[float], rabi: float, base_larmor: float
+) -> list[SweepCell]:
+    """The cells of ``run_sweep`` from arguments already read by ``SWEEP_FIELDS``."""
+    delta_ratio = np.repeat(delta_ratios, len(j_ratios))
+    j_ratio = np.tile(j_ratios, len(delta_ratios))
     try:
         pulse = _sweep_drive(rabi)
     except (ConfigurationError, FloatingPointError) as exc:  # FloatingPointError under main
         pulse = str(exc)
     values = []
-    for first in range(0, len(grid), _SWEEP_BLOCK):
+    for first in range(0, len(delta_ratio), _SWEEP_BLOCK):
         block = slice(first, first + _SWEEP_BLOCK)
         values += _block_deviations(delta_ratio[block], j_ratio[block], rabi, base_larmor, pulse)
     return [
         SweepCell(dr, jr, None, error=v) if isinstance(v, str) else SweepCell(dr, jr, v)
-        for (dr, jr), v in zip(grid, values)
+        for dr, jr, v in zip(delta_ratio.tolist(), j_ratio.tolist(), values)
     ]

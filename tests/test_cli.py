@@ -452,6 +452,42 @@ class TestSweep:
         assert rows[0] == ["delta_ratio", "j_ratio", "deviation"]
         assert len(rows) == 3
 
+    def test_csv_is_the_csv_module_rows(self):
+        # numbers are never quoted; error texts are, as the csv module quotes them
+        cells = [
+            SweepCell(1.0, 2.0, None, error='a, "b"'),
+            SweepCell(30.0, 5.0, 0.05053841562324),
+            SweepCell(0.5, 1e-7, None, error="line\nbreak"),
+            SweepCell(1e300, 123456789.0, 1.5e-300),
+            SweepCell(2.0, 4.0, None, error="carriage\rreturn, comma"),
+            SweepCell(3.0, 4.0, None, error="plain"),
+            SweepCell(-0.0, 7.0, 0.0, error=None),
+        ]
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["delta_ratio", "j_ratio", "deviation"])
+        for c in cells:
+            value = f"error: {c.error}" if c.deviation is None else f"{c.deviation:.12e}"
+            writer.writerow([f"{c.delta_ratio:g}", f"{c.j_ratio:g}", value])
+        assert sweep_to_csv(cells) == buf.getvalue()
+        assert sweep_to_csv(cells[:1]) == 'delta_ratio,j_ratio,deviation\r\n1,2,"error: a, ""b"""\r\n'
+        assert sweep_to_csv([]) == "delta_ratio,j_ratio,deviation\r\n"
+
+    def test_demo_config_csv_bytes(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", SWEEP_CONFIG, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (
+            b"delta_ratio,j_ratio,deviation\r\n"
+            b"30,5,5.053841562324e-02\r\n"
+            b"30,50,3.493961483434e-02\r\n"
+            b"100,5,1.740511257251e-02\r\n"
+            b"100,50,1.187114941619e-02\r\n"
+            b"300,5,6.076078776805e-03\r\n"
+            b"300,50,5.009556155412e-03\r\n"
+            b"1000,5,1.854106755411e-03\r\n"
+            b"1000,50,1.735731214605e-03\r\n"
+        )
+
 
 def reference_cell_deviation(delta_ratio, j_ratio, rabi=0.1, base_larmor=100.0):
     """The sweep cell as it was computed before batching, one cell at a time."""

@@ -230,6 +230,31 @@ class TestPulseSpec:
         with pytest.raises(ConfigurationError):
             DelaySpec(-1.0)
 
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (lambda v: PulseSpec(1.0, 0.0, [0.5], v), "duration", 10**400),
+            (lambda v: PulseSpec(v, 0.0, [0.5], 1.0), "carrier", 10**400),
+            (lambda v: PulseSpec(1.0, v, [0.5], 1.0), "phase", 10**400),
+            (lambda v: PulseSpec(v, 0.0, [0.5], 1.0), "carrier", 1 + 0j),
+            (lambda v: PulseSpec(1.0, 0.0, [0.5], v), "duration", True),
+            (lambda v: PulseSpec(1.0, v, [0.5], 1.0), "phase", "0"),
+            (DelaySpec, "duration", 10**400),
+            (DelaySpec, "duration", "1"),
+            (DelaySpec, "duration", False),
+        ],
+        ids=["pulse-duration-huge-int", "carrier-huge-int", "phase-huge-int", "carrier-complex",
+             "duration-bool", "phase-string", "delay-huge-int", "delay-string", "delay-bool"],
+    )
+    def test_non_number_scalars_rejected_by_name(self, make, field, value):
+        # the JSON reader's number rule and text, with the field's name
+        with pytest.raises(ConfigurationError) as read:
+            model.read_fields({field: value}, {field: (model.finite_real, model.REQUIRED)})
+        with pytest.raises(ConfigurationError) as refused:
+            make(value)
+        assert str(refused.value) == str(read.value)
+        assert str(refused.value).startswith(f"{field}: ")
+
 
 class TestQuantumState:
     def test_norm_enforced(self):

@@ -350,14 +350,15 @@ def _outcome(call, error_state: str):
     duration=VALUES,
     t=VALUES,
     delay=VALUES,
-    scalar=st.sampled_from([float, np.float64, np.float32]),
+    scalar=st.sampled_from([float, np.float64, np.float32, int]),
 )
 def test_every_entry_returns_finite_numbers_or_refuses(
     larmor, couplings, rabi, table, carrier, duration, t, delay, scalar
 ):
     rabi = np.abs(rabi)
     duration, delay = abs(duration), abs(delay)
-    # pulses and delays also take numpy scalars; np.float32 rounds 1e308 to inf
+    # pulses and delays also take numpy scalars and ints; np.float32 rounds
+    # 1e308 to inf, and int(1e308) is too large for numpy's integers
     with np.errstate(over="ignore"):
         spec_carrier, spec_duration, spec_delay = map(scalar, (carrier, duration, delay))
     # the closed forms take a positive Rabi frequency and spin spacing
