@@ -23,6 +23,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -59,16 +60,36 @@ EXIT_VALIDATION = 2
 EXIT_TOLERANCE = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description.
+    """Validated experiment description: a config kind and its fields, read.
 
-    ``payload`` holds the kind's fields as ``parse_config`` read them, defaults
-    filled in; the runners take it as it is and read no field again.
+    Construction is the one way in, and ``parse_config`` takes it too: the
+    kind must be in ``KIND_TABLE``, ``payload`` (the kind's fields as JSON
+    values) is read by ``model.read_fields`` against the kind's fields
+    (unknown fields are rejected, an absent or null field takes its
+    default), then the kind's cross-field check runs.  ``payload`` then holds
+    the fields as read, defaults filled in, read-only; the runners take it as
+    it is and read no field again.  Raises ConfigurationError listing the
+    problems found.
     """
 
     kind: str
-    payload: dict
+    payload: Mapping
+
+    def __post_init__(self) -> None:
+        spec = KIND_TABLE.get(self.kind) if isinstance(self.kind, str) else None
+        if spec is None:
+            raise ConfigurationError(
+                f"kind: {reprlib.repr(self.kind)} is not one of {', '.join(KIND_TABLE)}"
+            )
+        payload = read_fields(self.payload, spec.fields)
+        problems: list[str] = []
+        if spec.check is not None:
+            spec.check(payload, problems)
+        if problems:
+            raise ConfigurationError(*problems)
+        object.__setattr__(self, "payload", MappingProxyType(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +210,7 @@ def _gate_pulse(p: Mapping) -> PulseSpec:
     return cn_pulse(variant=p["variant"], **{name: p[name] for name in _GATE_FIELDS})
 
 
-def _run_cn(p: dict, out: str | None, fmt: str) -> int:
+def _run_cn(p: Mapping, out: str | None, fmt: str) -> int:
     system: SpinSystem = p["system"]
     pulse = _gate_pulse(p)
     final = evolve_pulse(QuantumState(p["initial_state"]), system, pulse)
@@ -233,7 +254,7 @@ def _ensemble_csv(r_block: np.ndarray, b_diag: np.ndarray) -> str:
     return _csv(["row", "col", "re", "im"], rows)
 
 
-def _run_ensemble(p: dict, out: str | None, fmt: str) -> int:
+def _run_ensemble(p: Mapping, out: str | None, fmt: str) -> int:
     summary_path = Path(out).with_suffix(".json") if out is not None and fmt == "csv" else None
     if summary_path is not None and summary_path == Path(out):
         raise ConfigurationError(
@@ -298,7 +319,7 @@ def _trace_csv(trace: shor.ShorTrace) -> str:
 
 
 def _run_shor(
-    p: dict, out: str | None, fmt: str, seed: int | None = None, trace: bool = False
+    p: Mapping, out: str | None, fmt: str, seed: int | None = None, trace: bool = False
 ) -> int:
     run = shor.run_shor(p["mode"], (p["tau1"], p["tau2"]), p["energies"], trace=trace)
     result: dict = {
@@ -330,7 +351,7 @@ def _run_shor(
     return EXIT_OK
 
 
-def _run_design(p: dict, out: str | None, fmt: str) -> int:
+def _run_design(p: Mapping, out: str | None, fmt: str) -> int:
     system: SpinSystem | None = p["system"]
     if system is not None:
         pulse = cn_pulse(
@@ -367,6 +388,15 @@ def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
     cell's row goes through the csv module, which quotes its error text
     where it needs quotes.
     """
+    # the common case, no failed cell: every row is numbers, the cells' first
+    # three columns interleaved
+    values = [None] * (3 * len(cells))
+    for k, column in zip(range(3), zip(*cells)):
+        values[k::3] = column
+    try:
+        return _SWEEP_HEADER + _SWEEP_ROW * len(cells) % tuple(values)
+    except TypeError:  # a failed cell's deviation is None, which %e refuses
+        pass
     template, values = [], []
     for c in cells:
         if c.deviation is None:
@@ -378,8 +408,8 @@ def sweep_to_csv(cells: Sequence[SweepCell]) -> str:
     return _SWEEP_HEADER + "".join(template) % tuple(values)
 
 
-def _run_sweep_cmd(p: dict, out: str | None, fmt: str) -> int:
-    # parse_config read the payload by SWEEP_FIELDS; run_sweep would read it again
+def _run_sweep_cmd(p: Mapping, out: str | None, fmt: str) -> int:
+    # ExperimentConfig read the payload by SWEEP_FIELDS; run_sweep would read it again
     _write_text(sweep_to_csv(_grid_cells(**p)), out)
     return EXIT_OK
 
@@ -462,27 +492,14 @@ _FILE_FLAGS = ("energies",)
 
 
 def parse_config(doc: Mapping) -> ExperimentConfig:
-    """Validate a raw config mapping against its kind's table entry.
+    """Validate a raw config mapping: its ``kind``, then the kind's fields.
 
-    The kind's fields are read by ``model.read_fields`` (unknown fields are
-    rejected, an absent or null field takes its default), then the kind's
-    cross-field check runs.  Raises ConfigurationError listing the problems found.
+    The fields are every entry but ``kind``; ``ExperimentConfig`` reads and
+    checks them.  Raises ConfigurationError listing the problems found.
     """
     if not isinstance(doc, Mapping):
         raise ConfigurationError(f"config: expected a JSON object, got {type(doc).__name__}")
-    kind = doc.get("kind")
-    spec = KIND_TABLE.get(kind) if isinstance(kind, str) else None
-    if spec is None:
-        raise ConfigurationError(
-            f"kind: {reprlib.repr(kind)} is not one of {', '.join(KIND_TABLE)}"
-        )
-    payload = read_fields({k: v for k, v in doc.items() if k != "kind"}, spec.fields)
-    problems: list[str] = []
-    if spec.check is not None:
-        spec.check(payload, problems)
-    if problems:
-        raise ConfigurationError(*problems)
-    return ExperimentConfig(kind=kind, payload=payload)
+    return ExperimentConfig(doc.get("kind"), {k: v for k, v in doc.items() if k != "kind"})
 
 
 def run_config(
@@ -494,7 +511,7 @@ def run_config(
 ) -> int:
     """Validate and run one experiment config; returns the process exit code.
 
-    ``config`` is a config mapping or an already parsed ExperimentConfig.
+    ``config`` is a config mapping or an ExperimentConfig, read when it was built.
     Output goes to ``out`` (or stdout) as ``fmt`` (or the kind's default).  ``seed``
     and ``trace`` are options of the ``shor`` kind only; either one set for
     another kind raises ConfigurationError, as every invalid config does.

@@ -16,9 +16,11 @@ Three routes are provided and cross-checked against each other:
   anything, so they need no numpy error state: one bound from the carrier,
   the largest |E| and the two frame angles before the eigensolve, and the
   two ends of the sorted eigenvalues times the duration after it.
-  ``pulse_propagators`` forms the propagators of a stack of pulses that
-  start at t = 0 from the same factor builder, with one stacked
-  eigensolve.  Every route builds its Hamiltonians with
+  ``pulse_states`` evolves one start state through each of a stack of
+  pulses that start at t = 0, from the same factor builder with one
+  stacked eigensolve; it applies the factors to the state through the
+  helper ``evolve_pulse`` uses, so a stack of one is, bit for bit, that
+  pulse.  Every route builds its Hamiltonians with
   ``model.rotating_hamiltonian``.
 * ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
   Magnus integration of the explicitly time-dependent lab-frame Schrodinger
@@ -88,6 +90,9 @@ _TAYLOR_COEFFS = np.array([1 / math.factorial(k) for k in range(_TAYLOR_TERMS + 
 _TAYLOR_BLOCKS = np.zeros((4, 5))
 _TAYLOR_BLOCKS[:, :4] = _TAYLOR_COEFFS[:-1].reshape(4, 4)
 _TAYLOR_BLOCKS[3, 4] = _TAYLOR_COEFFS[-1]
+#: a complex number as its (re, im) pair of floats: viewed with it, a complex
+#: (..., dim) array is a real (..., dim, 2) one
+_RE_IM = np.dtype((np.float64, 2))
 _GAUSS_NODES.setflags(write=False)
 _TAYLOR_COEFFS.setflags(write=False)
 _TAYLOR_BLOCKS.setflags(write=False)
@@ -154,22 +159,48 @@ def _eigen_factors(energies: np.ndarray, carrier, rabi: np.ndarray, *turns):
     return vals, vecs, np.exp(np.multiply.outer(np.array(turns), z))
 
 
-def pulse_propagators(
-    energies: np.ndarray, carrier: np.ndarray, rabi: np.ndarray, duration: float
+def _apply_factors(
+    vecs: np.ndarray, phases: np.ndarray, left: np.ndarray, psi: np.ndarray
 ) -> np.ndarray:
-    """Exact lab-frame propagators of a stack of n phase-zero pulses, each starting at t = 0.
+    """L V (exp(-i Lambda tau) V^T psi): a pulse's factors applied to psi, U never formed.
 
-    Each is U = L V exp(-i Lambda tau) V^T from the factors of
-    ``_eigen_factors`` at a1 = w tau (R is the identity, so it is not
-    built), for the Ising diagonals ``energies`` (n, dim), the carriers w
-    (n,) and the Rabi frequencies ``rabi`` (n, N): bit for bit the U of
-    ``pulse_propagator``.
+    One pulse takes V (dim, dim), a stack of n V (n, dim, dim); psi is a
+    contiguous complex (dim,), shared by the stack.  Both routes apply their
+    factors here, so a stack of one is, bit for bit, the pulse.  Each
+    product with the real V is a real product on the (re, im) columns of its
+    operand, one BLAS gemm per (dim, dim) x (dim, 2) pair: ``dot`` for one
+    pulse, where it costs less per call than ``matmul``, and ``matmul`` for
+    a stack; on real operands they round alike.  (A complex product of the
+    real V rounds differently in ``dot`` and ``matmul``.)
+    """
+    product = np.ndarray.dot if vecs.ndim == 2 else np.matmul
+    psi = product(vecs.swapaxes(-1, -2), psi.view(_RE_IM))
+    psi = (phases[..., None] * psi.view(complex)).view(float)
+    return left * product(vecs, psi).view(complex)[..., 0]
 
-    Returns U (n, dim, dim).  A pulse whose energies or carrier are not
-    finite is left out of the eigensolve and its U is NaN; a U can also
-    come out non-finite when its phases overflow.  Overflow never raises
-    here, whatever numpy's error state, so one pulse cannot stop the others:
-    callers check the U (or what they compute from it) for finiteness.
+
+def pulse_states(
+    amplitudes: np.ndarray,
+    energies: np.ndarray,
+    carrier: np.ndarray,
+    rabi: np.ndarray,
+    duration: float,
+) -> np.ndarray:
+    """Lab-frame states of one start state after each of a stack of n phase-zero pulses.
+
+    Every pulse starts at t = 0.  Each state is L V exp(-i Lambda tau) V^T psi
+    from the factors of ``_eigen_factors`` at a1 = w tau (R is the identity,
+    so it is not built), for the start amplitudes psi (dim,), the Ising
+    diagonals ``energies`` (n, dim), the carriers w (n,) and the Rabi
+    frequencies ``rabi`` (n, N): bit for bit the amplitudes ``evolve_pulse``
+    gives for that pulse at t_start = 0.  No U is formed.
+
+    Returns the amplitudes (n, dim).  A pulse whose energies or carrier are
+    not finite is left out of the eigensolve and its row is NaN; a row can
+    also come out non-finite when its phases overflow.  Overflow never
+    raises here, whatever numpy's error state, so one pulse cannot stop the
+    others: callers check the rows (or what they compute from them) for
+    finiteness.
     """
     n, dim = energies.shape
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,12 +209,12 @@ def pulse_propagators(
             energies, carrier, rabi = energies[ok], carrier[ok], rabi[ok]
         turn = 1j * (carrier * duration)
         vals, vecs, (left,) = _eigen_factors(energies, carrier[:, None], rabi, turn)
-        phases = np.exp(-1j * vals * duration)[:, None, :]
-        u = left[:, :, None] * ((vecs * phases) @ np.swapaxes(vecs, 1, 2))
-    if len(u) < n:
-        u_ok, u = u, np.full((n, dim, dim), np.nan, dtype=complex)
-        u[ok] = u_ok
-    return u
+        psi = np.ascontiguousarray(amplitudes, dtype=complex)
+        psi = _apply_factors(vecs, np.exp(vals * (-1j * duration)), left, psi)
+    if len(psi) < n:
+        psi_ok, psi = psi, np.full((n, dim), np.nan, dtype=complex)
+        psi[ok] = psi_ok
+    return psi
 
 
 def _pulse_factors(
@@ -219,7 +250,7 @@ def _pulse_factors(
     vals, vecs, (left, right) = _eigen_factors(energies, carrier, pulse.rabi, 1j * a1, -1j * a0)
     low, high = float(vals[0]), float(vals[-1])
     require_finite(max(-low, high) * tau if low <= high else math.nan, what)
-    return vecs, np.exp(-1j * vals * tau), left, right
+    return vecs, np.exp(vals * (-1j * tau)), left, right
 
 
 def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0) -> np.ndarray:
@@ -228,10 +259,8 @@ def pulse_propagator(system: SpinSystem, pulse: PulseSpec, t_start: float = 0.0)
     U = exp(+i (w t1 + phi) Z) exp(-i H_rot tau) exp(-i (w t0 + phi) Z) with
     Z the total I^z, H_rot the real symmetric rotating-frame Hamiltonian of
     the phase-zero drive and t1 = t_start + duration, formed from the
-    checked factors ``evolve_pulse`` applies.  For a phase-zero pulse at
-    t_start = 0 it is, bit for bit, the U ``pulse_propagators`` gives for a
-    stack of one.  Raises ConfigurationError if ``t_start``, the
-    energies, the carrier or a factor of U are not finite.
+    checked factors ``evolve_pulse`` applies.  Raises ConfigurationError if
+    ``t_start``, the energies, the carrier or a factor of U are not finite.
     """
     vecs, phases, left, right = _pulse_factors(system, pulse, t_start)
     return left[:, None] * (vecs * phases).dot(vecs.T) * right
@@ -253,8 +282,7 @@ def evolve_pulse(
     _require_dim(state, system)
     _require_normalized(state)
     vecs, phases, left, right = _pulse_factors(system, pulse, t_start)
-    amplitudes = left * vecs.dot(phases * vecs.T.dot(right * state.amplitudes))
-    return QuantumState(amplitudes, check=False)
+    return QuantumState(_apply_factors(vecs, phases, left, right * state.amplitudes), check=False)
 
 
 def evolve_delay(

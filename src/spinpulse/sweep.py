@@ -10,12 +10,14 @@ phases on the coupled target transition, which do not depend on the
 separation, cancel out.
 
 ``run_sweep`` is the one entry; one cell is a 1 x 1 grid.  The grid is
-evaluated in blocks of cells: the rotating Hamiltonians of a block (two per
-cell, control driven and undriven, each phase-zero pulse starting at t = 0)
-are built as one stack and exponentiated by one stacked real eigensolve, bit
-for bit the numbers of the cell-by-cell public route through ``cn_pulse``
-and ``pulse_propagator``.  A block whose cells are all valid and finite,
-as every cell of an ordinary grid is, runs no Python per cell.  A bad cell
+evaluated in blocks of up to 512 cells (``_SWEEP_BLOCK``): the rotating
+Hamiltonians of a block (two per cell, control driven and undriven, each
+phase-zero pulse starting at t = 0) are built as one stack and diagonalized
+by one stacked real eigensolve, and their factors act on the test state
+(``dynamics.pulse_states``) without forming a propagator: bit for bit the
+numbers of the cell-by-cell public route through ``cn_pulse`` and
+``evolve_pulse``.  A block whose cells are all valid and finite, as every
+cell of an ordinary grid is, runs no Python per cell.  A bad cell
 (an invalid system, or numbers that overflow double precision) still yields
 its own ``error:`` row and is kept out of the other cells' arithmetic.  The
 ``sweep`` command of ``spinpulse.cli`` validates its config once, at the
@@ -26,9 +28,8 @@ reading them again and writes the cells as CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .model import (
     read_fields,
     too_large,
 )
-from .dynamics import pulse_propagators
+from .dynamics import pulse_states
 from .design import cn_pulse
 from .ensemble import deviation_metric
 
@@ -53,8 +54,9 @@ SWEEP_INITIAL = QuantumState(
 ).amplitudes
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
+    """One grid cell (immutable): its deviation, or None and the error that stopped it."""
+
     delta_ratio: float
     j_ratio: float
     deviation: float | None
@@ -81,9 +83,10 @@ SWEEP_FIELDS = {
     "base_larmor": (finite_real, 100.0),
 }
 
-#: grid cells evaluated together; bounds the Hamiltonian and propagator
-#: stacks at a few hundred 4 x 4 matrices, however large the grid
-_SWEEP_BLOCK = 128
+#: grid cells evaluated together; bounds the Hamiltonian stack at about a
+#: thousand 4 x 4 matrices, however large the grid (a 900-cell grid peaks at
+#: ~0.8 MiB in blocks of 512, ~1.2 MiB in one block)
+_SWEEP_BLOCK = 512
 #: the two-spin coupling matrix of a unit Ising constant
 _UNIT_COUPLING = np.array([[0.0, 1.0], [1.0, 0.0]])
 _UNIT_COUPLING.setflags(write=False)
@@ -109,13 +112,14 @@ def _block_deviations(
     rabi: float,
     base_larmor: float,
     pulse: tuple[float, np.ndarray] | str,
-) -> list[float | str]:
-    """Deviation of each cell of a block, or the text of the error that stopped it.
+) -> tuple[list[float | None], list[str | None]]:
+    """The deviation of each cell of a block and the text of the error that stopped it.
 
-    ``pulse`` is ``_sweep_drive(rabi)``, or the text of its error.  Every
-    cell's two Hamiltonians (control driven and undriven) go through one
-    stacked eigensolve; a cell whose system is invalid, or whose numbers
-    overflow, gets its own error and does not change the other cells.
+    Each cell has one of the two; the other is None.  ``pulse`` is
+    ``_sweep_drive(rabi)``, or the text of its error.  Every cell's two
+    pulses (control driven and undriven) go through one stacked eigensolve
+    and act on the test state; a cell whose system is invalid, or whose
+    numbers overflow, gets its own error and does not change the other cells.
     """
     # overflow is checked cell by cell below, so it must not raise for the block
     with np.errstate(over="ignore", invalid="ignore"):
@@ -125,31 +129,38 @@ def _block_deviations(
         larmor[:, 1] = base_larmor
         valid = np.isfinite(larmor).all(1) & np.isfinite(coupling)
         all_valid = bool(valid.all())
-        out: list = [None] * len(coupling)
+        errors: list = [None] * len(coupling)
         if not all_valid:
             for i in np.flatnonzero(~valid):
                 try:  # the cell's own SpinSystem raises with the same checks and text
                     SpinSystem.uniform(larmor[i], coupling[i])
                 except ConfigurationError as exc:
-                    out[i] = str(exc)
+                    errors[i] = str(exc)
             larmor, coupling = larmor[valid], coupling[valid]
         if isinstance(pulse, str):
-            return [pulse if v is None else v for v in out]
+            return [None] * len(errors), [pulse if e is None else e for e in errors]
         duration, rabis = pulse
         energies = ising_diagonal(larmor, coupling[:, None, None] * _UNIT_COUPLING)
         energies = np.repeat(energies, 2, axis=0)  # each cell once per drive setting
         # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
         carrier = energies[:, 3] - energies[:, 2]
-        u = pulse_propagators(energies, carrier, np.tile(rabis, (len(carrier) // 2, 1)), duration)
-        psi = np.exp(1j * energies * duration) * (u @ SWEEP_INITIAL)  # interaction picture
+        rabis = np.tile(rabis, (len(carrier) // 2, 1))
+        psi = pulse_states(SWEEP_INITIAL, energies, carrier, rabis, duration)
+        # the interaction picture, as to_interaction_picture takes it: phase
+        # times state, since a complex product's rounding depends on the order
+        psi = np.exp(1j * energies * duration) * psi
         rho = psi[:, :, None] * psi.conj()[:, None, :]
-        # a non-finite energy, carrier, propagator or phase makes the deviation NaN
+        # a non-finite energy, carrier, state or phase makes the deviation NaN
         deviation = deviation_metric(rho[0::2], rho[1::2])
     if all_valid and np.isfinite(deviation).all():  # the common case: no cell failed
-        return deviation.tolist()
+        return deviation.tolist(), errors
+    deviations: list = [None] * len(errors)
     for i, value in zip(np.flatnonzero(valid).tolist(), deviation.tolist()):
-        out[i] = value if math.isfinite(value) else str(too_large("deviation not finite"))
-    return out
+        if math.isfinite(value):
+            deviations[i] = value
+        else:
+            errors[i] = str(too_large("deviation not finite"))
+    return deviations, errors
 
 
 def run_sweep(
@@ -183,11 +194,12 @@ def _grid_cells(
         pulse = _sweep_drive(rabi)
     except (ConfigurationError, FloatingPointError) as exc:  # FloatingPointError under main
         pulse = str(exc)
-    values = []
+    deviations: list = []
+    errors: list = []
     for first in range(0, len(delta_ratio), _SWEEP_BLOCK):
         block = slice(first, first + _SWEEP_BLOCK)
-        values += _block_deviations(delta_ratio[block], j_ratio[block], rabi, base_larmor, pulse)
-    return [
-        SweepCell(dr, jr, None, error=v) if isinstance(v, str) else SweepCell(dr, jr, v)
-        for dr, jr, v in zip(delta_ratio.tolist(), j_ratio.tolist(), values)
-    ]
+        d, e = _block_deviations(delta_ratio[block], j_ratio[block], rabi, base_larmor, pulse)
+        deviations += d
+        errors += e
+    rows = zip(delta_ratio.tolist(), j_ratio.tolist(), deviations, errors)
+    return list(map(SweepCell._make, rows))

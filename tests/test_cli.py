@@ -3,7 +3,7 @@ exit codes, and sweep determinism.
 
 The block-batched sweep is pinned bit for bit to the library's own
 per-cell route, ``library_cell_deviation``: one system, two ``cn_pulse``s
-and two ``pulse_propagator``s per cell.  ``reference_cell_deviation``, an
+and two ``evolve_pulse``s of the test state per cell.  ``reference_cell_deviation``, an
 independent per-cell copy that builds each propagator by a complex
 eigensolve of ``build_rotating_hamiltonian``, agrees within 1e-11.
 """
@@ -28,7 +28,7 @@ from spinpulse import (
     cn_pulse,
     deviation_metric,
     diagonal_energies,
-    pulse_propagator,
+    evolve_pulse,
     run_config,
     run_shor,
     run_sweep,
@@ -42,11 +42,12 @@ from spinpulse.cli import (
     EXIT_TOLERANCE,
     EXIT_VALIDATION,
     KIND_TABLE,
+    ExperimentConfig,
     SweepCell,
     main,
     parse_config,
 )
-from spinpulse.sweep import SWEEP_FIELDS, SWEEP_INITIAL
+from spinpulse.sweep import _SWEEP_BLOCK, SWEEP_FIELDS, SWEEP_INITIAL
 
 from conftest import GATE_FINAL, GATE_INITIAL, loop_trace
 
@@ -225,6 +226,33 @@ class TestParseConfig:
             parse_config(doc)
         with pytest.raises(ConfigurationError, match="control: not used without system"):
             parse_config({"kind": "design", "delta_omega": 10.0, "control": 0})
+
+    @pytest.mark.parametrize(
+        "kind, payload, fields",
+        [
+            ("cn", {}, ["system", "control", "target", "initial_state"]),
+            ("sweep", {"delta_ratios": [30.0], "j_ratios": [5.0], "rabi": "x"}, ["rabi"]),
+            ("sweep", {"delta_ratios": [2.0, 1.0], "j_ratios": [5.0]}, ["delta_ratios"]),
+            ("teleport", {}, ["kind"]),
+        ],
+    )
+    def test_hand_built_config_is_read_by_its_fields(self, kind, payload, fields):
+        # a bare KeyError, a bare ValueError and an unsorted axis that ran,
+        # when run_config trusted a hand-built payload
+        with pytest.raises(ConfigurationError) as exc:
+            run_config(ExperimentConfig(kind, payload))
+        assert [problem.split(":")[0] for problem in exc.value.problems] == fields
+
+    def test_config_holds_its_fields_as_read(self):
+        cfg = ExperimentConfig("sweep", {"delta_ratios": [30], "j_ratios": [5.0]})
+        assert cfg.payload == {
+            "delta_ratios": [30.0], "j_ratios": [5.0], "rabi": 0.1, "base_larmor": 100.0
+        }
+        assert cfg == parse_config({"kind": "sweep", "delta_ratios": [30], "j_ratios": [5.0]})
+        with pytest.raises(AttributeError):
+            cfg.kind = "cn"
+        with pytest.raises(TypeError):  # read-only: no field can change after the reading
+            cfg.payload["rabi"] = "x"
 
     def test_demo_configs_parse(self):
         for path in sorted(Path(SWEEP_CONFIG).parent.glob("*.json")):
@@ -441,6 +469,13 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match=f"^{problem}"):
             run_sweep(*args)
 
+    def test_cell_is_an_immutable_value(self):
+        cell = run_sweep([30.0], [5.0])[0]
+        with pytest.raises(AttributeError):
+            cell.deviation = 0.0
+        assert cell == SweepCell(30.0, 5.0, cell.deviation)
+        assert cell == SweepCell(30.0, 5.0, cell.deviation, None)
+
     def test_degradation_toward_small_separation(self):
         assert run_sweep([30.0], [5.0])[0].deviation > run_sweep([300.0], [5.0])[0].deviation
 
@@ -512,13 +547,13 @@ def reference_cell_deviation(delta_ratio, j_ratio, rabi=0.1, base_larmor=100.0):
 
 
 def library_cell_deviation(delta_ratio, j_ratio, rabi, base_larmor):
-    """The sweep cell through the public route: cn_pulse, pulse_propagator (a
+    """The sweep cell through the public route: cn_pulse, evolve_pulse (a
     real eigensolve), to_interaction_picture and deviation_metric."""
     system = SpinSystem.uniform([base_larmor + delta_ratio * rabi, base_larmor], j_ratio * rabi)
     rhos = []
     for control_rabi in (rabi, 0.0):
         pulse = cn_pulse(system, control=0, target=1, variant="standard", rabi=[control_rabi, rabi])
-        final = QuantumState(pulse_propagator(system, pulse) @ SWEEP_INITIAL)
+        final = evolve_pulse(QuantumState(SWEEP_INITIAL), system, pulse)
         psi = to_interaction_picture(final, system, pulse.duration).amplitudes
         rhos.append(np.outer(psi, psi.conj()))
     return deviation_metric(rhos[0], rhos[1])
@@ -555,7 +590,12 @@ HOSTILE_GRID = {"delta_ratios": [30.0, 1e307, 1e308], "j_ratios": [5.0, 1e308], 
 
 class TestBatchedSweep:
     @pytest.mark.parametrize(
-        "n_delta, n_j", [(1, 1), (1, 30), (30, 1), (30, 30), (1, 127), (128, 1), (3, 43)]
+        "n_delta, n_j",
+        [
+            (1, 1), (1, 30), (30, 1), (30, 30), (1, 127), (128, 1), (3, 43),
+            # one cell below and one above a block
+            (1, _SWEEP_BLOCK - 1), (_SWEEP_BLOCK + 1, 1),
+        ],
     )
     def test_matches_per_cell_loop(self, n_delta, n_j):
         rng = np.random.default_rng([n_delta, n_j])
@@ -570,7 +610,7 @@ class TestBatchedSweep:
                 ref.delta_ratio, ref.j_ratio, ref.error
             )
             assert cell.deviation == ref.deviation
-            # 1.22e-12 apart at most over these seven grids: a real against a
+            # 1.22e-12 apart at most over these nine grids: a real against a
             # complex eigensolve
             independent = reference_cell_deviation(cell.delta_ratio, cell.j_ratio, rabi, base)
             assert abs(cell.deviation - independent) <= 1e-11
@@ -628,8 +668,8 @@ class TestBatchedSweep:
         assert cells[1].error == "values too large for double precision (deviation not finite)"
 
     def test_memory_is_bounded_by_the_block(self):
-        # 900 cells, two 4 x 4 stacks each; one stack for the whole grid
-        # peaks above 2.5 MB
+        # 900 cells, two pulses each: ~0.8 MiB in blocks of 512 cells; one
+        # stack for the whole grid peaks at ~1.2 MiB
         axis = np.geomspace(10.0, 1000.0, 30).tolist()
         run_sweep(axis[:2], axis[:2])
         tracemalloc.start()
@@ -682,6 +722,9 @@ class TestMainEntryPoint:
             ),
             (["design-pulse", "--delta-omega", "1", "--k", "[" * 100000], None, "k"),
             (["run-cn"], cn_config(initial_state=[1.0, 0.0, 0.0, 0.0]), "initial_state"),
+            (["run-cn"], {"kind": "cn"}, "system"),
+            (["sweep"], {"kind": "sweep", "delta_ratios": [30.0], "j_ratios": [5.0], "rabi": "x"}, "rabi"),
+            (["sweep"], {"kind": "sweep", "delta_ratios": [2.0, 1.0], "j_ratios": [5.0]}, "delta_ratios"),
             (["run-cn"], cn_config(initial_state=[[1e308, 0.0]] * 4), "initial_state"),
             (["run-ensemble"], ensemble_config(system=cn_config()["system"]), "system"),
             # settings the command line or the run already fixes are unknown fields

@@ -50,7 +50,7 @@ from spinpulse.dynamics import (
     MAX_STEP_DIVISOR,
     _lab_steps,
     _magnus_propagator,
-    pulse_propagators,
+    pulse_states,
 )
 from spinpulse.ensemble import init_deviation, to_interaction_picture as density_to_interaction_picture
 from spinpulse.model import rotating_hamiltonian, spin_z_values, total_spin_z
@@ -486,6 +486,13 @@ def separate_build_factors(system, pulse, t_start):
     )
 
 
+def real_product(m, psi):
+    """m psi for a real m, as one real product with psi's real and imaginary
+    parts as the two columns of a (dim, 2) array."""
+    out = m @ np.stack([psi.real, psi.imag], axis=-1)
+    return out[..., 0] + 1j * out[..., 1]
+
+
 class TestFactorsBitForBit:
     """The one Hamiltonian builder and the Python-float checks move no bit."""
 
@@ -515,22 +522,31 @@ class TestFactorsBitForBit:
         )
         np.testing.assert_array_equal(
             evolve_pulse(QuantumState(state), system, pulse, t_start).amplitudes,
-            left * vecs.dot(phases * vecs.T.dot(right * state)),
+            left * real_product(vecs, phases * real_product(vecs.T, right * state)),
         )
 
 
-class TestPulsePropagators:
+def stack_states(state, systems, pulses):
+    """``pulse_states`` for one state and phase-zero pulses of one duration."""
+    return pulse_states(
+        state,
+        np.array([system.energies for system in systems]),
+        np.array([pulse.carrier for pulse in pulses]),
+        np.array([pulse.rabi for pulse in pulses]),
+        pulses[0].duration,
+    )
+
+
+class TestPulseStates:
     def test_stack_matches_one_pulse_at_a_time(self, rng):
         systems = [random_system(rng, 3) for _ in range(5)]
         pulses = [
             PulseSpec(rng.uniform(10, 150), 0.0, rng.uniform(0, 0.5, 3), 2.5) for _ in systems
         ]
-        energies = np.array([diagonal_energies(s) for s in systems])
-        carrier = np.array([p.carrier for p in pulses])
-        rabi = np.array([p.rabi for p in pulses])
-        u = pulse_propagators(energies, carrier, rabi, 2.5)
+        state = QuantumState(random_state(rng, 8))
+        psi = stack_states(state.amplitudes, systems, pulses)
         for i, (system, pulse) in enumerate(zip(systems, pulses)):
-            assert np.array_equal(u[i], pulse_propagator(system, pulse))
+            assert np.array_equal(psi[i], evolve_pulse(state, system, pulse).amplitudes)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -540,16 +556,34 @@ class TestPulsePropagators:
         duration=st.floats(0.01, 50.0),
     )
     def test_one_pulse_is_the_stack_of_one(self, n_spins, seed, carrier, duration):
-        # both routes take their factors from one builder and form U in the
-        # same order of operations: bit for bit the same U for a pulse at
+        # both routes take their factors from one builder and apply them
+        # through one helper: bit for bit the same state for a pulse at
         # t = 0 and phase 0
         rng = np.random.default_rng(seed)
         system = random_system(rng, n_spins)
         pulse = PulseSpec(carrier, 0.0, rng.uniform(0, 0.5, size=n_spins), duration)
-        [u] = pulse_propagators(
-            system.energies[None], np.array([pulse.carrier]), pulse.rabi[None], duration
-        )
-        assert np.array_equal(pulse_propagator(system, pulse), u)
+        state = QuantumState(random_state(rng, system.dim))
+        [psi] = stack_states(state.amplitudes, [system], [pulse])
+        assert np.array_equal(evolve_pulse(state, system, pulse).amplitudes, psi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_spins=st.integers(1, 4),
+        n_pulses=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        duration=st.floats(0.01, 50.0),
+    )
+    def test_random_stacks_are_evolve_pulse(self, n_spins, n_pulses, seed, duration):
+        rng = np.random.default_rng(seed)
+        systems = [random_system(rng, n_spins) for _ in range(n_pulses)]
+        pulses = [
+            PulseSpec(rng.uniform(-200.0, 200.0), 0.0, rng.uniform(0, 0.5, n_spins), duration)
+            for _ in systems
+        ]
+        state = QuantumState(random_state(rng, 2**n_spins))
+        psi = stack_states(state.amplitudes, systems, pulses)
+        for row, system, pulse in zip(psi, systems, pulses):
+            assert np.array_equal(row, evolve_pulse(state, system, pulse).amplitudes)
 
     def test_bad_pulse_fails_alone(self, gate_system, gate_pulse):
         # one pulse with an infinite energy, one with a NaN carrier (both
@@ -558,11 +592,12 @@ class TestPulsePropagators:
         energies[1, 2] = np.inf
         carrier = np.array([gate_pulse.carrier, gate_pulse.carrier, np.nan, 1e308])
         rabi = np.tile(gate_pulse.rabi, (4, 1))
+        state = QuantumState(GATE_INITIAL)
         with np.errstate(over="raise", invalid="raise"):
-            u = pulse_propagators(energies, carrier, rabi, gate_pulse.duration)
-        assert np.array_equal(u[0], pulse_propagator(gate_system, gate_pulse))
-        assert [bool(np.isfinite(m).all()) for m in u] == [True, False, False, False]
-        assert np.all(np.isnan(u[1:3]))
+            psi = pulse_states(state.amplitudes, energies, carrier, rabi, gate_pulse.duration)
+        assert np.array_equal(psi[0], evolve_pulse(state, gate_system, gate_pulse).amplitudes)
+        assert [bool(np.isfinite(row).all()) for row in psi] == [True, False, False, False]
+        assert np.all(np.isnan(psi[1:3]))
 
 
 class TestIntegrateLabFrame:
