@@ -18,13 +18,12 @@ yields an exact single-pulse CN gate of duration sqrt(3) pi / (2 J) at k = 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem, _level_gap
-from .model import require_finite, require_finite_arguments
+from .model import ConfigurationError, PulseSpec, SpinSystem, _checked, _level_gap, _numeric
+from .model import _require_spin_index, require_finite, require_finite_arguments
 
 #: proton gyromagnetic ratio, rad s^-1 T^-1
 PROTON_GYROMAGNETIC_RATIO = 2.6752218744e8
@@ -95,8 +94,8 @@ def design_2pik(delta_omega: float, k: int = 1, n: int = 1) -> TwoPiKDesign:
     )
 
 
-# The closed forms below reject a non-finite argument by name, then compute in
-# Python floats, where an overflow is inf with no warning, refused by require_finite.
+# The closed forms below reject an argument that is not a finite number by name, then
+# compute in Python floats, where an overflow is inf with no warning, refused by require_finite.
 
 
 def rotation_angle(omega_rabi: float, delta_omega: float, tau: float) -> float:
@@ -174,8 +173,7 @@ def cn_pulse(
     if control == target:
         raise ConfigurationError("control and target must be distinct spins")
     for spin in (control, target):
-        if not isinstance(spin, numbers.Integral):  # a float index selects no basis bit
-            raise ConfigurationError(f"spin index {spin!r} is not an integer")
+        _require_spin_index(spin)
         if not 0 <= spin < system.n_spins:
             raise ConfigurationError(f"spin index {spin} out of range")
 
@@ -197,7 +195,7 @@ def cn_pulse(
     else:
         if rabi is None:
             raise ConfigurationError("rabi amplitudes required unless exact_2pik is set")
-        amplitudes = np.asarray(rabi, dtype=float)
+        amplitudes = _checked("rabi", _numeric, rabi)
         if amplitudes.shape != (system.n_spins,):
             raise ConfigurationError(
                 f"rabi must list {system.n_spins} per-spin amplitudes"

@@ -58,6 +58,8 @@ from .model import (
     PulseSpec,
     QuantumState,
     SpinSystem,
+    _checked,
+    _real,
     max_abs,
     require_finite,
     rotating_hamiltonian,
@@ -217,6 +219,14 @@ def pulse_states(
     return psi
 
 
+def _start_time(t_start) -> float:
+    """A finite start time as a Python float; a ConfigurationError names ``t_start`` otherwise."""
+    t_start = _checked("t_start", _real, t_start)
+    if not math.isfinite(t_start):
+        raise ConfigurationError(f"t_start must be finite, got {t_start}")
+    return t_start
+
+
 def _pulse_factors(
     system: SpinSystem, pulse: PulseSpec, t_start: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -232,14 +242,13 @@ def _pulse_factors(
     * after the eigensolve, max(-lambda_0, lambda_last) tau bounds every
       eigenphase, as the eigenvalues come sorted.
 
-    Raises ConfigurationError if ``t_start`` is not finite, or if the
+    Raises ConfigurationError if ``t_start`` is not a finite number, or if the
     pulse's energies, carrier or propagator leave double precision.
     """
-    if not math.isfinite(t_start):
-        raise ConfigurationError(f"t_start must be finite, got {t_start}")
+    t_start = _start_time(t_start)
     energies = system.energies
     pulse.check_against(system)
-    t_start, carrier, tau = float(t_start), pulse.carrier, pulse.duration
+    carrier, tau = pulse.carrier, pulse.duration
     a0 = carrier * t_start + pulse.phase
     a1 = carrier * (t_start + tau) + pulse.phase
     z_max = 0.5 * system.n_spins
@@ -475,9 +484,7 @@ def _lab_steps(
     See ``lab_frame_propagator`` for the step rule and the checks.
     """
     pulse.check_against(system)
-    if not math.isfinite(t_start):
-        raise ConfigurationError(f"t_start must be finite, got {t_start}")
-    t_start = float(t_start)
+    t_start = _start_time(t_start)
     carrier, tau = abs(pulse.carrier), pulse.duration
     # |w| (|t0| + tau) bounds the drive angle w t + phi and the frame's turn w tau
     require_finite(carrier * (abs(t_start) + tau), "drive angle")
@@ -575,15 +582,13 @@ def apply_sequence(
     "lab-integrator", whose integrator takes ``step``.  Delays are always
     applied as exact phase factors.  Raises ValueError for an unknown method
     or a ``step`` with "exact-rotating", and ConfigurationError if
-    ``t_start`` is not finite or the clock overflows double precision.
+    ``t_start`` is not a finite number or the clock overflows double precision.
     """
     if method not in ("exact-rotating", "lab-integrator"):
         raise ValueError(f"unknown evolution method {method!r}")
     if step is not None and method == "exact-rotating":
         raise ValueError("step is not used with method 'exact-rotating'")
-    if not math.isfinite(t_start):
-        raise ConfigurationError(f"t_start must be finite, got {t_start}")
-    t = t_start = float(t_start)
+    t = t_start = _start_time(t_start)
     for event in events:
         if isinstance(event, PulseSpec):
             if method == "exact-rotating":

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem
-from .model import require_finite, require_finite_arguments
+from .model import ConfigurationError, PulseSpec, SpinSystem, _checked, _complex_numeric
+from .model import require_finite
 from .dynamics import free_evolution_phases, pulse_propagator
 
 N_SPINS = 4
@@ -45,7 +45,8 @@ class DeviationDensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", np.array(self.entries, dtype=complex))
+        entries = np.array(_checked("entries", _complex_numeric, self.entries))
+        object.__setattr__(self, "entries", entries)
         if self.entries.shape != (DIM, DIM):
             raise ConfigurationError(f"deviation matrix must be {DIM}x{DIM}")
         with np.errstate(over="ignore", invalid="ignore"):  # a difference too large is inf
@@ -90,7 +91,7 @@ def init_deviation(active_amplitudes) -> DeviationDensityMatrix:
     4-vector over |00ij>; the background starts diagonal with the
     equilibrium values, summing to -1 so the whole matrix is traceless.
     """
-    amps = np.asarray(active_amplitudes, dtype=complex)
+    amps = _checked("active_amplitudes", _complex_numeric, active_amplitudes)
     if amps.shape != (ACTIVE_DIM,):
         raise ConfigurationError(f"active amplitudes must be a length-{ACTIVE_DIM} vector")
     with np.errstate(over="ignore"):  # a norm too large for doubles is inf
@@ -154,12 +155,14 @@ def deviation_metric(r_obtained, r_reference):
     metric per block, inf or NaN included, so that each block's caller
     reports it.
     """
-    a = np.asarray(r_obtained, dtype=complex)
-    b = np.asarray(r_reference, dtype=complex)
+    a = _checked("r_obtained", _complex_numeric, r_obtained)
+    b = _checked("r_reference", _complex_numeric, r_reference)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         metric = np.max(np.abs(a - b) / np.maximum(np.abs(b), METRIC_FLOOR), axis=(-2, -1))
     if metric.ndim == 0 and not np.isfinite(metric):  # only then check the inputs
-        require_finite_arguments(r_obtained=a, r_reference=b)
+        for name, block in (("r_obtained", a), ("r_reference", b)):
+            if not np.isfinite(block).all():
+                raise ValueError(f"{name} must be finite")
     return metric if metric.ndim else require_finite(float(metric), "deviation metric")

@@ -65,9 +65,9 @@ def max_abs(values: np.ndarray) -> float:
 
 
 def require_finite_arguments(**values) -> None:
-    """Raises ValueError naming the first argument that holds a NaN or an infinity."""
+    """Raises ConfigurationError for an argument that is not a number, ValueError if not finite."""
     for name, value in values.items():
-        if not np.isfinite(value).all():
+        if not math.isfinite(_checked(name, _real, value)):
             raise ValueError(f"{name} must be finite")
 
 
@@ -80,6 +80,8 @@ def require_finite_arguments(**values) -> None:
 def _real(value) -> float:
     """A number as a float; raises ValueError for a bool, a string, a complex
     number or an int too large for a double."""
+    if type(value) is float:  # the common case, without the slower ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"expected a number, got {reprlib.repr(value)}")
     try:
@@ -109,21 +111,41 @@ def integer(value, low: int = 0, high: int = 2**63 - 1) -> int:
     return int(value)
 
 
-def _holds_bool(value) -> bool:
-    if isinstance(value, (list, tuple)):
-        return any(map(_holds_bool, value))
-    return isinstance(value, (bool, np.bool_))
+def _holds_bool(value, depth: int) -> bool:
+    """Whether the entries ``depth`` levels into nested sequences include a bool."""
+    while depth > 1:
+        value, depth = [x for row in value for x in row], depth - 1
+    return depth > 0 and not {bool, np.bool_}.isdisjoint(map(type, value))
+
+
+def _numeric(value, dtype: type = float) -> np.ndarray:
+    """Numbers only (no bool), as a float or complex array: ``value`` itself if it is one."""
+    arr = np.asarray(value)
+    kinds = "iufc" if dtype is complex else "iuf"
+    # an array holds no bool where its kind is a number's; a list may, among floats
+    if arr.dtype.kind not in kinds or arr is not value and _holds_bool(value, arr.ndim):
+        raise ValueError(f"expected numeric value(s), got {reprlib.repr(value)}")
+    return arr.astype(dtype, copy=False)
+
+
+#: ``_numeric`` where complex numbers belong: amplitudes and density matrices
+_complex_numeric = functools.partial(_numeric, dtype=complex)
 
 
 def finite_reals(value) -> np.ndarray:
-    """A finite float array of any shape, built from numbers only; raises ValueError otherwise."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or _holds_bool(value):
-        raise ValueError(f"expected numeric value(s), got {reprlib.repr(value)}")
-    arr = arr.astype(float)
+    """A new finite float array of any shape, of numbers only; raises ValueError otherwise."""
+    arr = np.array(_numeric(value))
     if not np.isfinite(arr).all():
         raise ValueError("must be finite")
     return arr
+
+
+def _checked(name: str, convert: Callable, value):
+    """``convert(value)``; its ValueError becomes a ConfigurationError naming the field."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +199,8 @@ class SpinSystem:
 
     ``couplings`` is a full symmetric matrix with zero diagonal; entry
     (k, n) is the Ising constant J_kn shared by spins k and n.  A system is
-    immutable: its arrays are read-only copies of the caller's.
+    immutable: its arrays are read-only copies of the caller's.  A field that
+    breaks the JSON reader's rules raises ConfigurationError naming it.
     """
 
     n_spins: int
@@ -185,10 +208,13 @@ class SpinSystem:
     couplings: np.ndarray
 
     def __post_init__(self):
-        if self.n_spins < 1:
+        count = functools.partial(integer, low=-math.inf, high=math.inf)  # < 1: refused below
+        n_spins = _checked("n_spins", count, self.n_spins)
+        if n_spins < 1:
             raise ConfigurationError("n_spins must be a positive integer")
+        object.__setattr__(self, "n_spins", n_spins)
         for name in ("larmor", "couplings"):
-            value = np.array(getattr(self, name), dtype=float)
+            value = np.array(_checked(name, _numeric, getattr(self, name)))
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         if self.larmor.shape != (self.n_spins,):
@@ -230,17 +256,9 @@ class SpinSystem:
     def uniform(cls, larmor: Sequence[float], coupling: float) -> "SpinSystem":
         """System with one Ising constant shared by every spin pair."""
         n = len(larmor)
-        j = np.full((n, n), float(coupling))
+        j = np.full((n, n), _checked("coupling", _real, coupling))
         np.fill_diagonal(j, 0.0)
         return cls(n, larmor, j)
-
-
-def _spec_number(name: str, value) -> float:
-    """A pulse's or delay's scalar by ``_real``; a ConfigurationError names the field."""
-    try:
-        return _real(value)
-    except ValueError as exc:
-        raise ConfigurationError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +271,8 @@ class PulseSpec:
     rabi:     per-spin Rabi frequencies (length must match the system)
     duration: pulse length, strictly positive
 
-    A carrier, phase or duration that is not a number by the JSON reader's
-    rule (``finite_real``) raises ConfigurationError naming it.
+    A carrier, phase, duration or Rabi frequency that is not a number by the
+    JSON reader's rule raises ConfigurationError naming it.
     """
 
     carrier: float
@@ -266,10 +284,10 @@ class PulseSpec:
         carrier, phase, duration = self.carrier, self.phase, self.duration
         # Python floats, as cn_pulse gives, need no conversion
         if not (type(carrier) is type(phase) is type(duration) is float):
-            carrier = _spec_number("carrier", carrier)
-            phase = _spec_number("phase", phase)
-            duration = _spec_number("duration", duration)
-        object.__setattr__(self, "rabi", np.array(self.rabi, dtype=float))
+            carrier = _checked("carrier", _real, carrier)
+            phase = _checked("phase", _real, phase)
+            duration = _checked("duration", _real, duration)
+        object.__setattr__(self, "rabi", np.array(_checked("rabi", _numeric, self.rabi)))
         if self.rabi.ndim != 1:
             raise ConfigurationError("rabi must be a 1-d sequence")
         # a pulse drives a few spins: Python floats check them faster than numpy
@@ -302,14 +320,15 @@ class DelaySpec:
     duration: float
 
     def __post_init__(self):
-        duration = _spec_number("duration", self.duration)
+        duration = _checked("duration", _real, self.duration)
         if not 0 <= duration < math.inf:  # NaN fails too
             raise ConfigurationError("delay duration must be finite and >= 0")
         object.__setattr__(self, "duration", duration)
 
 
 class QuantumState:
-    """Normalized amplitude vector over the 2^N computational basis."""
+    """Normalized amplitude vector over the 2^N computational basis, of numbers by the JSON
+    reader's rule (complex allowed); ``check=False`` trusts its caller on both."""
 
     __slots__ = ("amplitudes",)
 
@@ -317,6 +336,8 @@ class QuantumState:
     NORM_TOL = 1e-9
 
     def __init__(self, amplitudes: Sequence[complex], check: bool = True):
+        if check:
+            amplitudes = _checked("amplitudes", _complex_numeric, amplitudes)
         amps = np.array(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size == 0 or (amps.size & (amps.size - 1)):
             raise ValueError("amplitudes must be a 1-d vector of length 2^N")
@@ -453,6 +474,8 @@ def transition_frequency(
     omega_target + 2 sum_m J_tm s_m over the spectator assignment.  Raises
     ConfigurationError if the difference overflows double precision.
     """
+    for spin in (target, *spectator_state):
+        _require_spin_index(spin)
     if not 0 <= target < system.n_spins:
         raise ConfigurationError(f"target spin {target} out of range")
     expected = set(range(system.n_spins)) - {target}
@@ -465,10 +488,16 @@ def transition_frequency(
         )
     ground = 0
     for spin, bit in spectator_state.items():
-        if bit not in (0, 1):
+        if isinstance(bit, bool) or not isinstance(bit, numbers.Integral) or bit not in (0, 1):
             raise ConfigurationError(f"spectator value for spin {spin} must be 0 or 1")
         ground |= bit << (system.n_spins - 1 - spin)
     return _level_gap(system, ground, ground | (1 << (system.n_spins - 1 - target)))
+
+
+def _require_spin_index(spin) -> None:
+    """Raises ConfigurationError if ``spin`` is not an integer (a float selects no basis bit)."""
+    if type(spin) is not int and not isinstance(spin, numbers.Integral):  # int: no ABC check
+        raise ConfigurationError(f"spin index {spin!r} is not an integer")
 
 
 def _level_gap(system: SpinSystem, ground: int, excited: int) -> float:

@@ -45,6 +45,8 @@ from .model import (
     ConfigurationError,
     QuantumState,
     SpinSystem,
+    _checked,
+    _numeric,
     finite_reals,
     max_abs,
     require_finite,
@@ -350,7 +352,7 @@ def extract_period(distribution) -> PeriodResult:
     x = 0 (or yielding a fractional period) carries no period information
     and raises PeriodExtractionError.
     """
-    probs = np.asarray(distribution, dtype=float)
+    probs = _checked("distribution", _numeric, distribution)
     if probs.shape != (X_VALUES,):
         raise ValueError(f"distribution must have {X_VALUES} entries")
     values = probs.tolist()
@@ -380,7 +382,7 @@ def sample_x(
     the draw, so a seeded sample does not turn on the last bits that
     rounding moves.
     """
-    probs = np.asarray(distribution, dtype=float)
+    probs = _checked("distribution", _numeric, distribution)
     grid = np.rint(probs / probs.sum() / _SUPPORT_TOL)
     counts = np.random.default_rng(seed).multinomial(shots, grid / grid.sum())
     return {x: int(c) for x, c in enumerate(counts) if c}

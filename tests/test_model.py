@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import json
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -22,18 +23,27 @@ from spinpulse import (
     PulseSpec,
     QuantumState,
     SpinSystem,
+    apply_sequence,
+    approx_rotation_angle,
     build_rotating_hamiltonian,
     cn_pulse,
+    deviation_metric,
     diagonal_energies,
     dynamics,
     evolve_delay,
     evolve_pulse,
     extract_period,
+    frequency_ladder,
+    gradient_estimate,
     init_deviation,
     lab_frame_propagator,
     load_spin_config,
     model,
+    offresonant_excitation_probability,
+    pulse_propagator,
+    rotation_angle,
     run_shor,
+    sample_x,
     spin_z_values,
     to_interaction_picture,
     total_spin_z,
@@ -203,6 +213,70 @@ def test_nan_fails_the_tolerance_checks(call):
         call()
 
 
+#: a system and a pulse for the entries that take them
+_GATE = SpinSystem(2, [100.0, 50.0], [[0.0, 5.0], [5.0, 0.0]])
+_PULSE = PulseSpec(95.0, 0.0, [0.5, 0.1], 1.0)
+#: what the JSON reader refuses where reals belong, as arrays and as scalars;
+#: where complex numbers belong (amplitudes, density matrices) all but a complex entry
+_NOT_REALS = {"strings": ["1", "0"], "bools": [True, False], "complex": [1.0, 1j],
+              "huge-int": [1.0, 10**400]}
+_NOT_REAL = {"string": "1", "bool": True, "complex": 1j, "huge-int": 10**400}
+_NOT_NUMBERS = {kind: v for kind, v in _NOT_REALS.items() if kind != "complex"}
+#: (id, entry, field, converter, refused values) of every entry that takes an
+#: outside array or number into library state
+_NON_NUMBER_SITES = [
+    ("larmor", lambda v: SpinSystem(2, v, [[0.0, 5.0], [5.0, 0.0]]), "larmor",
+     model.finite_reals, _NOT_REALS),
+    ("couplings", lambda v: SpinSystem(2, [100.0, 50.0], v), "couplings",
+     model.finite_reals, _NOT_REALS),
+    ("n-spins", lambda v: SpinSystem(v, [100.0, 50.0], [[0.0, 5.0], [5.0, 0.0]]), "n_spins",
+     model.integer, {"bool": True, "fraction": 2.5, "string": "2"}),
+    ("uniform-coupling", lambda v: SpinSystem.uniform([100.0, 50.0], v), "coupling",
+     model.finite_real, _NOT_REAL),
+    ("rabi", lambda v: PulseSpec(95.0, 0.0, v, 1.0), "rabi", model.finite_reals, _NOT_REALS),
+    ("state", QuantumState, "amplitudes", model.finite_reals, _NOT_NUMBERS),
+    ("deviation", DeviationDensityMatrix, "entries", model.finite_reals, _NOT_NUMBERS),
+    ("init-deviation", init_deviation, "active_amplitudes", model.finite_reals, _NOT_NUMBERS),
+    ("cn-pulse-rabi", lambda v: cn_pulse(_GATE, 0, 1, rabi=v), "rabi",
+     model.finite_reals, _NOT_REALS),
+    ("metric-obtained", lambda v: deviation_metric(v, np.eye(2)), "r_obtained",
+     model.finite_reals, _NOT_NUMBERS),
+    ("metric-reference", lambda v: deviation_metric(np.eye(2), v), "r_reference",
+     model.finite_reals, _NOT_NUMBERS),
+    ("extract-period", extract_period, "distribution", model.finite_reals, _NOT_REALS),
+    ("sample-x", lambda v: sample_x(v, 10, seed=1), "distribution",
+     model.finite_reals, _NOT_REALS),
+    # a start time; a string raised a bare TypeError
+    ("propagator-start", lambda v: pulse_propagator(_GATE, _PULSE, v), "t_start",
+     model.finite_real, _NOT_REAL),
+    ("evolve-start", lambda v: evolve_pulse(QuantumState.basis(2, 0), _GATE, _PULSE, v),
+     "t_start", model.finite_real, _NOT_REAL),
+    ("lab-start", lambda v: lab_frame_propagator(_GATE, _PULSE, t_start=v), "t_start",
+     model.finite_real, _NOT_REAL),
+    ("sequence-start", lambda v: apply_sequence(QuantumState.basis(2, 0), _GATE, [], v),
+     "t_start", model.finite_real, _NOT_REAL),
+    # the closed forms' arguments; a string raised numpy's bare TypeError
+    ("rotation-angle", lambda v: rotation_angle(v, 1.0, 1.0), "omega_rabi",
+     model.finite_real, _NOT_REAL),
+    ("approx-rotation-angle", lambda v: approx_rotation_angle(1.0, v), "delta_omega",
+     model.finite_real, _NOT_REAL),
+    ("excitation-probability", lambda v: offresonant_excitation_probability(1.0, 1.0, v),
+     "tau", model.finite_real, _NOT_REAL),
+    ("frequency-ladder", lambda v: frequency_ladder(v, 1.0, 2), "omega0",
+     model.finite_real, _NOT_REAL),
+    ("gradient-estimate", lambda v: gradient_estimate(1.0, v), "spacing",
+     model.finite_real, _NOT_REAL),
+]
+_NON_NUMBER_CASES = [
+    (make, field, convert, value)
+    for _, make, field, convert, values in _NON_NUMBER_SITES
+    for value in values.values()
+]
+_NON_NUMBER_IDS = [
+    f"{site}-{kind}" for site, *_, values in _NON_NUMBER_SITES for kind in values
+]
+
+
 class TestPulseSpec:
     def test_negative_rabi_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -231,25 +305,29 @@ class TestPulseSpec:
             DelaySpec(-1.0)
 
     @pytest.mark.parametrize(
-        "make, field, value",
+        "make, field, convert, value",
         [
-            (lambda v: PulseSpec(1.0, 0.0, [0.5], v), "duration", 10**400),
-            (lambda v: PulseSpec(v, 0.0, [0.5], 1.0), "carrier", 10**400),
-            (lambda v: PulseSpec(1.0, v, [0.5], 1.0), "phase", 10**400),
-            (lambda v: PulseSpec(v, 0.0, [0.5], 1.0), "carrier", 1 + 0j),
-            (lambda v: PulseSpec(1.0, 0.0, [0.5], v), "duration", True),
-            (lambda v: PulseSpec(1.0, v, [0.5], 1.0), "phase", "0"),
-            (DelaySpec, "duration", 10**400),
-            (DelaySpec, "duration", "1"),
-            (DelaySpec, "duration", False),
-        ],
+            (lambda v: PulseSpec(1.0, 0.0, [0.5], v), "duration", model.finite_real, 10**400),
+            (lambda v: PulseSpec(v, 0.0, [0.5], 1.0), "carrier", model.finite_real, 10**400),
+            (lambda v: PulseSpec(1.0, v, [0.5], 1.0), "phase", model.finite_real, 10**400),
+            (lambda v: PulseSpec(v, 0.0, [0.5], 1.0), "carrier", model.finite_real, 1 + 0j),
+            (lambda v: PulseSpec(1.0, 0.0, [0.5], v), "duration", model.finite_real, True),
+            (lambda v: PulseSpec(1.0, v, [0.5], 1.0), "phase", model.finite_real, "0"),
+            (DelaySpec, "duration", model.finite_real, 10**400),
+            (DelaySpec, "duration", model.finite_real, "1"),
+            (DelaySpec, "duration", model.finite_real, False),
+        ]
+        + _NON_NUMBER_CASES,
         ids=["pulse-duration-huge-int", "carrier-huge-int", "phase-huge-int", "carrier-complex",
-             "duration-bool", "phase-string", "delay-huge-int", "delay-string", "delay-bool"],
+             "duration-bool", "phase-string", "delay-huge-int", "delay-string", "delay-bool"]
+        + _NON_NUMBER_IDS,
     )
-    def test_non_number_scalars_rejected_by_name(self, make, field, value):
-        # the JSON reader's number rule and text, with the field's name
+    def test_non_number_scalars_rejected_by_name(self, make, field, convert, value):
+        # the JSON reader's rule and text for the field's converter, with the
+        # field's name; arrays and counts that broke it were coerced by numpy
+        # (['1', '2'] read as [1.0, 2.0]) or raised a bare TypeError or OverflowError
         with pytest.raises(ConfigurationError) as read:
-            model.read_fields({field: value}, {field: (model.finite_real, model.REQUIRED)})
+            model.read_fields({field: value}, {field: (convert, model.REQUIRED)})
         with pytest.raises(ConfigurationError) as refused:
             make(value)
         assert str(refused.value) == str(read.value)
@@ -433,6 +511,22 @@ class TestTransitionFrequency:
         with pytest.raises(ConfigurationError, match="^spectator value for spin 0 must be 0 or 1$"):
             transition_frequency(gate_system, 1, {0: 2})
 
+    @pytest.mark.parametrize(
+        "target, spectators, message",
+        [
+            (0.0, {1: 0, 2: 1}, "spin index 0.0 is not an integer"),
+            ("0", {1: 0, 2: 1}, "spin index '0' is not an integer"),
+            (0, {1.0: 0, 2: 1}, "spin index 1.0 is not an integer"),
+            (0, {1: 0, 2: 1.0}, "spectator value for spin 2 must be 0 or 1"),
+            (0, {1: True, 2: 1}, "spectator value for spin 1 must be 0 or 1"),
+        ],
+    )
+    def test_index_or_value_not_an_integer_rejected(self, target, spectators, message):
+        # cn_pulse's spin rule; each raised a bare TypeError, a bool value was a bit
+        system = SpinSystem.uniform([100.0, 200.0, 300.0], 5.0)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            transition_frequency(system, target, spectators)
+
 
 class TestConfigurationError:
     def test_problems_joined_into_the_message(self):
@@ -475,6 +569,9 @@ class TestJsonLoading:
     def test_integral_float_n_spins_accepted(self):
         doc = {"n_spins": 2.0, "larmor": [1.0, 2.0], "couplings": [[0.0, 1.0], [1.0, 0.0]]}
         assert load_spin_config(doc)[0].n_spins == 2
+        # as the reader does, the constructor stores an int: the dimension was the float 4.0
+        system = SpinSystem(**doc)
+        assert type(system.n_spins) is int and type(system.dim) is int
 
     @pytest.mark.parametrize(
         "system_fields, pulse_fields, field",

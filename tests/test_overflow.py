@@ -351,21 +351,26 @@ def _outcome(call, error_state: str):
     t=VALUES,
     delay=VALUES,
     scalar=st.sampled_from([float, np.float64, np.float32, int]),
+    as_array=st.booleans(),
 )
 def test_every_entry_returns_finite_numbers_or_refuses(
-    larmor, couplings, rabi, table, carrier, duration, t, delay, scalar
+    larmor, couplings, rabi, table, carrier, duration, t, delay, scalar, as_array
 ):
-    rabi = np.abs(rabi)
     duration, delay = abs(duration), abs(delay)
-    # pulses and delays also take numpy scalars and ints; np.float32 rounds
-    # 1e308 to inf, and int(1e308) is too large for numpy's integers
+    # pulses, delays and times also take numpy scalars and ints; np.float32
+    # rounds 1e308 to inf, and int(1e308) is too large for numpy's integers
     with np.errstate(over="ignore"):
-        spec_carrier, spec_duration, spec_delay = map(scalar, (carrier, duration, delay))
-    # the closed forms take a positive Rabi frequency and spin spacing
-    positive_rabi, spacing = rabi[0] or 1.0, duration or 1.0
+        spec_carrier, spec_duration, spec_delay, spec_t = map(
+            scalar, (carrier, duration, delay, t)
+        )
     j = np.zeros((4, 4))
     j[np.triu_indices(4, 1)] = couplings
     j = j + j.T
+    # the domain types take arrays and lists alike
+    form = np.array if as_array else np.ndarray.tolist
+    larmor, rabi, table = form(np.array(larmor)), form(np.abs(rabi)), form(np.array(table))
+    # the closed forms take a positive Rabi frequency and spin spacing
+    positive_rabi, spacing = rabi[0] or 1.0, duration or 1.0
     state = QuantumState(GATE_INITIAL)
     # a 4 x 4 block of the table, Hermitian only where the table is symmetric
     block = np.reshape(table, (4, 4))
@@ -378,13 +383,13 @@ def test_every_entry_returns_finite_numbers_or_refuses(
     hermitian[:4, :4] = np.triu(block) + np.triu(block, 1).T + 1j * (lower - lower.T)
 
     def two():
-        return SpinSystem(2, larmor[:2], j[:2, :2])
+        return SpinSystem(2, larmor[:2], form(j[:2, :2]))
 
     def four():
-        return SpinSystem(4, larmor, j)
+        return SpinSystem(4, larmor, form(j))
 
     def pulse(n_spins):
-        return PulseSpec(spec_carrier, t, rabi[:n_spins], spec_duration)
+        return PulseSpec(spec_carrier, spec_t, rabi[:n_spins], spec_duration)
 
     calls = {
         "energies": lambda: two().energies,
@@ -393,26 +398,26 @@ def test_every_entry_returns_finite_numbers_or_refuses(
         "cn_pulse complementary": lambda: cn_pulse(two(), 1, 0, "complementary", rabi=rabi[:2]),
         "cn_pulse exact_2pik": lambda: cn_pulse(two(), 0, 1, exact_2pik=1),
         "build_rotating_hamiltonian": lambda: build_rotating_hamiltonian(two(), pulse(2)),
-        "pulse_propagator": lambda: pulse_propagator(two(), pulse(2), t),
-        "evolve_pulse": lambda: evolve_pulse(state, two(), pulse(2), t),
+        "pulse_propagator": lambda: pulse_propagator(two(), pulse(2), spec_t),
+        "evolve_pulse": lambda: evolve_pulse(state, two(), pulse(2), spec_t),
         "evolve_delay": lambda: evolve_delay(state, two(), spec_delay),
-        "to_interaction_picture": lambda: to_interaction_picture(state, two(), t),
+        "to_interaction_picture": lambda: to_interaction_picture(state, two(), spec_t),
         "lab_hamiltonian": lambda: lab_hamiltonian(two(), pulse(2), t),
-        "integrate_lab_frame": lambda: integrate_lab_frame(state, two(), pulse(2), t_start=t),
+        "integrate_lab_frame": lambda: integrate_lab_frame(state, two(), pulse(2), t_start=spec_t),
         "apply_sequence": lambda: apply_sequence(
-            state, two(), [DelaySpec(spec_delay), pulse(2), DelaySpec(spec_duration)], t_start=t
+            state, two(), [DelaySpec(spec_delay), pulse(2), DelaySpec(spec_duration)], spec_t
         ),
         "evolve_deviation": lambda: evolve_deviation(
-            init_deviation([0.6, 0.8, 0, 0]), four(), pulse(4), t
+            init_deviation([0.6, 0.8, 0, 0]), four(), pulse(4), spec_t
         ),
         "density_to_interaction_picture": lambda: density_to_interaction_picture(
-            init_deviation([0.6, 0.8, 0, 0]), four(), t
+            init_deviation([0.6, 0.8, 0, 0]), four(), spec_t
         ),
         "evolve_deviation drawn": lambda: evolve_deviation(
-            DeviationDensityMatrix(hermitian), four(), pulse(4), t
+            DeviationDensityMatrix(hermitian), four(), pulse(4), spec_t
         ),
         "density_to_interaction_picture drawn": lambda: density_to_interaction_picture(
-            DeviationDensityMatrix(hermitian), four(), t
+            DeviationDensityMatrix(hermitian), four(), spec_t
         ),
         "DeviationDensityMatrix": lambda: DeviationDensityMatrix(rho),
         "deviation_metric": lambda: deviation_metric(block, block.T),
