@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigurationError, PulseSpec, SpinSystem, _checked, _level_gap, _numeric
-from .model import _require_spin_index, require_finite, require_finite_arguments
+from .model import _real, _require_spin_index, require_finite, require_finite_arguments
 
 #: proton gyromagnetic ratio, rad s^-1 T^-1
 PROTON_GYROMAGNETIC_RATIO = 2.6752218744e8
@@ -78,11 +78,11 @@ def design_2pik(delta_omega: float, k: int = 1, n: int = 1) -> TwoPiKDesign:
     parameters satisfy both conditions exactly, so the detuned spin's
     rotation angle omega_e * tau is an exact integer multiple of 2 pi.
     """
-    if delta_omega == 0:
+    delta = abs(_checked("delta_omega", _real, delta_omega))
+    if delta == 0:
         raise ConfigurationError("no 2pi-k design exists for zero detuning")
     if k < 1 or n < 1:
         raise ConfigurationError("k and n must be positive integers")
-    delta = abs(float(delta_omega))
     rabi = delta / math.sqrt((2.0 * n * k) ** 2 - 1.0)
     if rabi == 0.0:
         raise ConfigurationError(

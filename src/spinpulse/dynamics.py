@@ -59,6 +59,9 @@ from .model import (
     QuantumState,
     SpinSystem,
     _checked,
+    _complex_numeric,
+    _norm_drift,
+    _numeric,
     _real,
     max_abs,
     require_finite,
@@ -102,7 +105,8 @@ _TAYLOR_BLOCKS.setflags(write=False)
 
 @dataclass
 class EvolutionReport:
-    """Outcome of an evolution run: final state, norm drift, method tag."""
+    """Outcome of an evolution run: final state, its norm drift, method tag.  With the lab
+    integrator the drift is what its pulses accumulated, targeted by ``INTEGRATOR_NORM_TOL``."""
 
     final_state: QuantumState
     norm_drift: float
@@ -135,8 +139,7 @@ def _require_dim(state: QuantumState, system: SpinSystem) -> None:
 
 
 def _require_normalized(state: QuantumState) -> None:
-    # np.vdot(x, x) is the squared norm, without np.linalg.norm's overhead
-    drift = abs(math.sqrt(np.vdot(state.amplitudes, state.amplitudes).real) - 1.0)
+    drift = _norm_drift(state.amplitudes)
     if not drift <= QuantumState.NORM_TOL:  # NaN fails too
         raise ValueError(f"input state is not normalized (|norm - 1| = {drift:.3e})")
 
@@ -311,10 +314,10 @@ def evolve_delay(
 def free_evolution_phases(system: SpinSystem, t: float) -> np.ndarray:
     """The phase factors exp(-i E_n t) of free evolution for a time t.
 
-    Raises ConfigurationError if E_n t overflows double precision, checked
-    in Python floats as |t| max|E| before numpy computes anything.
+    Raises ConfigurationError naming ``t`` if it is not a number, and if E_n t
+    overflows double precision, checked in Python floats as |t| max|E| first.
     """
-    t = float(t)
+    t = _checked("t", _real, t)
     energies = system.energies
     require_finite(abs(t) * max_abs(energies), "free-evolution phases")
     return np.exp(-1j * (energies * t))
@@ -327,6 +330,7 @@ def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) ->
     them directly comparable against ideal gate actions.
     """
     _require_dim(state, system)
+    t = _checked("t", _real, t)
     return QuantumState(free_evolution_phases(system, -t) * state.amplitudes, check=False)
 
 
@@ -353,15 +357,18 @@ def analytic_two_level(
     amplitude leaves with exp(-i E_n t1): the generated state picks up the
     phase it would have had, had it existed from t = 0.  The pi/2 - phi term
     is the standard phase shift of the driven transition; phi = pi/2 removes
-    it.  Raises ValueError if an input is not finite, the carrier is off
-    the resonance or the duration is negative, and ConfigurationError if
-    the amplitudes overflow double precision.
+    it.  Raises ValueError if an input is not finite, the carrier is off the
+    resonance or the duration is negative, and ConfigurationError naming an
+    argument that is not a number, or if the amplitudes overflow.
     """
+    c_k_initial = _checked("c_k_initial", _complex_numeric, c_k_initial)
+    reals = dict(e_k=e_k, e_n=e_n, rabi=rabi, phase=phase, t_start=t_start, duration=duration)
+    e_k, e_n, rabi, phase, t_start, duration = (_checked(k, _real, v) for k, v in reals.items())
     if not np.isfinite([c_k_initial, e_k, e_n, rabi, phase, t_start, duration]).all():
         raise ValueError("amplitude, energies, rabi, phase, t_start and duration must be finite")
-    resonance = float(e_n) - float(e_k)
+    resonance = e_n - e_k
     # written so that a NaN carrier or duration fails the check
-    if carrier is not None and not abs(carrier - resonance) <= 1e-9:
+    if carrier is not None and not abs(_checked("carrier", _real, carrier) - resonance) <= 1e-9:
         raise ValueError(
             f"carrier {carrier} is off the {resonance} resonance; "
             "use integrate_lab_frame for detuned drives"
@@ -398,10 +405,11 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray)
     of the same Hamiltonians.  Raises ConfigurationError if a time or the
     drive angle w t + phi is not finite.
     """
-    if not np.isfinite(t).all():
+    times = _checked("t", _numeric, t)
+    if not np.isfinite(times).all():
         raise ConfigurationError(f"t must be finite, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
-        angle = require_finite(pulse.carrier * np.asarray(t) + pulse.phase, "drive angle")
+        angle = require_finite(pulse.carrier * times + pulse.phase, "drive angle")
     pulse.check_against(system)
     # the rotating-frame Hamiltonian of a zero carrier, field at angle w t + phi
     return rotating_hamiltonian(system.energies, 0.0, pulse.rabi, angle)
@@ -580,8 +588,10 @@ def apply_sequence(
 
     ``method`` selects the pulse route: "exact-rotating" (default) or
     "lab-integrator", whose integrator takes ``step``.  Delays are always
-    applied as exact phase factors.  Raises ValueError for an unknown method
-    or a ``step`` with "exact-rotating", and ConfigurationError if
+    applied as exact phase factors.  The start state is checked once, so a
+    lab-integrator sequence carries the integrator's drift; each event keeps
+    its own checks.  Raises ValueError for an unknown method, a ``step`` with
+    "exact-rotating" or an unnormalized start state, and ConfigurationError if
     ``t_start`` is not a finite number or the clock overflows double precision.
     """
     if method not in ("exact-rotating", "lab-integrator"):
@@ -589,21 +599,24 @@ def apply_sequence(
     if step is not None and method == "exact-rotating":
         raise ValueError("step is not used with method 'exact-rotating'")
     t = t_start = _start_time(t_start)
+    _require_dim(state, system)
+    _require_normalized(state)
+    psi = state.amplitudes
     for event in events:
-        if isinstance(event, PulseSpec):
-            if method == "exact-rotating":
-                state = evolve_pulse(state, system, event, t_start=t)
-            else:
-                state = integrate_lab_frame(state, system, event, step=step, t_start=t)
-            t += event.duration
+        if isinstance(event, PulseSpec) and method == "exact-rotating":
+            vecs, phases, left, right = _pulse_factors(system, event, t)
+            psi = _apply_factors(vecs, phases, left, right * psi)
+        elif isinstance(event, PulseSpec):
+            n_steps = _lab_steps(system, event, step, t)
+            psi = _magnus_propagator(system, event, t, n_steps, psi[:, None])[:, 0]
         elif isinstance(event, DelaySpec):
-            state = evolve_delay(state, system, event)
-            t += event.duration
+            psi = free_evolution_phases(system, event.duration) * psi
         else:
             raise TypeError(f"events must be PulseSpec or DelaySpec, got {type(event)!r}")
+        t += event.duration
     return EvolutionReport(
-        final_state=state,
-        norm_drift=abs(state.norm - 1.0),
+        final_state=QuantumState(psi, check=False),
+        norm_drift=_norm_drift(psi),
         method=method,
         elapsed=require_finite(t - t_start, "sequence clock"),
     )

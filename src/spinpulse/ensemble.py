@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConfigurationError, PulseSpec, SpinSystem, _checked, _complex_numeric
-from .model import require_finite
+from .model import ConfigurationError, PulseSpec, QuantumState, SpinSystem, _checked
+from .model import _complex_numeric, _norm_drift, _real, require_finite
 from .dynamics import free_evolution_phases, pulse_propagator
 
 N_SPINS = 4
@@ -59,10 +59,10 @@ class DeviationDensityMatrix:
     def _built(cls, entries: np.ndarray) -> "DeviationDensityMatrix":
         """A deviation matrix on fresh ``entries`` that are Hermitian by construction.
 
-        Like ``QuantumState(check=False)``, it neither copies nor re-checks
-        them: an absolute Hermiticity tolerance would refuse only rounding,
-        which grows with the entries.  Raises ConfigurationError if an entry
-        is not finite, that is if the arithmetic that built them overflowed.
+        Like ``QuantumState(check=False)``, it takes ownership of them, with
+        no copy and no re-check: an absolute Hermiticity tolerance would refuse
+        only rounding, which grows with the entries.  Raises ConfigurationError
+        if an entry is not finite, that is if the arithmetic that built them overflowed.
         """
         rho = object.__new__(cls)
         object.__setattr__(rho, "entries", require_finite(entries, "deviation matrix"))
@@ -94,9 +94,8 @@ def init_deviation(active_amplitudes) -> DeviationDensityMatrix:
     amps = _checked("active_amplitudes", _complex_numeric, active_amplitudes)
     if amps.shape != (ACTIVE_DIM,):
         raise ConfigurationError(f"active amplitudes must be a length-{ACTIVE_DIM} vector")
-    with np.errstate(over="ignore"):  # a norm too large for doubles is inf
-        if not abs(np.linalg.norm(amps) - 1.0) <= 1e-9:
-            raise ConfigurationError("active amplitudes must be normalized")
+    if not _norm_drift(amps) <= QuantumState.NORM_TOL:  # NaN fails too
+        raise ConfigurationError("active amplitudes must be normalized")
     rho = np.zeros((DIM, DIM), dtype=complex)
     rho[:ACTIVE_DIM, :ACTIVE_DIM] = np.outer(amps, amps.conj())
     rho[np.arange(ACTIVE_DIM, DIM), np.arange(ACTIVE_DIM, DIM)] = BACKGROUND_DIAGONAL
@@ -136,7 +135,7 @@ def to_interaction_picture(
     re-check, and an entry that overflows double precision raises
     ConfigurationError.
     """
-    phases = free_evolution_phases(system, -t)
+    phases = free_evolution_phases(system, -_checked("t", _real, t))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, refused
         entries = phases[:, None] * rho.entries * phases.conj()[None, :]
     return DeviationDensityMatrix._built(entries)

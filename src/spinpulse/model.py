@@ -326,28 +326,32 @@ class DelaySpec:
         object.__setattr__(self, "duration", duration)
 
 
+def _norm_drift(amplitudes: np.ndarray) -> float:
+    """| ||psi|| - 1 | as a Python float, by np.vdot: inf on overflow, NaN for NaN, no warning."""
+    return abs(math.sqrt(np.vdot(amplitudes, amplitudes).real) - 1.0)
+
+
 class QuantumState:
-    """Normalized amplitude vector over the 2^N computational basis, of numbers by the JSON
-    reader's rule (complex allowed); ``check=False`` trusts its caller on both."""
+    """Normalized amplitude vector over the 2^N basis, of numbers by the JSON reader's rule
+    (complex allowed); ``check=False`` trusts its caller on both, taking ownership of the array."""
 
     __slots__ = ("amplitudes",)
 
-    #: construction-time tolerance on | ||psi|| - 1 |
+    #: tolerance on | ||psi|| - 1 | of a state that enters a public call
     NORM_TOL = 1e-9
 
     def __init__(self, amplitudes: Sequence[complex], check: bool = True):
         if check:
-            amplitudes = _checked("amplitudes", _complex_numeric, amplitudes)
-        amps = np.array(amplitudes, dtype=complex)
+            amplitudes = np.array(_checked("amplitudes", _complex_numeric, amplitudes))
+        amps = np.asarray(amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size == 0 or (amps.size & (amps.size - 1)):
             raise ValueError("amplitudes must be a 1-d vector of length 2^N")
         if check:
-            with np.errstate(over="ignore"):  # a norm too large for doubles is inf
-                drift = abs(np.linalg.norm(amps) - 1.0)
+            drift = _norm_drift(amps)
             if not drift <= self.NORM_TOL:  # NaN fails too
                 raise ValueError(f"state is not normalized (|norm - 1| = {drift:.3e})")
+        amps.setflags(write=False)
         self.amplitudes = amps
-        self.amplitudes.setflags(write=False)
 
     @property
     def n_spins(self) -> int:

@@ -47,6 +47,7 @@ from .model import (
     SpinSystem,
     _checked,
     _numeric,
+    _real,
     finite_reals,
     max_abs,
     require_finite,
@@ -209,28 +210,28 @@ class PeriodResult:
 
 def _delay_phases(
     mode: str, delays: tuple[float, float], energies: EnergyTable | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The phase diagonals p1, p2 applied after stages 1 and 2 in a mode.
+) -> tuple[tuple[float, float], np.ndarray, np.ndarray]:
+    """The delays as Python floats and the phase diagonals p1, p2 after stages 1 and 2.
 
-    They are exp(-i E tau) for the delays of ``bare-delay`` and
+    The diagonals are exp(-i E tau) for the delays of ``bare-delay`` and
     ``natural-phase`` and ones for ``instantaneous``.  Raises
-    ConfigurationError if a delay phase overflows double precision; the
-    check is made in Python floats, before numpy computes the phases.
+    ConfigurationError naming ``delays`` if one is not a number, and if a
+    delay phase overflows double precision, checked in Python floats first.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; choose one of {MODES}")
-    tau1, tau2 = delays
+    tau1, tau2 = delays = tuple(_checked("delays", _real, tau) for tau in delays)
     if not (0 <= tau1 < math.inf and 0 <= tau2 < math.inf):
         raise ConfigurationError(f"delays must be finite and >= 0 (got {tau1}, {tau2})")
     if mode == "instantaneous":
         ones = np.ones(DIM)
-        return ones, ones
+        return delays, ones, ones
     if energies is None:
         raise ConfigurationError(f"mode {mode!r} requires an energy table")
     # max(tau) max|E| bounds every angle tau E
-    require_finite(max(float(tau1), float(tau2)) * max_abs(energies.values), "delay phases")
-    p1, p2 = np.exp(-1j * np.multiply.outer((tau1, tau2), energies.values))
-    return p1, p2
+    require_finite(max(tau1, tau2) * max_abs(energies.values), "delay phases")
+    p1, p2 = np.exp(-1j * np.multiply.outer(delays, energies.values))
+    return delays, p1, p2
 
 
 def run_shor(
@@ -246,7 +247,7 @@ def run_shor(
     (``ShorTrace``) of the stages and phases the run has just applied.
     Raises ConfigurationError if delays x energies overflow double precision.
     """
-    p1, p2 = _delay_phases(mode, delays, energies)
+    delays, p1, p2 = _delay_phases(mode, delays, energies)
     u1, u2, u3 = _STAGES
     psi = p1 * u1[:, 0]  # stage 1 applied to |00,00>
     if mode == "natural-phase":
@@ -261,7 +262,7 @@ def run_shor(
     final = QuantumState(psi, check=False)
     return ShorRun(
         mode=mode,
-        delays=(float(delays[0]), float(delays[1])),
+        delays=delays,
         final_state=final,
         x_distribution=final.probabilities.reshape(X_VALUES, 4).sum(axis=1),
         trace=_gather_paths((p1, p2), dressing) if trace else None,

@@ -44,9 +44,11 @@ from spinpulse import (
     lab_hamiltonian,
     pulse_propagator,
     to_interaction_picture,
+    transition_frequency,
 )
 from spinpulse.dynamics import (
     DEFAULT_STEP_DIVISOR,
+    INTEGRATOR_NORM_TOL,
     MAX_STEP_DIVISOR,
     _lab_steps,
     _magnus_propagator,
@@ -900,7 +902,114 @@ class TestFrameConsistency:
         assert np.linalg.norm(exact.amplitudes - numeric.amplitudes) < 1e-6
 
 
+def oracle_stage() -> tuple[SpinSystem, list[PulseSpec]]:
+    """The period-finding oracle |x, y> -> |x, y + 3^x mod 4> as 16 selective pi-pulses.
+
+    Register index 4x + y is the basis index of the spins (m1, m0, n1, n0),
+    whose 32 transitions are all distinct, at least 2 apart.  CN n0 -> n1 is
+    4 pulses on spin 2, the flip of n0 8 pulses on spin 3 and CN m0 -> n1
+    4 pulses on spin 2: one per assignment of the other spins, each at
+    Omega = 0.01 (tau ~ 314) and phi = pi/2.
+    """
+    j = np.zeros((4, 4))
+    j[np.triu_indices(4, 1)] = [3.0, 5.0, 7.0, 11.0, 13.0, 17.0]
+    system = SpinSystem(4, [100.0, 200.0, 300.0, 400.0], j + j.T)
+
+    def selective(target, spectators):
+        carrier = transition_frequency(system, target, spectators)
+        return PulseSpec(carrier, np.pi / 2, [0.01] * 4, np.pi / 0.01)
+
+    bits = (0, 1)
+    return system, (
+        [selective(2, {0: a, 1: b, 3: 1}) for a in bits for b in bits]
+        + [selective(3, {0: a, 1: b, 2: c}) for a in bits for b in bits for c in bits]
+        + [selective(2, {0: a, 1: 1, 3: d}) for a in bits for d in bits]
+    )
+
+
+def random_sequence(rng, system, n_events) -> list:
+    """Random pulses and delays over ``system``: a pulse 3 times in 5."""
+    n = system.n_spins
+
+    def pulse():
+        return PulseSpec(
+            rng.uniform(0, 250), rng.uniform(0, 6), rng.uniform(0, 0.5, n), rng.uniform(0.01, 20)
+        )
+
+    return [pulse() if rng.random() < 0.6 else DelaySpec(rng.uniform(0, 5)) for _ in range(n_events)]
+
+
+def evolve_chain(state, system, events, t_start):
+    """``apply_sequence``'s exact route as a chain of ``evolve_pulse`` and ``evolve_delay``."""
+    t = t_start
+    for event in events:
+        if isinstance(event, PulseSpec):
+            state = evolve_pulse(state, system, event, t)
+        else:
+            state = evolve_delay(state, system, event)
+        t += event.duration
+    return state
+
+
 class TestApplySequence:
+    @pytest.mark.parametrize("x", range(4))
+    def test_lab_integrator_runs_the_oracle_stage(self, x):
+        # every pulse checked the state the last one built against
+        # QuantumState.NORM_TOL = 1e-9 while the integrator's drift
+        # accumulated: from |0, 0> pulse 15 was refused (|norm - 1| = 1.079e-09)
+        system, pulses = oracle_stage()
+        start = QuantumState.basis(4, 4 * x)
+        exact = apply_sequence(start, system, pulses)
+        lab = apply_sequence(start, system, pulses, method="lab-integrator")
+        assert lab.norm_drift <= INTEGRATOR_NORM_TOL
+        # measured up to 2.9e-9: the bound is 3.4 times that
+        assert np.abs(lab.final_state.amplitudes - exact.final_state.amplitudes).max() <= 1e-8
+        # off-resonant leakage ~1e-8
+        assert lab.final_state.probabilities[4 * x + 3**x % 4] > 1 - 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_spins=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        n_events=st.integers(1, 20),
+        t_start=st.floats(-100.0, 100.0),
+    )
+    def test_exact_sequence_is_its_chain_bit_for_bit(self, n_spins, seed, n_events, t_start):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n_spins)
+        events = random_sequence(rng, system, n_events)
+        state = QuantumState(random_state(rng, system.dim))
+        np.testing.assert_array_equal(
+            apply_sequence(state, system, events, t_start).final_state.amplitudes,
+            evolve_chain(state, system, events, t_start).amplitudes,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_spins=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        n_events=st.integers(1, 20),
+        t_start=st.floats(-100.0, 100.0),
+        bad=st.sampled_from(["rabi-length", "overflow"]),
+    )
+    def test_a_bad_pulse_fails_as_in_the_chain(self, n_spins, seed, n_events, t_start, bad):
+        rng = np.random.default_rng(seed)
+        system = random_system(rng, n_spins)
+        events = random_sequence(rng, system, n_events)
+        bad_pulse = (
+            PulseSpec(95.0, 0.0, [0.1] * (n_spins + 1), 1.0)
+            if bad == "rabi-length"
+            else PulseSpec(95.0, 0.0, [0.1] * n_spins, 1e308)  # its frame angle overflows
+        )
+        events.insert(rng.integers(0, n_events + 1), bad_pulse)
+        state = QuantumState(random_state(rng, system.dim))
+        with pytest.raises(ConfigurationError) as chained:
+            evolve_chain(state, system, events, t_start)
+        with pytest.raises(ConfigurationError) as sequenced:
+            apply_sequence(state, system, events, t_start)
+        assert type(sequenced.value) is type(chained.value)
+        assert str(sequenced.value) == str(chained.value)
+
     def test_clock_advances_across_events(self, gate_system, gate_pulse):
         events = [DelaySpec(1.0), gate_pulse, DelaySpec(0.5)]
         report = apply_sequence(QuantumState(GATE_INITIAL), gate_system, events)
@@ -1072,8 +1181,10 @@ def test_state_of_the_wrong_size_is_refused(size, evolve):
         lambda state, system, pulse: evolve_pulse(state, system, pulse),
         lambda state, system, pulse: integrate_lab_frame(state, system, pulse),
         lambda state, system, pulse: evolve_delay(state, system, 1.0),
+        # checked once, where the sequence starts: with no events as well
+        lambda state, system, pulse: apply_sequence(state, system, []),
     ],
-    ids=["evolve_pulse", "integrate_lab_frame", "evolve_delay"],
+    ids=["evolve_pulse", "integrate_lab_frame", "evolve_delay", "apply_sequence"],
 )
 def test_unnormalized_state_is_refused(gate_system, gate_pulse, amplitudes, evolve):
     state = QuantumState(amplitudes, check=False)

@@ -23,10 +23,12 @@ from spinpulse import (
     PulseSpec,
     QuantumState,
     SpinSystem,
+    analytic_two_level,
     apply_sequence,
     approx_rotation_angle,
     build_rotating_hamiltonian,
     cn_pulse,
+    design_2pik,
     deviation_metric,
     diagonal_energies,
     dynamics,
@@ -37,6 +39,7 @@ from spinpulse import (
     gradient_estimate,
     init_deviation,
     lab_frame_propagator,
+    lab_hamiltonian,
     load_spin_config,
     model,
     offresonant_excitation_probability,
@@ -125,6 +128,14 @@ def test_constructors_copy_the_callers_array(build, name, value, dtype):
     assert caller.flags.writeable
     caller += 1.0
     np.testing.assert_array_equal(getattr(built, name), kept)
+
+
+def test_trusted_state_takes_the_callers_array():
+    # the library's own results were copied once more on the way in
+    caller = np.array([0.6, 0.8j])
+    state = QuantumState(caller, check=False)
+    assert np.shares_memory(state.amplitudes, caller)
+    assert not caller.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -216,6 +227,7 @@ def test_nan_fails_the_tolerance_checks(call):
 #: a system and a pulse for the entries that take them
 _GATE = SpinSystem(2, [100.0, 50.0], [[0.0, 5.0], [5.0, 0.0]])
 _PULSE = PulseSpec(95.0, 0.0, [0.5, 0.1], 1.0)
+_FOUR = SpinSystem.uniform([100.0, 200.0, 300.0, 400.0], 5.0)
 #: what the JSON reader refuses where reals belong, as arrays and as scalars;
 #: where complex numbers belong (amplitudes, density matrices) all but a complex entry
 _NOT_REALS = {"strings": ["1", "0"], "bools": [True, False], "complex": [1.0, 1j],
@@ -266,6 +278,21 @@ _NON_NUMBER_SITES = [
      model.finite_real, _NOT_REAL),
     ("gradient-estimate", lambda v: gradient_estimate(1.0, v), "spacing",
      model.finite_real, _NOT_REAL),
+    # '5' and True gave a design; the rest raised a bare TypeError or OverflowError
+    ("design-2pik", design_2pik, "delta_omega", model.finite_real, _NOT_REAL),
+    ("shor-delays", lambda v: run_shor("bare-delay", (v, 1.0), EnergyTable(np.zeros(16))),
+     "delays", model.finite_real, _NOT_REAL),
+    ("interaction-picture", lambda v: to_interaction_picture(QuantumState.basis(2, 0), _GATE, v),
+     "t", model.finite_real, _NOT_REAL),
+    ("density-interaction-picture",
+     lambda v: density_to_interaction_picture(init_deviation([1, 0, 0, 0]), _FOUR, v),
+     "t", model.finite_real, _NOT_REAL),
+    ("lab-hamiltonian", lambda v: lab_hamiltonian(_GATE, _PULSE, v), "t",
+     model.finite_reals, _NOT_REAL),
+    ("two-level-rabi", lambda v: analytic_two_level(1.0, 0.0, 1.0, v, 0.0, 0.0, 1.0), "rabi",
+     model.finite_real, _NOT_REAL),
+    ("two-level-amplitude", lambda v: analytic_two_level(v, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0),
+     "c_k_initial", model.finite_reals, {k: v for k, v in _NOT_REAL.items() if k != "complex"}),
 ]
 _NON_NUMBER_CASES = [
     (make, field, convert, value)

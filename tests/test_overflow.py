@@ -402,7 +402,7 @@ def test_every_entry_returns_finite_numbers_or_refuses(
         "evolve_pulse": lambda: evolve_pulse(state, two(), pulse(2), spec_t),
         "evolve_delay": lambda: evolve_delay(state, two(), spec_delay),
         "to_interaction_picture": lambda: to_interaction_picture(state, two(), spec_t),
-        "lab_hamiltonian": lambda: lab_hamiltonian(two(), pulse(2), t),
+        "lab_hamiltonian": lambda: lab_hamiltonian(two(), pulse(2), spec_t),
         "integrate_lab_frame": lambda: integrate_lab_frame(state, two(), pulse(2), t_start=spec_t),
         "apply_sequence": lambda: apply_sequence(
             state, two(), [DelaySpec(spec_delay), pulse(2), DelaySpec(spec_duration)], spec_t
