@@ -34,6 +34,8 @@ from .model import (
     PulseSpec,
     QuantumState,
     SpinSystem,
+    _non_negative_real,
+    _positive_int,
     fidelity,
     finite_real,
     finite_reals,
@@ -438,18 +440,16 @@ class Kind(NamedTuple):
     options: Mapping[str, dict] = {}  # run option -> its argparse settings; the runner takes it
 
 
-_POSITIVE = partial(integer, low=1)
 #: the fields a gate config shares, named as cn_pulse's parameters
 _GATE_FIELDS = {
     "system": (system_from_dict, REQUIRED),
     "control": (integer, REQUIRED),
     "target": (integer, REQUIRED),
     "rabi": (finite_reals, None),
-    "exact_2pik": (_POSITIVE, None),
+    "exact_2pik": (_positive_int, None),
     "phase": (finite_real, 0.0),
 }
 _VARIANT = partial(_choice, choices=("standard", "complementary"))
-_DELAY = partial(finite_real, low=0.0)
 
 #: one entry per config kind: validation, defaults, dispatch and the parser read it
 KIND_TABLE: dict[str, Kind] = {
@@ -469,8 +469,8 @@ KIND_TABLE: dict[str, Kind] = {
     }),
     "shor": Kind("run-shor", ("json",), _run_shor, _check_shor, {
         "mode": (partial(_choice, choices=shor.MODES), "instantaneous"),
-        "tau1": (_DELAY, 0.0),
-        "tau2": (_DELAY, 0.0),
+        "tau1": (_non_negative_real, 0.0),
+        "tau2": (_non_negative_real, 0.0),
         "energies": (_energies, None),
         "shots": (integer, 0),
     }, flags=("mode", "tau1", "tau2", "energies", "shots"), options={
@@ -482,8 +482,8 @@ KIND_TABLE: dict[str, Kind] = {
         "control": (integer, None),
         "target": (integer, None),
         "delta_omega": (finite_real, None),
-        "k": (_POSITIVE, 1),
-        "n": (_POSITIVE, 1),
+        "k": (_positive_int, 1),
+        "n": (_positive_int, 1),
     }, flags=("delta_omega", "k", "n")),
     "sweep": Kind("sweep", ("csv",), _run_sweep_cmd, None, SWEEP_FIELDS),
 }

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigurationError, PulseSpec, SpinSystem, _checked, _level_gap, _numeric
-from .model import _real, _require_spin_index, require_finite, require_finite_arguments
+from .model import _non_negative_real, _positive_int, _positive_real, _require_spin_index
+from .model import finite_real, require_finite
 
 #: proton gyromagnetic ratio, rad s^-1 T^-1
 PROTON_GYROMAGNETIC_RATIO = 2.6752218744e8
@@ -76,43 +77,40 @@ def design_2pik(delta_omega: float, k: int = 1, n: int = 1) -> TwoPiKDesign:
 
     Omega = |delta| / sqrt((2nk)^2 - 1) and tau = pi/(n Omega); the returned
     parameters satisfy both conditions exactly, so the detuned spin's
-    rotation angle omega_e * tau is an exact integer multiple of 2 pi.
+    rotation angle omega_e * tau is an exact integer multiple of 2 pi.  An
+    argument that breaks its rule (k and n integers >= 1) is named in a ConfigurationError.
     """
-    delta = abs(_checked("delta_omega", _real, delta_omega))
+    delta = abs(_checked("delta_omega", finite_real, delta_omega))
+    k = _checked("k", _positive_int, k)
+    n = _checked("n", _positive_int, n)
     if delta == 0:
         raise ConfigurationError("no 2pi-k design exists for zero detuning")
-    if k < 1 or n < 1:
-        raise ConfigurationError("k and n must be positive integers")
     rabi = delta / math.sqrt((2.0 * n * k) ** 2 - 1.0)
     if rabi == 0.0:
         raise ConfigurationError(
             f"design needs a positive Rabi frequency: |delta_omega| = {delta} "
             f"with k = {k}, n = {n} underflows it to 0"
         )
-    return TwoPiKDesign(
-        rabi=rabi, duration=math.pi / (n * rabi), k=int(k), n=int(n), delta_omega=delta
-    )
+    return TwoPiKDesign(rabi=rabi, duration=math.pi / (n * rabi), k=k, n=n, delta_omega=delta)
 
 
-# The closed forms below reject an argument that is not a finite number by name, then
-# compute in Python floats, where an overflow is inf with no warning, refused by require_finite.
+# The closed forms below read each argument by its converter, whose ConfigurationError names
+# it, then compute in Python floats, where an overflow is inf, refused by require_finite.
 
 
 def rotation_angle(omega_rabi: float, delta_omega: float, tau: float) -> float:
-    """Exact rotation angle omega_e * tau of a spin detuned by delta_omega."""
-    require_finite_arguments(omega_rabi=omega_rabi, delta_omega=delta_omega, tau=tau)
-    if not tau >= 0:
-        raise ValueError("tau must be >= 0")
-    return require_finite(math.hypot(omega_rabi, delta_omega) * float(tau), "rotation angle")
+    """Exact rotation angle omega_e * tau of a spin detuned by delta_omega; tau >= 0."""
+    omega_rabi = _checked("omega_rabi", finite_real, omega_rabi)
+    delta_omega = _checked("delta_omega", finite_real, delta_omega)
+    tau = _checked("tau", _non_negative_real, tau)
+    return require_finite(math.hypot(omega_rabi, delta_omega) * tau, "rotation angle")
 
 
 def approx_rotation_angle(omega_rabi: float, delta_omega: float) -> float:
     """Large-detuning estimate pi |delta| / Omega of a pi-pulse return angle; Omega > 0."""
-    require_finite_arguments(omega_rabi=omega_rabi, delta_omega=delta_omega)
-    if not omega_rabi > 0:
-        raise ValueError("omega_rabi must be > 0")
-    angle = math.pi * abs(float(delta_omega)) / float(omega_rabi)
-    return require_finite(angle, "approximate rotation angle")
+    omega_rabi = _checked("omega_rabi", _positive_real, omega_rabi)
+    delta_omega = _checked("delta_omega", finite_real, delta_omega)
+    return require_finite(math.pi * abs(delta_omega) / omega_rabi, "approximate rotation angle")
 
 
 def offresonant_excitation_probability(
@@ -123,12 +121,14 @@ def offresonant_excitation_probability(
     Closed form for a two-level spin detuned by delta_omega from the drive;
     vanishes identically when the pulse satisfies a 2pi-k condition.
     """
-    require_finite_arguments(omega_rabi=omega_rabi, delta_omega=delta_omega, tau=tau)
+    omega_rabi = _checked("omega_rabi", finite_real, omega_rabi)
+    delta_omega = _checked("delta_omega", finite_real, delta_omega)
+    tau = _checked("tau", finite_real, tau)
     omega_e = math.hypot(omega_rabi, delta_omega)
     if omega_e == 0.0:
         return 0.0
-    half_angle = require_finite(0.5 * omega_e * float(tau), "rotation angle")
-    return (float(omega_rabi) / omega_e) ** 2 * math.sin(half_angle) ** 2
+    half_angle = require_finite(0.5 * omega_e * tau, "rotation angle")
+    return (omega_rabi / omega_e) ** 2 * math.sin(half_angle) ** 2
 
 
 def frequency_ladder(omega0: float, omega_rabi: float, count: int) -> np.ndarray:
@@ -137,13 +137,12 @@ def frequency_ladder(omega0: float, omega_rabi: float, count: int) -> np.ndarray
     Any resonant pulse at a ladder frequency sees every other ladder spin
     detuned by a multiple of 8 Omega, so all pi-pulse return angles are near
     multiples of 8 pi (ladder spacings, like detunings, are in units of
-    Omega, not pi).
+    Omega, not pi).  ``count`` is an integer >= 1.
     """
-    require_finite_arguments(omega0=omega0, omega_rabi=omega_rabi)
-    if count < 1:
-        raise ConfigurationError("ladder length must be >= 1")
-    spacing = LADDER_SPACING_FACTOR * float(omega_rabi)
-    ladder = [float(omega0) + spacing * n for n in range(1, count + 1)]
+    omega0 = _checked("omega0", finite_real, omega0)
+    spacing = LADDER_SPACING_FACTOR * _checked("omega_rabi", finite_real, omega_rabi)
+    count = _checked("count", _positive_int, count)
+    ladder = [omega0 + spacing * n for n in range(1, count + 1)]
     return np.array(require_finite(ladder, "frequency ladder"))
 
 
@@ -166,7 +165,8 @@ def cn_pulse(
     driven at the designed Rabi frequency, and a ``rabi`` given as well
     raises ConfigurationError.  Otherwise ``rabi`` supplies the per-spin
     drive amplitudes (non-target spins keep their configured values during
-    the pulse) and the duration is a pi-pulse for the target.
+    the pulse) and the duration is a pi-pulse for the target.  An
+    ``exact_2pik`` that is not an integer >= 1 is named in a ConfigurationError.
     """
     if variant not in ("standard", "complementary"):
         raise ConfigurationError(f"unknown CN variant {variant!r}")
@@ -182,6 +182,7 @@ def cn_pulse(
     carrier = _level_gap(system, ground, ground | (1 << (system.n_spins - 1 - target)))
 
     if exact_2pik is not None:
+        k = _checked("exact_2pik", _positive_int, exact_2pik)
         if rabi is not None:
             raise ConfigurationError("rabi amplitudes are not used with exact_2pik")
         j = system.couplings[control, target]
@@ -189,7 +190,7 @@ def cn_pulse(
             raise ConfigurationError(
                 "exact 2pi-k CN needs a nonzero coupling between control and target"
             )
-        design = design_2pik(require_finite(2.0 * float(j), "detuning 2 J"), k=exact_2pik, n=1)
+        design = design_2pik(require_finite(2.0 * float(j), "detuning 2 J"), k=k, n=1)
         amplitudes = np.full(system.n_spins, design.rabi)
         duration = design.duration
     else:
@@ -212,10 +213,9 @@ def gradient_estimate(omega_rabi: float, spacing: float) -> tuple[float, float]:
     Returns (delta_B, dB/dx) in Tesla and Tesla/meter when omega_rabi is in
     rad/s and spacing in meters: delta_B = 8 Omega / gamma, with gamma the
     proton's ``PROTON_GYROMAGNETIC_RATIO``, and gradient = delta_B / spacing.
-    Linear in Omega, inverse-linear in spacing.
+    Linear in Omega, inverse-linear in spacing; both must be > 0.
     """
-    require_finite_arguments(omega_rabi=omega_rabi, spacing=spacing)
-    if not (omega_rabi > 0 and spacing > 0):
-        raise ValueError("omega_rabi and spacing must be positive")
-    delta_b = LADDER_SPACING_FACTOR * float(omega_rabi) / PROTON_GYROMAGNETIC_RATIO
-    return require_finite((delta_b, delta_b / float(spacing)), "field step and gradient")
+    omega_rabi = _checked("omega_rabi", _positive_real, omega_rabi)
+    spacing = _checked("spacing", _positive_real, spacing)
+    delta_b = LADDER_SPACING_FACTOR * omega_rabi / PROTON_GYROMAGNETIC_RATIO
+    return require_finite((delta_b, delta_b / spacing), "field step and gradient")

@@ -59,10 +59,12 @@ from .model import (
     QuantumState,
     SpinSystem,
     _checked,
-    _complex_numeric,
+    _finite_complex,
+    _non_negative_real,
     _norm_drift,
-    _numeric,
-    _real,
+    _positive_real,
+    finite_real,
+    finite_reals,
     max_abs,
     require_finite,
     rotating_hamiltonian,
@@ -222,14 +224,6 @@ def pulse_states(
     return psi
 
 
-def _start_time(t_start) -> float:
-    """A finite start time as a Python float; a ConfigurationError names ``t_start`` otherwise."""
-    t_start = _checked("t_start", _real, t_start)
-    if not math.isfinite(t_start):
-        raise ConfigurationError(f"t_start must be finite, got {t_start}")
-    return t_start
-
-
 def _pulse_factors(
     system: SpinSystem, pulse: PulseSpec, t_start: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -248,7 +242,7 @@ def _pulse_factors(
     Raises ConfigurationError if ``t_start`` is not a finite number, or if the
     pulse's energies, carrier or propagator leave double precision.
     """
-    t_start = _start_time(t_start)
+    t_start = _checked("t_start", finite_real, t_start)
     energies = system.energies
     pulse.check_against(system)
     carrier, tau = pulse.carrier, pulse.duration
@@ -314,10 +308,10 @@ def evolve_delay(
 def free_evolution_phases(system: SpinSystem, t: float) -> np.ndarray:
     """The phase factors exp(-i E_n t) of free evolution for a time t.
 
-    Raises ConfigurationError naming ``t`` if it is not a number, and if E_n t
-    overflows double precision, checked in Python floats as |t| max|E| first.
+    Raises ConfigurationError naming ``t`` if it is not a finite number, and if
+    E_n t overflows double precision, checked in Python floats as |t| max|E| first.
     """
-    t = _checked("t", _real, t)
+    t = _checked("t", finite_real, t)
     energies = system.energies
     require_finite(abs(t) * max_abs(energies), "free-evolution phases")
     return np.exp(-1j * (energies * t))
@@ -327,10 +321,11 @@ def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) ->
     """Strip the free-evolution phases exp(-i E_n t) from lab-frame amplitudes.
 
     Amplitudes in this picture are constant under free evolution, which makes
-    them directly comparable against ideal gate actions.
+    them directly comparable against ideal gate actions.  A ``t`` that is
+    not a finite number is named in a ConfigurationError.
     """
     _require_dim(state, system)
-    t = _checked("t", _real, t)
+    t = _checked("t", finite_real, t)
     return QuantumState(free_evolution_phases(system, -t) * state.amplitudes, check=False)
 
 
@@ -357,24 +352,21 @@ def analytic_two_level(
     amplitude leaves with exp(-i E_n t1): the generated state picks up the
     phase it would have had, had it existed from t = 0.  The pi/2 - phi term
     is the standard phase shift of the driven transition; phi = pi/2 removes
-    it.  Raises ValueError if an input is not finite, the carrier is off the
-    resonance or the duration is negative, and ConfigurationError naming an
-    argument that is not a number, or if the amplitudes overflow.
+    it.  Raises ValueError if the carrier is off the resonance, and
+    ConfigurationError naming an argument that is not one finite number
+    (complex for ``c_k_initial``, >= 0 for ``duration``), or if the amplitudes overflow.
     """
-    c_k_initial = _checked("c_k_initial", _complex_numeric, c_k_initial)
-    reals = dict(e_k=e_k, e_n=e_n, rabi=rabi, phase=phase, t_start=t_start, duration=duration)
-    e_k, e_n, rabi, phase, t_start, duration = (_checked(k, _real, v) for k, v in reals.items())
-    if not np.isfinite([c_k_initial, e_k, e_n, rabi, phase, t_start, duration]).all():
-        raise ValueError("amplitude, energies, rabi, phase, t_start and duration must be finite")
-    resonance = e_n - e_k
-    # written so that a NaN carrier or duration fails the check
-    if carrier is not None and not abs(_checked("carrier", _real, carrier) - resonance) <= 1e-9:
-        raise ValueError(
-            f"carrier {carrier} is off the {resonance} resonance; "
-            "use integrate_lab_frame for detuned drives"
-        )
-    if not duration >= 0:
-        raise ValueError("duration must be >= 0")
+    c_k_initial = _checked("c_k_initial", _finite_complex, c_k_initial)
+    reals = dict(e_k=e_k, e_n=e_n, rabi=rabi, phase=phase, t_start=t_start)
+    e_k, e_n, rabi, phase, t_start = (_checked(k, finite_real, v) for k, v in reals.items())
+    duration = _checked("duration", _non_negative_real, duration)
+    resonance = e_n - e_k  # inf if the difference overflows: every carrier is off it
+    if carrier is not None:
+        if not abs(_checked("carrier", finite_real, carrier) - resonance) <= 1e-9:
+            raise ValueError(
+                f"carrier {carrier} is off the {resonance} resonance; "
+                "use integrate_lab_frame for detuned drives"
+            )
     with np.errstate(over="ignore", invalid="ignore"):
         t_end = t_start + duration
         alpha = 0.5 * rabi * duration
@@ -402,12 +394,10 @@ def lab_hamiltonian(system: SpinSystem, pulse: PulseSpec, t: float | np.ndarray)
     polarized field rotating with the carrier produces, and is the model the
     lab-frame integrator steps through.  Returns a complex Hermitian ndarray
     (dim, dim); an array of times of shape (k,) gives the stack (k, dim, dim)
-    of the same Hamiltonians.  Raises ConfigurationError if a time or the
-    drive angle w t + phi is not finite.
+    of the same Hamiltonians.  Raises ConfigurationError naming ``t`` if a time
+    is not a finite number, and if the drive angle w t + phi is not finite.
     """
-    times = _checked("t", _numeric, t)
-    if not np.isfinite(times).all():
-        raise ConfigurationError(f"t must be finite, got {t}")
+    times = _checked("t", finite_reals, t)
     with np.errstate(over="ignore", invalid="ignore"):
         angle = require_finite(pulse.carrier * times + pulse.phase, "drive angle")
     pulse.check_against(system)
@@ -492,18 +482,14 @@ def _lab_steps(
     See ``lab_frame_propagator`` for the step rule and the checks.
     """
     pulse.check_against(system)
-    t_start = _start_time(t_start)
+    t_start = _checked("t_start", finite_real, t_start)
     carrier, tau = abs(pulse.carrier), pulse.duration
     # |w| (|t0| + tau) bounds the drive angle w t + phi and the frame's turn w tau
     require_finite(carrier * (abs(t_start) + tau), "drive angle")
     w_max = max(max_abs(system.energies), carrier) + float(pulse.rabi.max(initial=0))
     # no frequency at all (nothing to resolve) gives an infinite period
     t_min = 2 * math.pi / w_max if w_max else math.inf
-    if step is None:
-        step = t_min / DEFAULT_STEP_DIVISOR
-    elif not step > 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    step = float(step)
+    step = t_min / DEFAULT_STEP_DIVISOR if step is None else _checked("step", _positive_real, step)
     max_step = t_min / MAX_STEP_DIVISOR
     if step > max_step:
         raise ValueError(
@@ -539,12 +525,13 @@ def lab_frame_propagator(
     covariance, H(t) = G H(t0) G^dagger, is the only assumption this route
     shares with the exact rotating-frame one, and it is tested.
 
-    ``step`` must resolve the fastest oscillation: at most
-    (shortest period) / 20, default (shortest period) / 200.  Raises
-    ConfigurationError if the energies or the Magnus step overflow double
-    precision or the step count passes 2^53, or if the pulse needs more than
-    ``MAX_STEPS`` steps (checked before any step is taken), and if
-    ``t_start`` or the drive angle w t + phi over the pulse is not finite.
+    ``step`` must resolve the fastest oscillation: at most (shortest period)
+    / 20 (ValueError otherwise), default (shortest period) / 200.  Raises
+    ConfigurationError naming a ``step`` or ``t_start`` that is not a finite
+    number (the step > 0), if the energies or the Magnus step overflow double
+    precision or the step count passes 2^53, if the pulse needs more than
+    ``MAX_STEPS`` steps (checked before any step is taken), and if the drive
+    angle w t + phi over the pulse is not finite.
     """
     return _magnus_propagator(system, pulse, t_start, _lab_steps(system, pulse, step, t_start))
 
@@ -598,7 +585,7 @@ def apply_sequence(
         raise ValueError(f"unknown evolution method {method!r}")
     if step is not None and method == "exact-rotating":
         raise ValueError("step is not used with method 'exact-rotating'")
-    t = t_start = _start_time(t_start)
+    t = t_start = _checked("t_start", finite_real, t_start)
     _require_dim(state, system)
     _require_normalized(state)
     psi = state.amplitudes

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigurationError, PulseSpec, QuantumState, SpinSystem, _checked
-from .model import _complex_numeric, _norm_drift, _real, require_finite
+from .model import _complex_numeric, _finite_complexes, _norm_drift, finite_real, require_finite
 from .dynamics import free_evolution_phases, pulse_propagator
 
 N_SPINS = 4
@@ -133,9 +133,9 @@ def to_interaction_picture(
     the energy differences, making them comparable against ideal gate
     targets.  As with ``evolve_deviation``, the result is built without a
     re-check, and an entry that overflows double precision raises
-    ConfigurationError.
+    ConfigurationError, as does a ``t`` that is not a finite number, naming it.
     """
-    phases = free_evolution_phases(system, -_checked("t", _real, t))
+    phases = free_evolution_phases(system, -_checked("t", finite_real, t))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf, refused
         entries = phases[:, None] * rho.entries * phases.conj()[None, :]
     return DeviationDensityMatrix._built(entries)
@@ -148,11 +148,10 @@ def deviation_metric(r_obtained, r_reference):
     The comparison is on complex entries, so a global phase between
     otherwise identical blocks registers as a real deviation; compare
     physically fixed blocks (e.g. interaction-picture ones).  A single pair
-    of blocks gives a float; it raises ValueError naming a block that is not
-    finite, and ConfigurationError if the metric of finite blocks overflows
-    double precision.  Stacks of blocks (..., m, m) give an array with one
-    metric per block, inf or NaN included, so that each block's caller
-    reports it.
+    of blocks gives a float; it raises ConfigurationError naming a block that
+    is not finite, and if the metric of finite blocks overflows double
+    precision.  Stacks of blocks (..., m, m) give an array with one metric
+    per block, inf or NaN included, so that each block's caller reports it.
     """
     a = _checked("r_obtained", _complex_numeric, r_obtained)
     b = _checked("r_reference", _complex_numeric, r_reference)
@@ -160,8 +159,7 @@ def deviation_metric(r_obtained, r_reference):
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         metric = np.max(np.abs(a - b) / np.maximum(np.abs(b), METRIC_FLOOR), axis=(-2, -1))
-    if metric.ndim == 0 and not np.isfinite(metric):  # only then check the inputs
-        for name, block in (("r_obtained", a), ("r_reference", b)):
-            if not np.isfinite(block).all():
-                raise ValueError(f"{name} must be finite")
+    if metric.ndim == 0 and not np.isfinite(metric):  # only then read the blocks' finiteness
+        _checked("r_obtained", _finite_complexes, a)
+        _checked("r_reference", _finite_complexes, b)
     return metric if metric.ndim else require_finite(float(metric), "deviation metric")

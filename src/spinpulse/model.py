@@ -64,13 +64,6 @@ def max_abs(values: np.ndarray) -> float:
     return max(map(abs, values.tolist()))
 
 
-def require_finite_arguments(**values) -> None:
-    """Raises ConfigurationError for an argument that is not a number, ValueError if not finite."""
-    for name, value in values.items():
-        if not math.isfinite(_checked(name, _real, value)):
-            raise ValueError(f"{name} must be finite")
-
-
 # ---------------------------------------------------------------------------
 # fields of JSON documents: converters take a JSON value and return the field's
 # value or raise ValueError; bools and strings are not numbers
@@ -111,6 +104,13 @@ def integer(value, low: int = 0, high: int = 2**63 - 1) -> int:
     return int(value)
 
 
+# the named converters that config tables and library arguments share:
+# an integer >= 1 (k, n), a finite real >= 0 (a delay) and a finite real > 0
+_positive_int = functools.partial(integer, low=1)
+_non_negative_real = functools.partial(finite_real, low=0.0)
+_positive_real = functools.partial(finite_real, low=0.0, above=True)
+
+
 def _holds_bool(value, depth: int) -> bool:
     """Whether the entries ``depth`` levels into nested sequences include a bool."""
     while depth > 1:
@@ -132,12 +132,23 @@ def _numeric(value, dtype: type = float) -> np.ndarray:
 _complex_numeric = functools.partial(_numeric, dtype=complex)
 
 
-def finite_reals(value) -> np.ndarray:
-    """A new finite float array of any shape, of numbers only; raises ValueError otherwise."""
-    arr = np.array(_numeric(value))
+def finite_reals(value, dtype: type = float) -> np.ndarray:
+    """A new finite ``dtype`` array of any shape, of numbers only; raises ValueError otherwise."""
+    arr = np.array(_numeric(value, dtype))
     if not np.isfinite(arr).all():
         raise ValueError("must be finite")
     return arr
+
+
+#: ``finite_reals`` where complex numbers belong
+_finite_complexes = functools.partial(finite_reals, dtype=complex)
+
+
+def _finite_complex(value) -> np.ndarray:
+    """One finite number, complex allowed, as a 0-d complex array; raises ValueError otherwise."""
+    if np.ndim(value):
+        raise ValueError(f"expected one number, got {reprlib.repr(value)}")
+    return _finite_complexes(value)
 
 
 def _checked(name: str, convert: Callable, value):
@@ -271,8 +282,8 @@ class PulseSpec:
     rabi:     per-spin Rabi frequencies (length must match the system)
     duration: pulse length, strictly positive
 
-    A carrier, phase, duration or Rabi frequency that is not a number by the
-    JSON reader's rule raises ConfigurationError naming it.
+    A field that breaks the JSON reader's rule (finite carrier and phase,
+    duration > 0, Rabi frequencies >= 0) raises ConfigurationError naming it.
     """
 
     carrier: float
@@ -281,25 +292,16 @@ class PulseSpec:
     duration: float
 
     def __post_init__(self):
-        carrier, phase, duration = self.carrier, self.phase, self.duration
-        # Python floats, as cn_pulse gives, need no conversion
-        if not (type(carrier) is type(phase) is type(duration) is float):
-            carrier = _checked("carrier", _real, carrier)
-            phase = _checked("phase", _real, phase)
-            duration = _checked("duration", _real, duration)
+        object.__setattr__(self, "carrier", _checked("carrier", finite_real, self.carrier))
+        phase = _checked("phase", finite_real, self.phase)
+        object.__setattr__(self, "phase", phase % (2 * np.pi))
+        object.__setattr__(self, "duration", _checked("duration", _positive_real, self.duration))
         object.__setattr__(self, "rabi", np.array(_checked("rabi", _numeric, self.rabi)))
         if self.rabi.ndim != 1:
             raise ConfigurationError("rabi must be a 1-d sequence")
         # a pulse drives a few spins: Python floats check them faster than numpy
         if not all(0 <= r < math.inf for r in self.rabi.tolist()):  # NaN fails too
             raise ConfigurationError("rabi frequencies must be finite and >= 0")
-        if not 0 < duration < math.inf:
-            raise ConfigurationError("pulse duration must be strictly positive")
-        if not (math.isfinite(carrier) and math.isfinite(phase)):
-            raise ConfigurationError(f"carrier and phase must be finite (got {carrier}, {phase})")
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "phase", phase % (2 * np.pi))
         self.rabi.setflags(write=False)
 
     def check_against(self, system: SpinSystem) -> None:
@@ -314,15 +316,13 @@ class PulseSpec:
 class DelaySpec:
     """Free-evolution interval between pulses (duration >= 0, a Python float).
 
-    A duration that is not a number raises ConfigurationError naming it, as in PulseSpec.
+    A duration that is not a finite number >= 0 raises ConfigurationError naming it.
     """
 
     duration: float
 
     def __post_init__(self):
-        duration = _checked("duration", _real, self.duration)
-        if not 0 <= duration < math.inf:  # NaN fails too
-            raise ConfigurationError("delay duration must be finite and >= 0")
+        duration = _checked("duration", _non_negative_real, self.duration)
         object.__setattr__(self, "duration", duration)
 
 
@@ -370,8 +370,10 @@ class QuantumState:
 
     @classmethod
     def basis(cls, n_spins: int, index: int) -> "QuantumState":
-        amps = np.zeros(2**n_spins, dtype=complex)
-        amps[index] = 1.0
+        """|index> of n_spins <= 62 spins; ConfigurationError names an argument out of range."""
+        dim = 2 ** _checked("n_spins", functools.partial(integer, high=62), n_spins)
+        amps = np.zeros(dim, dtype=complex)
+        amps[_checked("index", functools.partial(integer, high=dim - 1), index)] = 1.0
         return cls(amps)
 
     def __repr__(self) -> str:
@@ -577,7 +579,7 @@ _PULSE_FIELDS = {
     "carrier": (finite_real, REQUIRED),
     "phase": (finite_real, 0.0),
     "rabi": (finite_reals, REQUIRED),
-    "duration": (finite_real, REQUIRED),
+    "duration": (_positive_real, REQUIRED),
 }
 
 

@@ -35,7 +35,9 @@ every final amplitude split into its path terms.
 
 from __future__ import annotations
 
+import functools
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,9 +48,10 @@ from .model import (
     QuantumState,
     SpinSystem,
     _checked,
+    _non_negative_real,
     _numeric,
-    _real,
     finite_reals,
+    integer,
     max_abs,
     require_finite,
 )
@@ -65,6 +68,9 @@ _MODULUS = 4
 #: an x carries support in a measured distribution above this probability,
 #: and ``sample_x`` draws from probabilities on a grid of this spacing
 _SUPPORT_TOL = 1e-12
+#: converters of a register value x or y and of a basis index
+_REGISTER_VALUE = functools.partial(integer, high=X_VALUES - 1)
+_REGISTER_INDEX = functools.partial(integer, high=DIM - 1)
 
 
 class PeriodExtractionError(RuntimeError):
@@ -72,17 +78,13 @@ class PeriodExtractionError(RuntimeError):
 
 
 def register_index(x: int, y: int) -> int:
-    """Basis index of the register state with argument x and value y."""
-    if not (0 <= x < X_VALUES and 0 <= y < 4):
-        raise ValueError("register values must lie in 0..3")
-    return 4 * x + y
+    """Basis index of register values x, y in 0..3; ConfigurationError names one that is not."""
+    return 4 * _checked("x", _REGISTER_VALUE, x) + _checked("y", _REGISTER_VALUE, y)
 
 
 def register_values(index: int) -> tuple[int, int]:
-    """(x, y) pair encoded by a basis index."""
-    if not 0 <= index < DIM:
-        raise ValueError(f"basis index {index} out of range")
-    return divmod(index, 4)
+    """(x, y) pair of a basis index in 0..15; ConfigurationError names one that is not."""
+    return divmod(_checked("index", _REGISTER_INDEX, index), 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +210,15 @@ class PeriodResult:
     note: str | None = None
 
 
+def _delay_pair(value) -> tuple[float, float]:
+    """Two delays, each a finite number >= 0, as Python floats; raises ValueError otherwise."""
+    try:
+        tau1, tau2 = value
+    except (TypeError, ValueError):  # not a sequence, or not of two
+        raise ValueError(f"expected two delays, got {reprlib.repr(value)}") from None
+    return _non_negative_real(tau1), _non_negative_real(tau2)
+
+
 def _delay_phases(
     mode: str, delays: tuple[float, float], energies: EnergyTable | None
 ) -> tuple[tuple[float, float], np.ndarray, np.ndarray]:
@@ -215,14 +226,12 @@ def _delay_phases(
 
     The diagonals are exp(-i E tau) for the delays of ``bare-delay`` and
     ``natural-phase`` and ones for ``instantaneous``.  Raises
-    ConfigurationError naming ``delays`` if one is not a number, and if a
-    delay phase overflows double precision, checked in Python floats first.
+    ConfigurationError naming ``delays`` unless they are two numbers >= 0, and
+    if a delay phase overflows double precision, checked in Python floats first.
     """
     if mode not in MODES:
         raise ConfigurationError(f"unknown mode {mode!r}; choose one of {MODES}")
-    tau1, tau2 = delays = tuple(_checked("delays", _real, tau) for tau in delays)
-    if not (0 <= tau1 < math.inf and 0 <= tau2 < math.inf):
-        raise ConfigurationError(f"delays must be finite and >= 0 (got {tau1}, {tau2})")
+    tau1, tau2 = delays = _checked("delays", _delay_pair, delays)
     if mode == "instantaneous":
         ones = np.ones(DIM)
         return delays, ones, ones
@@ -245,7 +254,8 @@ def run_shor(
     Returns the final state, the exact measurement distribution over x
     (marginal over y), and with ``trace=True`` the path-term decomposition
     (``ShorTrace``) of the stages and phases the run has just applied.
-    Raises ConfigurationError if delays x energies overflow double precision.
+    Raises ConfigurationError naming ``delays`` unless they are two finite
+    numbers >= 0, and if delays x energies overflow double precision.
     """
     delays, p1, p2 = _delay_phases(mode, delays, energies)
     u1, u2, u3 = _STAGES
@@ -349,9 +359,9 @@ def extract_period(distribution) -> PeriodResult:
     Takes the smallest nonzero x with nonzero probability as x2, sets
     T = D / x2 with D the number of x values, computes z = 3^(T/2), and
     returns GCD(z - 1, 4) as the factor.  An x has nonzero probability above
-    1e-12.  A distribution confined to
-    x = 0 (or yielding a fractional period) carries no period information
-    and raises PeriodExtractionError.
+    1e-12, and the probabilities must sum to 1 within 1e-6 (ValueError
+    otherwise).  A distribution confined to x = 0 (or yielding a fractional
+    period) carries no period information and raises PeriodExtractionError.
     """
     probs = _checked("distribution", _numeric, distribution)
     if probs.shape != (X_VALUES,):
@@ -368,7 +378,7 @@ def extract_period(distribution) -> PeriodResult:
     z = _BASE ** (period // 2)
     factor = math.gcd(z - 1, _MODULUS)
     note = None
-    if factor in (1, _MODULUS):
+    if factor == _MODULUS:  # x2 = 1 or 2 gives a factor of 4 or 2, never 1
         note = f"gcd({z} - 1, {_MODULUS}) = {factor} is not a proper factor"
     return PeriodResult(period=period, factor=factor, x_measured=x2, note=note)
 
@@ -381,8 +391,9 @@ def sample_x(
     The normalized probabilities are snapped to multiples of 1e-12, the
     support threshold of ``extract_period``, and normalized again before
     the draw, so a seeded sample does not turn on the last bits that
-    rounding moves.
+    rounding moves.  ``shots`` that is not an integer >= 0 is named in a ConfigurationError.
     """
+    shots = _checked("shots", integer, shots)
     probs = _checked("distribution", _numeric, distribution)
     grid = np.rint(probs / probs.sum() / _SUPPORT_TOL)
     counts = np.random.default_rng(seed).multinomial(shots, grid / grid.sum())

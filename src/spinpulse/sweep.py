@@ -28,7 +28,6 @@ reading them again and writes the cells as CSV.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +37,7 @@ from .model import (
     ConfigurationError,
     QuantumState,
     SpinSystem,
+    _positive_real,
     finite_real,
     finite_reals,
     ising_diagonal,
@@ -79,7 +79,7 @@ def axis(values) -> list[float]:
 SWEEP_FIELDS = {
     "delta_ratios": (axis, REQUIRED),
     "j_ratios": (axis, REQUIRED),
-    "rabi": (partial(finite_real, low=0.0, above=True), 0.1),
+    "rabi": (_positive_real, 0.1),
     "base_larmor": (finite_real, 100.0),
 }
 

@@ -89,7 +89,8 @@ class TestDesign2pik:
 
     @pytest.mark.parametrize("k, n", [(0, 1), (1, 0), (-1, 1)])
     def test_non_positive_k_or_n_rejected(self, k, n):
-        with pytest.raises(ConfigurationError, match="^k and n must be positive integers$"):
+        message = f"^{'k' if k < 1 else 'n'}: must be an integer from 1 to {2**63 - 1}$"
+        with pytest.raises(ConfigurationError, match=message):
             design_2pik(1.0, k=k, n=n)
 
     @pytest.mark.parametrize(

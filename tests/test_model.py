@@ -6,6 +6,7 @@ frequencies, and the JSON loaders.
 """
 
 import dataclasses
+import functools
 import importlib
 import json
 import pkgutil
@@ -33,25 +34,31 @@ from spinpulse import (
     diagonal_energies,
     dynamics,
     evolve_delay,
+    evolve_deviation,
     evolve_pulse,
     extract_period,
     frequency_ladder,
     gradient_estimate,
     init_deviation,
+    integrate_lab_frame,
     lab_frame_propagator,
     lab_hamiltonian,
     load_spin_config,
     model,
     offresonant_excitation_probability,
     pulse_propagator,
+    register_index,
+    register_values,
     rotation_angle,
     run_shor,
     sample_x,
+    shor,
     spin_z_values,
     to_interaction_picture,
     total_spin_z,
     transition_frequency,
 )
+from spinpulse.dynamics import free_evolution_phases
 from spinpulse.ensemble import to_interaction_picture as density_to_interaction_picture
 from spinpulse.model import _spin_flips
 
@@ -234,6 +241,25 @@ _NOT_REALS = {"strings": ["1", "0"], "bools": [True, False], "complex": [1.0, 1j
               "huge-int": [1.0, 10**400]}
 _NOT_REAL = {"string": "1", "bool": True, "complex": 1j, "huge-int": 10**400}
 _NOT_NUMBERS = {kind: v for kind, v in _NOT_REALS.items() if kind != "complex"}
+#: what the converter of a scalar argument refuses besides: no infinity or NaN, and
+#: no sequence where one number belongs
+_NOT_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+_REAL = {**_NOT_REAL, **_NOT_FINITE, "sequence": [1.0, 2.0]}
+_NON_NEGATIVE = {**_REAL, "negative": -1.0}
+_POSITIVE = {**_REAL, "zero": 0.0}
+_NOT_FINITE_BLOCKS = {kind: np.full((2, 2), v) for kind, v in
+                      {**_NOT_FINITE, "complex-inf": complex(0.0, np.inf)}.items()}
+
+
+def _integers(low: int, high: int | None = None) -> dict:
+    """What the converter of an integer argument from low (to high) refuses."""
+    above = {} if high is None else {"above": high + 1}
+    return {**_REAL, "fraction": 1.5, "below": low - 1, **above}
+
+
+_FOUR_PULSE = PulseSpec(95.0, 0.0, [0.1] * 4, 1.0)
+_TABLE = EnergyTable(np.zeros(16))
+_TWO_BITS = functools.partial(model.integer, high=3)
 #: (id, entry, field, converter, refused values) of every entry that takes an
 #: outside array or number into library state
 _NON_NUMBER_SITES = [
@@ -260,39 +286,120 @@ _NON_NUMBER_SITES = [
      model.finite_reals, _NOT_REALS),
     # a start time; a string raised a bare TypeError
     ("propagator-start", lambda v: pulse_propagator(_GATE, _PULSE, v), "t_start",
-     model.finite_real, _NOT_REAL),
+     model.finite_real, _REAL),
     ("evolve-start", lambda v: evolve_pulse(QuantumState.basis(2, 0), _GATE, _PULSE, v),
-     "t_start", model.finite_real, _NOT_REAL),
+     "t_start", model.finite_real, _REAL),
     ("lab-start", lambda v: lab_frame_propagator(_GATE, _PULSE, t_start=v), "t_start",
-     model.finite_real, _NOT_REAL),
+     model.finite_real, _REAL),
+    ("integrate-start",
+     lambda v: integrate_lab_frame(QuantumState.basis(2, 0), _GATE, _PULSE, t_start=v),
+     "t_start", model.finite_real, _REAL),
     ("sequence-start", lambda v: apply_sequence(QuantumState.basis(2, 0), _GATE, [], v),
-     "t_start", model.finite_real, _NOT_REAL),
-    # the closed forms' arguments; a string raised numpy's bare TypeError
+     "t_start", model.finite_real, _REAL),
+    ("deviation-start",
+     lambda v: evolve_deviation(init_deviation([1, 0, 0, 0]), _FOUR, _FOUR_PULSE, v),
+     "t_start", model.finite_real, _REAL),
+    # the pulse and delay scalars; a NaN or infinite one had its own text
+    ("pulse-spec-carrier", lambda v: PulseSpec(v, 0.0, [0.5], 1.0), "carrier",
+     model.finite_real, _REAL),
+    ("pulse-spec-phase", lambda v: PulseSpec(1.0, v, [0.5], 1.0), "phase",
+     model.finite_real, _REAL),
+    ("pulse-spec-duration", lambda v: PulseSpec(1.0, 0.0, [0.5], v), "duration",
+     model._positive_real, _POSITIVE),
+    ("delay-spec-duration", DelaySpec, "duration", model._non_negative_real, _NON_NEGATIVE),
+    # a step of '1' raised a bare TypeError
+    ("lab-step", lambda v: lab_frame_propagator(_GATE, _PULSE, step=v), "step",
+     model._positive_real, _POSITIVE),
+    # the closed forms' arguments; a string raised numpy's bare TypeError, and a
+    # NaN or infinite one a plain ValueError
     ("rotation-angle", lambda v: rotation_angle(v, 1.0, 1.0), "omega_rabi",
-     model.finite_real, _NOT_REAL),
+     model.finite_real, _REAL),
+    ("rotation-angle-detuning", lambda v: rotation_angle(1.0, v, 1.0), "delta_omega",
+     model.finite_real, _REAL),
+    ("rotation-angle-tau", lambda v: rotation_angle(1.0, 1.0, v), "tau",
+     model._non_negative_real, _NON_NEGATIVE),
     ("approx-rotation-angle", lambda v: approx_rotation_angle(1.0, v), "delta_omega",
-     model.finite_real, _NOT_REAL),
+     model.finite_real, _REAL),
+    ("approx-rotation-angle-rabi", lambda v: approx_rotation_angle(v, 1.0), "omega_rabi",
+     model._positive_real, _POSITIVE),
     ("excitation-probability", lambda v: offresonant_excitation_probability(1.0, 1.0, v),
-     "tau", model.finite_real, _NOT_REAL),
+     "tau", model.finite_real, _REAL),
+    ("excitation-probability-rabi", lambda v: offresonant_excitation_probability(v, 1.0, 1.0),
+     "omega_rabi", model.finite_real, _REAL),
+    ("excitation-probability-detuning",
+     lambda v: offresonant_excitation_probability(1.0, v, 1.0), "delta_omega",
+     model.finite_real, _REAL),
     ("frequency-ladder", lambda v: frequency_ladder(v, 1.0, 2), "omega0",
-     model.finite_real, _NOT_REAL),
+     model.finite_real, _REAL),
+    ("frequency-ladder-rabi", lambda v: frequency_ladder(1.0, v, 2), "omega_rabi",
+     model.finite_real, _REAL),
+    # 2.5 raised a bare TypeError
+    ("frequency-ladder-count", lambda v: frequency_ladder(1.0, 0.1, v), "count",
+     model._positive_int, _integers(1)),
     ("gradient-estimate", lambda v: gradient_estimate(1.0, v), "spacing",
-     model.finite_real, _NOT_REAL),
+     model._positive_real, _POSITIVE),
+    ("gradient-estimate-rabi", lambda v: gradient_estimate(v, 1.0), "omega_rabi",
+     model._positive_real, _POSITIVE),
     # '5' and True gave a design; the rest raised a bare TypeError or OverflowError
-    ("design-2pik", design_2pik, "delta_omega", model.finite_real, _NOT_REAL),
-    ("shor-delays", lambda v: run_shor("bare-delay", (v, 1.0), EnergyTable(np.zeros(16))),
-     "delays", model.finite_real, _NOT_REAL),
+    ("design-2pik", design_2pik, "delta_omega", model.finite_real, _REAL),
+    # k='1' raised a bare TypeError, k=1.5 failed as "design violates omega_e * tau =
+    # 2 pi k", and k=True gave a design
+    ("design-2pik-k", lambda v: design_2pik(5.0, k=v), "k", model._positive_int, _integers(1)),
+    ("design-2pik-n", lambda v: design_2pik(5.0, n=v), "n", model._positive_int, _integers(1)),
+    ("cn-pulse-exact-2pik", lambda v: cn_pulse(_GATE, 0, 1, exact_2pik=v), "exact_2pik",
+     model._positive_int, _integers(1)),
+    ("shor-delays", lambda v: run_shor("bare-delay", (v, 1.0), _TABLE), "delays",
+     model._non_negative_real, _NON_NEGATIVE),
+    ("shor-delays-second", lambda v: run_shor("natural-phase", (1.0, v), _TABLE), "delays",
+     model._non_negative_real, _NON_NEGATIVE),
+    # (1.0,) raised "not enough values to unpack"
+    ("shor-delay-pair", lambda v: run_shor("bare-delay", v, _TABLE), "delays",
+     shor._delay_pair, {"one": (1.0,), "three": (1.0, 1.0, 1.0), "scalar": 1.0}),
+    # 2.5 drew 2 shots, and -1 raised numpy's "n < 0"
+    ("sample-x-shots", lambda v: sample_x([0.5, 0.0, 0.5, 0.0], v, seed=1), "shots",
+     model.integer, _integers(0)),
+    # -1 returned |11>
+    ("basis-index", lambda v: QuantumState.basis(2, v), "index", _TWO_BITS, _integers(0, 3)),
+    # 10**400 computed 2**(10**400) first
+    ("basis-n-spins", lambda v: QuantumState.basis(v, 0), "n_spins",
+     functools.partial(model.integer, high=62), _integers(0, 62)),
+    # 1.5 gave 6.0
+    ("register-x", lambda v: register_index(v, 0), "x", _TWO_BITS, _integers(0, 3)),
+    ("register-y", lambda v: register_index(0, v), "y", _TWO_BITS, _integers(0, 3)),
+    ("register-values", register_values, "index", functools.partial(model.integer, high=15),
+     _integers(0, 15)),
+    ("free-evolution", lambda v: free_evolution_phases(_GATE, v), "t", model.finite_real, _REAL),
     ("interaction-picture", lambda v: to_interaction_picture(QuantumState.basis(2, 0), _GATE, v),
-     "t", model.finite_real, _NOT_REAL),
+     "t", model.finite_real, _REAL),
     ("density-interaction-picture",
      lambda v: density_to_interaction_picture(init_deviation([1, 0, 0, 0]), _FOUR, v),
-     "t", model.finite_real, _NOT_REAL),
+     "t", model.finite_real, _REAL),
+    # a time may be an array of times, so a sequence is no error
     ("lab-hamiltonian", lambda v: lab_hamiltonian(_GATE, _PULSE, v), "t",
-     model.finite_reals, _NOT_REAL),
+     model.finite_reals, {**_NOT_REAL, **_NOT_FINITE}),
+    ("metric-obtained-block", lambda v: deviation_metric(v, np.eye(2)), "r_obtained",
+     model._finite_complexes, _NOT_FINITE_BLOCKS),
+    ("metric-reference-block", lambda v: deviation_metric(np.eye(2), v), "r_reference",
+     model._finite_complexes, _NOT_FINITE_BLOCKS),
     ("two-level-rabi", lambda v: analytic_two_level(1.0, 0.0, 1.0, v, 0.0, 0.0, 1.0), "rabi",
-     model.finite_real, _NOT_REAL),
+     model.finite_real, _REAL),
+    ("two-level-e-k", lambda v: analytic_two_level(1.0, v, 1.0, 1.0, 0.0, 0.0, 1.0), "e_k",
+     model.finite_real, _REAL),
+    ("two-level-e-n", lambda v: analytic_two_level(1.0, 0.0, v, 1.0, 0.0, 0.0, 1.0), "e_n",
+     model.finite_real, _REAL),
+    ("two-level-phase", lambda v: analytic_two_level(1.0, 0.0, 1.0, 1.0, v, 0.0, 1.0), "phase",
+     model.finite_real, _REAL),
+    ("two-level-start", lambda v: analytic_two_level(1.0, 0.0, 1.0, 1.0, 0.0, v, 1.0),
+     "t_start", model.finite_real, _REAL),
+    ("two-level-duration", lambda v: analytic_two_level(1.0, 0.0, 1.0, 1.0, 0.0, 0.0, v),
+     "duration", model._non_negative_real, _NON_NEGATIVE),
+    ("two-level-carrier",
+     lambda v: analytic_two_level(1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, carrier=v), "carrier",
+     model.finite_real, _REAL),
+    # [1.0, 2.0] raised numpy's "inhomogeneous shape" error
     ("two-level-amplitude", lambda v: analytic_two_level(v, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0),
-     "c_k_initial", model.finite_reals, {k: v for k, v in _NOT_REAL.items() if k != "complex"}),
+     "c_k_initial", model._finite_complex,
+     {**{k: v for k, v in _REAL.items() if k != "complex"}, "complex-inf": complex(0, np.inf)}),
 ]
 _NON_NUMBER_CASES = [
     (make, field, convert, value)
@@ -320,7 +427,8 @@ class TestPulseSpec:
 
     @pytest.mark.parametrize("carrier, phase", [(np.inf, 0.0), (95.0, np.inf), (np.nan, 0.0)])
     def test_non_finite_carrier_or_phase_rejected(self, carrier, phase):
-        with pytest.raises(ConfigurationError, match="carrier and phase must be finite"):
+        name = "phase" if np.isfinite(carrier) else "carrier"
+        with pytest.raises(ConfigurationError, match=f"^{name}: must be finite$"):
             PulseSpec(carrier, phase, [0.1, 0.1], 1.0)
 
     def test_two_dimensional_rabi_rejected(self):

@@ -263,7 +263,7 @@ def test_delay_phases_refused_in_python_floats(mode, trace, error_state):
 def test_non_finite_argument_named(call, name, value):
     # "values too large for double precision (... not finite)" before, or a
     # range message, for an input that was never finite
-    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+    with pytest.raises(ConfigurationError, match=f"^{name}: must be finite$"):
         call(value)
 
 
@@ -370,7 +370,7 @@ def test_every_entry_returns_finite_numbers_or_refuses(
     form = np.array if as_array else np.ndarray.tolist
     larmor, rabi, table = form(np.array(larmor)), form(np.abs(rabi)), form(np.array(table))
     # the closed forms take a positive Rabi frequency and spin spacing
-    positive_rabi, spacing = rabi[0] or 1.0, duration or 1.0
+    positive_rabi, spacing = rabi[0] or 1.0, spec_duration or 1.0
     state = QuantumState(GATE_INITIAL)
     # a 4 x 4 block of the table, Hermitian only where the table is symmetric
     block = np.reshape(table, (4, 4))
@@ -422,23 +422,25 @@ def test_every_entry_returns_finite_numbers_or_refuses(
         "DeviationDensityMatrix": lambda: DeviationDensityMatrix(rho),
         "deviation_metric": lambda: deviation_metric(block, block.T),
         "run_shor bare-delay": lambda: run_shor(
-            "bare-delay", (delay, duration), EnergyTable(table), trace=True
+            "bare-delay", (spec_delay, spec_duration), EnergyTable(table), trace=True
         ),
         "run_shor natural-phase": lambda: run_shor(
-            "natural-phase", (delay, duration), EnergyTable(table), trace=True
+            "natural-phase", (spec_delay, spec_duration), EnergyTable(table), trace=True
         ),
         "analytic_two_level": lambda: analytic_two_level(
-            0.6 + 0.8j, larmor[0], larmor[1], rabi[0], carrier, t, duration
+            0.6 + 0.8j, larmor[0], larmor[1], rabi[0], spec_carrier, spec_t, spec_duration
         ),
-        "design_2pik": lambda: design_2pik(carrier),
-        "rotation_angle": lambda: rotation_angle(rabi[0], carrier, duration),
-        "approx_rotation_angle": lambda: approx_rotation_angle(positive_rabi, carrier),
+        "design_2pik": lambda: design_2pik(spec_carrier),
+        "rotation_angle": lambda: rotation_angle(rabi[0], spec_carrier, spec_duration),
+        "approx_rotation_angle": lambda: approx_rotation_angle(positive_rabi, spec_carrier),
         "offresonant_excitation_probability": lambda: offresonant_excitation_probability(
-            rabi[0], carrier, duration
+            rabi[0], spec_carrier, spec_duration
         ),
-        "frequency_ladder": lambda: frequency_ladder(carrier, rabi[0], 3),
+        "frequency_ladder": lambda: frequency_ladder(spec_carrier, rabi[0], 3),
         "gradient_estimate": lambda: gradient_estimate(positive_rabi, spacing),
-        "run_sweep": lambda: run_sweep([abs(larmor[2])], [abs(larmor[3])], rabi[0], carrier),
+        "run_sweep": lambda: run_sweep(
+            [abs(larmor[2])], [abs(larmor[3])], rabi[0], spec_carrier
+        ),
     }
     for name, call in calls.items():
         outcomes = [_outcome(call, error_state) for error_state in ("warn", "raise")]

@@ -420,6 +420,17 @@ class TestExtractPeriod:
         result = extract_period([0.5 - 1e-12, 1e-12, 0.5, 0.0])
         assert (result.x_measured, result.period, result.factor) == (2, 2, 2)
 
+    def test_support_just_above_tol_counts(self):
+        # 1e-9 on x = 1 lies above the documented 1e-12 threshold, so x2 = 1
+        result = extract_period([1 - 1e-9, 1e-9, 0.0, 0.0])
+        assert (result.x_measured, result.period, result.factor) == (1, 4, 4)
+
+    @pytest.mark.parametrize("excess", [1e-4, -1e-4])
+    def test_sum_off_by_more_than_tol_rejected(self, excess):
+        # the documented tolerance on the sum is 1e-6
+        with pytest.raises(ValueError, match="^distribution must be normalized$"):
+            extract_period([0.5, 0.0, 0.5 + excess, 0.0])
+
 
 class TestRegisterCoordinates:
     def test_roundtrip(self):
