@@ -17,6 +17,7 @@ yields an exact single-pulse CN gate of duration sqrt(3) pi / (2 J) at k = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .model import ConfigurationError, PulseSpec, SpinSystem, _checked, _level_gap, _numeric
 from .model import _non_negative_real, _positive_int, _positive_real, _require_spin_index
-from .model import finite_real, require_finite
+from .model import MAX_DIM, finite_real, integer, require_finite
 
 #: proton gyromagnetic ratio, rad s^-1 T^-1
 PROTON_GYROMAGNETIC_RATIO = 2.6752218744e8
@@ -137,13 +138,18 @@ def frequency_ladder(omega0: float, omega_rabi: float, count: int) -> np.ndarray
     Any resonant pulse at a ladder frequency sees every other ladder spin
     detuned by a multiple of 8 Omega, so all pi-pulse return angles are near
     multiples of 8 pi (ladder spacings, like detunings, are in units of
-    Omega, not pi).  ``count`` is an integer >= 1.
+    Omega, not pi).  ``count`` is an integer from 1 to ``MAX_DIM``.
     """
     omega0 = _checked("omega0", finite_real, omega0)
     spacing = LADDER_SPACING_FACTOR * _checked("omega_rabi", finite_real, omega_rabi)
-    count = _checked("count", _positive_int, count)
+    count = _checked("count", functools.partial(integer, low=1, high=MAX_DIM), count)
     ladder = [omega0 + spacing * n for n in range(1, count + 1)]
     return np.array(require_finite(ladder, "frequency ladder"))
+
+
+def _pi_duration(rabi: float) -> float:
+    """pi / Omega, a pi-pulse's duration at a Rabi frequency Omega > 0; refused if it overflows."""
+    return require_finite(math.pi / rabi, "pulse duration")
 
 
 def cn_pulse(
@@ -203,7 +209,7 @@ def cn_pulse(
             )
         if not amplitudes[target] > 0:  # NaN fails too
             raise ConfigurationError("target Rabi frequency must be positive")
-        duration = require_finite(math.pi / float(amplitudes[target]), "pulse duration")
+        duration = _pi_duration(float(amplitudes[target]))
     return PulseSpec(carrier=carrier, phase=phase, rabi=amplitudes, duration=duration)
 
 

@@ -16,12 +16,12 @@ Three routes are provided and cross-checked against each other:
   anything, so they need no numpy error state: one bound from the carrier,
   the largest |E| and the two frame angles before the eigensolve, and the
   two ends of the sorted eigenvalues times the duration after it.
-  ``pulse_states`` evolves one start state through each of a stack of
-  pulses that start at t = 0, from the same factor builder with one
-  stacked eigensolve; it applies the factors to the state through the
-  helper ``evolve_pulse`` uses, so a stack of one is, bit for bit, that
-  pulse.  Every route builds its Hamiltonians with
-  ``model.rotating_hamiltonian``.
+  ``pulse_states`` evolves one start state through phase-zero pulses at
+  t = 0 on a stack of systems, under drive settings broadcast over it, from
+  the same factor builder with one stacked eigensolve and one frame
+  diagonal per system; it applies the factors through the helper
+  ``evolve_pulse`` uses, so a stack of one is, bit for bit, that pulse.
+  Every route builds its Hamiltonians with ``model.rotating_hamiltonian``.
 * ``integrate_lab_frame`` — independent oracle: fixed-step fourth-order
   Magnus integration of the explicitly time-dependent lab-frame Schrodinger
   equation.  H(t) enters only through one ``lab_hamiltonian`` call at the
@@ -157,8 +157,8 @@ def _eigen_factors(energies: np.ndarray, carrier, rabi: np.ndarray, *turns):
     diagonal exp(x Z) is returned for each exponent x in ``turns``: i a1
     and -i a0 give L and R; i a1 alone gives L, for a pulse at t0 = 0,
     where R is the identity.  One pulse takes energies (dim,) and numbers;
-    a stack of n takes energies (n, dim), carriers (n, 1) and exponents
-    (n,).  Nothing is checked here.
+    n systems energies (n, dim), carriers (n, 1) and exponents (n,), under
+    Rabi frequencies (..., n or 1, N), one L per system.  Nothing is checked.
     """
     vals, vecs = np.linalg.eigh(rotating_hamiltonian(energies, carrier, rabi))
     z = total_spin_z(energies.shape[-1].bit_length() - 1)
@@ -171,9 +171,9 @@ def _apply_factors(
 ) -> np.ndarray:
     """L V (exp(-i Lambda tau) V^T psi): a pulse's factors applied to psi, U never formed.
 
-    One pulse takes V (dim, dim), a stack of n V (n, dim, dim); psi is a
-    contiguous complex (dim,), shared by the stack.  Both routes apply their
-    factors here, so a stack of one is, bit for bit, the pulse.  Each
+    One pulse takes V (dim, dim), a stack V (..., n, dim, dim) and L (n, dim);
+    psi is a contiguous complex (dim,), shared by the stack.  Both routes
+    apply their factors here, so a stack of one is, bit for bit, the pulse.  Each
     product with the real V is a real product on the (re, im) columns of its
     operand, one BLAS gemm per (dim, dim) x (dim, 2) pair: ``dot`` for one
     pulse, where it costs less per call than ``matmul``, and ``matmul`` for
@@ -193,34 +193,34 @@ def pulse_states(
     rabi: np.ndarray,
     duration: float,
 ) -> np.ndarray:
-    """Lab-frame states of one start state after each of a stack of n phase-zero pulses.
+    """Lab-frame states of one start state after phase-zero pulses on a stack of n systems.
 
-    Every pulse starts at t = 0.  Each state is L V exp(-i Lambda tau) V^T psi
-    from the factors of ``_eigen_factors`` at a1 = w tau (R is the identity,
-    so it is not built), for the start amplitudes psi (dim,), the Ising
-    diagonals ``energies`` (n, dim), the carriers w (n,) and the Rabi
-    frequencies ``rabi`` (n, N): bit for bit the amplitudes ``evolve_pulse``
-    gives for that pulse at t_start = 0.  No U is formed.
+    The systems are Ising diagonals ``energies`` (n, dim) and carriers w (n,),
+    and the Rabi frequencies ``rabi`` (..., n or 1, N) drive settings, a row
+    of 1 shared by every system.  Each state, from the start amplitudes psi
+    (dim,), is L V exp(-i Lambda tau) V^T psi from ``_eigen_factors`` at
+    a1 = w tau (R is the identity at t = 0; L is built once per system): bit
+    for bit the amplitudes of ``evolve_pulse`` at t_start = 0.  No U is formed.
 
-    Returns the amplitudes (n, dim).  A pulse whose energies or carrier are
-    not finite is left out of the eigensolve and its row is NaN; a row can
-    also come out non-finite when its phases overflow.  Overflow never
-    raises here, whatever numpy's error state, so one pulse cannot stop the
-    others: callers check the rows (or what they compute from them) for
-    finiteness.
+    Returns the amplitudes (..., n, dim).  A system whose energies or carrier
+    are not finite is left out of the eigensolve and is NaN in every row; a
+    row can also come out non-finite when its phases overflow.  Overflow
+    never raises here, whatever numpy's error state, so one pulse cannot stop
+    the others: callers check the rows (or what they compute from them).
     """
     n, dim = energies.shape
     with np.errstate(over="ignore", invalid="ignore"):
         ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
         if not ok.all():
-            energies, carrier, rabi = energies[ok], carrier[ok], rabi[ok]
+            energies, carrier = energies[ok], carrier[ok]
+            rabi = rabi if rabi.shape[-2] == 1 else rabi[..., ok, :]
         turn = 1j * (carrier * duration)
         vals, vecs, (left,) = _eigen_factors(energies, carrier[:, None], rabi, turn)
         psi = np.ascontiguousarray(amplitudes, dtype=complex)
         psi = _apply_factors(vecs, np.exp(vals * (-1j * duration)), left, psi)
-    if len(psi) < n:
-        psi_ok, psi = psi, np.full((n, dim), np.nan, dtype=complex)
-        psi[ok] = psi_ok
+    if psi.shape[-2] < n:
+        psi_ok, psi = psi, np.full((*psi.shape[:-2], n, dim), np.nan, dtype=complex)
+        psi[..., ok, :] = psi_ok
     return psi
 
 

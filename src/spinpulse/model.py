@@ -163,6 +163,10 @@ def _checked(name: str, convert: Callable, value):
 # basis utilities
 # ---------------------------------------------------------------------------
 
+#: the desk-scale Hilbert dimension, which bounds every count that sizes an allocation
+MAX_DIM = 16
+MAX_SPINS = MAX_DIM.bit_length() - 1  # of a system or basis state: 2^4 = MAX_DIM
+
 
 @functools.lru_cache(maxsize=8)
 def spin_z_values(n_spins: int) -> np.ndarray:
@@ -223,6 +227,8 @@ class SpinSystem:
         n_spins = _checked("n_spins", count, self.n_spins)
         if n_spins < 1:
             raise ConfigurationError("n_spins must be a positive integer")
+        if n_spins > MAX_SPINS:
+            raise ConfigurationError(f"n_spins must be at most {MAX_SPINS}, got {n_spins}")
         object.__setattr__(self, "n_spins", n_spins)
         for name in ("larmor", "couplings"):
             value = np.array(_checked(name, _numeric, getattr(self, name)))
@@ -370,8 +376,8 @@ class QuantumState:
 
     @classmethod
     def basis(cls, n_spins: int, index: int) -> "QuantumState":
-        """|index> of n_spins <= 62 spins; ConfigurationError names an argument out of range."""
-        dim = 2 ** _checked("n_spins", functools.partial(integer, high=62), n_spins)
+        """|index> of up to MAX_SPINS spins; ConfigurationError names an argument out of range."""
+        dim = 2 ** _checked("n_spins", functools.partial(integer, high=MAX_SPINS), n_spins)
         amps = np.zeros(dim, dtype=complex)
         amps[_checked("index", functools.partial(integer, high=dim - 1), index)] = 1.0
         return cls(amps)
@@ -426,8 +432,9 @@ def rotating_hamiltonian(energies: np.ndarray, carrier, rabi: np.ndarray, angle=
 
     The Rabi frequencies ``rabi`` (..., N) and the field angles ``angle``
     (...) broadcast to the leading batch axes; the Ising diagonals
-    ``energies`` (..., dim) and the carrier frequencies omega (a number, or
-    (..., 1) for a stack) broadcast into them.  Without ``angle`` (a = 0)
+    ``energies`` (dim,), or a stack (..., dim), and the carrier frequencies
+    omega (a number, or (..., 1) for a stack) join them, so each diagonal of
+    a stack serves every drive broadcast over it.  Without ``angle`` (a = 0)
     the result is real symmetric (float64), otherwise complex Hermitian.
     Each is built in one fresh buffer, at the flip indices of
     ``_spin_flips``; nothing is checked here.
@@ -442,6 +449,8 @@ def rotating_hamiltonian(energies: np.ndarray, carrier, rabi: np.ndarray, angle=
         above = np.exp(1j * np.asarray(angle))[..., None] * above
         below = above.conj()
     batch = above.shape[:-1]
+    if energies.ndim > 1:  # a stack: only here, as it costs a single pulse microseconds
+        batch = np.broadcast_shapes(batch, energies.shape[:-1])
     h = np.zeros((*batch, dim * dim), dtype=above.dtype)
     h.T[upper] = above.T
     h.T[lower] = below.T
@@ -571,7 +580,7 @@ def _json_list(value) -> list:
 
 
 _SYSTEM_FIELDS = {
-    "n_spins": (functools.partial(integer, low=1, high=4), REQUIRED),  # dimension <= 16
+    "n_spins": (functools.partial(integer, low=1, high=MAX_SPINS), REQUIRED),
     "larmor": (finite_reals, REQUIRED),
     "couplings": (finite_reals, REQUIRED),
 }

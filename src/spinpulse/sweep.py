@@ -10,19 +10,16 @@ phases on the coupled target transition, which do not depend on the
 separation, cancel out.
 
 ``run_sweep`` is the one entry; one cell is a 1 x 1 grid.  The grid is
-evaluated in blocks of up to 512 cells (``_SWEEP_BLOCK``): the rotating
-Hamiltonians of a block (two per cell, control driven and undriven, each
-phase-zero pulse starting at t = 0) are built as one stack and diagonalized
-by one stacked real eigensolve, and their factors act on the test state
-(``dynamics.pulse_states``) without forming a propagator: bit for bit the
+evaluated in blocks of up to 512 cells (``_SWEEP_BLOCK``).  Each cell's
+system is built once, and its two phase-zero pulses, control driven and
+undriven, are two drive settings broadcast over the block's systems by
+``dynamics.pulse_states``: one stacked real eigensolve, bit for bit the
 numbers of the cell-by-cell public route through ``cn_pulse`` and
-``evolve_pulse``.  A block whose cells are all valid and finite, as every
-cell of an ordinary grid is, runs no Python per cell.  A bad cell
-(an invalid system, or numbers that overflow double precision) still yields
-its own ``error:`` row and is kept out of the other cells' arithmetic.  The
-``sweep`` command of ``spinpulse.cli`` validates its config once, at the
-edge, by the same fields (``SWEEP_FIELDS``), evaluates the grid without
-reading them again and writes the cells as CSV.
+``evolve_pulse``.  An ordinary block runs no Python per cell; a bad cell
+(an invalid system, or numbers that overflow double precision) yields its
+own ``error:`` row and leaves the other cells unchanged.  The ``sweep``
+command of ``spinpulse.cli`` reads its config once, at the edge, by the
+same fields (``SWEEP_FIELDS``), and writes the cells as CSV.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from .model import (
     too_large,
 )
 from .dynamics import pulse_states
-from .design import cn_pulse
+from .design import _pi_duration
 from .ensemble import deviation_metric
 
 #: test superposition used by the sweep cells (read-only)
@@ -85,25 +82,19 @@ SWEEP_FIELDS = {
 
 #: grid cells evaluated together; bounds the Hamiltonian stack at about a
 #: thousand 4 x 4 matrices, however large the grid (a 900-cell grid peaks at
-#: ~0.8 MiB in blocks of 512, ~1.2 MiB in one block)
+#: ~0.7 MiB in blocks of 512, ~1.0 MiB in one block)
 _SWEEP_BLOCK = 512
 #: the two-spin coupling matrix of a unit Ising constant
 _UNIT_COUPLING = np.array([[0.0, 1.0], [1.0, 0.0]])
 _UNIT_COUPLING.setflags(write=False)
-#: the stand-in system ``_sweep_drive`` designs the sweep pulse on
-_STAND_IN = SpinSystem.uniform([0.0, 0.0], 0.0)
 
 
 def _sweep_drive(rabi: float) -> tuple[float, np.ndarray]:
     """Duration and Rabi frequencies of the sweep pulses: control driven, undriven.
 
-    They depend on rabi alone, so every cell shares them.  cn_pulse builds
-    the driven pulse on a stand-in system, so a bad rabi fails as it does
-    there; the undriven pulse differs from it only in the control's Rabi
-    frequency.
+    Every cell shares them; the duration is cn_pulse's pi-pulse, from the same helper.
     """
-    pulse = cn_pulse(_STAND_IN, 0, 1, "standard", rabi=[rabi, rabi])
-    return pulse.duration, np.array([pulse.rabi, [0.0, pulse.rabi[1]]])
+    return _pi_duration(rabi), np.array([[rabi, rabi], [0.0, rabi]])
 
 
 def _block_deviations(
@@ -116,50 +107,43 @@ def _block_deviations(
     """The deviation of each cell of a block and the text of the error that stopped it.
 
     Each cell has one of the two; the other is None.  ``pulse`` is
-    ``_sweep_drive(rabi)``, or the text of its error.  Every cell's two
-    pulses (control driven and undriven) go through one stacked eigensolve
-    and act on the test state; a cell whose system is invalid, or whose
-    numbers overflow, gets its own error and does not change the other cells.
+    ``_sweep_drive(rabi)``, or the text of its error.  Finiteness is checked
+    once, on the deviations; only a block with a failed cell tells why each
+    one failed (its system, the drive or an overflow).
     """
-    # overflow is checked cell by cell below, so it must not raise for the block
+    # a failed cell is classified below, so no overflow may raise for the block
     with np.errstate(over="ignore", invalid="ignore"):
         coupling = j_ratio * rabi
         larmor = np.empty((len(coupling), 2))
         larmor[:, 0] = base_larmor + delta_ratio * rabi
         larmor[:, 1] = base_larmor
-        valid = np.isfinite(larmor).all(1) & np.isfinite(coupling)
-        all_valid = bool(valid.all())
-        errors: list = [None] * len(coupling)
-        if not all_valid:
-            for i in np.flatnonzero(~valid):
-                try:  # the cell's own SpinSystem raises with the same checks and text
-                    SpinSystem.uniform(larmor[i], coupling[i])
-                except ConfigurationError as exc:
-                    errors[i] = str(exc)
-            larmor, coupling = larmor[valid], coupling[valid]
         if isinstance(pulse, str):
-            return [None] * len(errors), [pulse if e is None else e for e in errors]
-        duration, rabis = pulse
-        energies = ising_diagonal(larmor, coupling[:, None, None] * _UNIT_COUPLING)
-        energies = np.repeat(energies, 2, axis=0)  # each cell once per drive setting
-        # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
-        carrier = energies[:, 3] - energies[:, 2]
-        rabis = np.tile(rabis, (len(carrier) // 2, 1))
-        psi = pulse_states(SWEEP_INITIAL, energies, carrier, rabis, duration)
-        # the interaction picture, as to_interaction_picture takes it: phase
-        # times state, since a complex product's rounding depends on the order
-        psi = np.exp(1j * energies * duration) * psi
-        rho = psi[:, :, None] * psi.conj()[:, None, :]
-        # a non-finite energy, carrier, state or phase makes the deviation NaN
-        deviation = deviation_metric(rho[0::2], rho[1::2])
-    if all_valid and np.isfinite(deviation).all():  # the common case: no cell failed
-        return deviation.tolist(), errors
-    deviations: list = [None] * len(errors)
-    for i, value in zip(np.flatnonzero(valid).tolist(), deviation.tolist()):
-        if math.isfinite(value):
-            deviations[i] = value
+            deviation = np.full(len(coupling), np.nan)
         else:
-            errors[i] = str(too_large("deviation not finite"))
+            duration, rabis = pulse
+            energies = ising_diagonal(larmor, coupling[:, None, None] * _UNIT_COUPLING)
+            # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
+            carrier = energies[:, 3] - energies[:, 2]
+            # (2, n, 4): every cell under the driven, then the undriven setting
+            psi = pulse_states(SWEEP_INITIAL, energies, carrier, rabis[:, None, :], duration)
+            # the interaction picture, as to_interaction_picture takes it: phase
+            # times state, since a complex product's rounding depends on the order
+            psi = np.exp(1j * energies * duration) * psi
+            rho = psi[..., :, None] * psi.conj()[..., None, :]
+            # a non-finite system, carrier, state or phase makes the deviation NaN
+            deviation = deviation_metric(rho[0], rho[1])
+    deviations, errors = deviation.tolist(), [None] * len(deviation)
+    if np.isfinite(deviation).all():  # the common case: no cell failed
+        return deviations, errors
+    valid = np.isfinite(larmor).all(1) & np.isfinite(coupling)
+    failure = pulse if isinstance(pulse, str) else str(too_large("deviation not finite"))
+    for i in np.flatnonzero(~np.isfinite(deviation)).tolist():
+        deviations[i], errors[i] = None, failure
+        if not valid[i]:
+            try:  # the cell's own SpinSystem raises with the same checks and text
+                SpinSystem.uniform(larmor[i], coupling[i])
+            except ConfigurationError as exc:
+                errors[i] = str(exc)
     return deviations, errors
 
 
@@ -188,11 +172,12 @@ def _grid_cells(
     delta_ratios: list[float], j_ratios: list[float], rabi: float, base_larmor: float
 ) -> list[SweepCell]:
     """The cells of ``run_sweep`` from arguments already read by ``SWEEP_FIELDS``."""
-    delta_ratio = np.repeat(delta_ratios, len(j_ratios))
-    j_ratio = np.tile(j_ratios, len(delta_ratios))
+    grid = np.empty((2, len(delta_ratios), len(j_ratios)))
+    grid[0], grid[1] = np.array(delta_ratios)[:, None], j_ratios  # every (delta, J) pair
+    delta_ratio, j_ratio = grid.reshape(2, -1)
     try:
         pulse = _sweep_drive(rabi)
-    except (ConfigurationError, FloatingPointError) as exc:  # FloatingPointError under main
+    except ConfigurationError as exc:
         pulse = str(exc)
     deviations: list = []
     errors: list = []

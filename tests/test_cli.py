@@ -668,8 +668,8 @@ class TestBatchedSweep:
         assert cells[1].error == "values too large for double precision (deviation not finite)"
 
     def test_memory_is_bounded_by_the_block(self):
-        # 900 cells, two pulses each: ~0.8 MiB in blocks of 512 cells; one
-        # stack for the whole grid peaks at ~1.2 MiB
+        # 900 cells, two pulses each: ~0.7 MiB in blocks of 512 cells; one
+        # stack for the whole grid peaks at ~1.0 MiB
         axis = np.geomspace(10.0, 1000.0, 30).tolist()
         run_sweep(axis[:2], axis[:2])
         tracemalloc.start()

@@ -587,6 +587,47 @@ class TestPulseStates:
         for row, system, pulse in zip(psi, systems, pulses):
             assert np.array_equal(row, evolve_pulse(state, system, pulse).amplitudes)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_spins=st.integers(1, 4),
+        n_systems=st.integers(1, 5),
+        n_settings=st.integers(1, 3),
+        per_system=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        duration=st.floats(0.01, 50.0),
+        bad=st.integers(0, 4),
+        bad_carrier=st.booleans(),
+    )
+    def test_drive_settings_broadcast_over_systems(
+        self, n_spins, n_systems, n_settings, per_system, seed, duration, bad, bad_carrier
+    ):
+        # k drive settings as (k, n, N), one per system, or as (k, 1, N), shared
+        rng = np.random.default_rng(seed)
+        systems = [random_system(rng, n_spins) for _ in range(n_systems)]
+        energies = np.array([system.energies for system in systems])
+        carrier = rng.uniform(-200.0, 200.0, n_systems)
+        rabi = rng.uniform(0, 0.5, (n_settings, n_systems if per_system else 1, n_spins))
+        rabi[rng.random(rabi.shape) < 0.3] = 0.0  # undriven spins
+        state = QuantumState(random_state(rng, 2**n_spins))
+        psi = pulse_states(state.amplitudes, energies, carrier, rabi, duration)
+        stack = rotating_hamiltonian(energies, carrier[:, None], rabi)
+        assert psi.shape == (n_settings, n_systems, 2**n_spins)
+        for k, i in np.ndindex(n_settings, n_systems):
+            drive = rabi[k, i if per_system else 0]
+            pulse = PulseSpec(carrier[i], 0.0, drive, duration)
+            assert np.array_equal(psi[k, i], evolve_pulse(state, systems[i], pulse).amplitudes)
+            assert np.array_equal(stack[k, i], rotating_hamiltonian(energies[i], carrier[i], drive))
+        # a system with an infinite energy or a NaN carrier fails in every setting, alone
+        bad %= n_systems
+        if bad_carrier:
+            carrier[bad] = np.nan
+        else:
+            energies[bad, -1] = np.inf
+        with np.errstate(over="raise", invalid="raise"):
+            failed = pulse_states(state.amplitudes, energies, carrier, rabi, duration)
+        assert np.all(np.isnan(failed[:, bad]))
+        assert np.array_equal(np.delete(failed, bad, axis=1), np.delete(psi, bad, axis=1))
+
     def test_bad_pulse_fails_alone(self, gate_system, gate_pulse):
         # one pulse with an infinite energy, one with a NaN carrier (both
         # kept out of the eigensolve) and one whose phases overflow

@@ -9,8 +9,12 @@ import dataclasses
 import functools
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,12 @@ class TestSpinSystem:
     def test_misshapen_system_rejected(self, n_spins, couplings, message):
         with pytest.raises(ConfigurationError, match=f"^{message}$"):
             SpinSystem(n_spins, [1.0] * n_spins, couplings)
+
+    def test_dimension_bound(self):
+        assert (model.MAX_DIM, model.MAX_SPINS) == (16, 4)
+        assert SpinSystem.uniform([1.0, 2.0, 3.0, 4.0], 0.5).energies.shape == (16,)
+        with pytest.raises(ConfigurationError, match="^n_spins must be at most 4, got 5$"):
+            SpinSystem.uniform([1.0] * 5, 0.5)
 
     def test_uniform_builder(self):
         system = SpinSystem.uniform([1.0, 2.0, 3.0], 7.0)
@@ -335,7 +345,7 @@ _NON_NUMBER_SITES = [
      model.finite_real, _REAL),
     # 2.5 raised a bare TypeError
     ("frequency-ladder-count", lambda v: frequency_ladder(1.0, 0.1, v), "count",
-     model._positive_int, _integers(1)),
+     functools.partial(model.integer, low=1, high=model.MAX_DIM), _integers(1, 16)),
     ("gradient-estimate", lambda v: gradient_estimate(1.0, v), "spacing",
      model._positive_real, _POSITIVE),
     ("gradient-estimate-rabi", lambda v: gradient_estimate(v, 1.0), "omega_rabi",
@@ -362,7 +372,7 @@ _NON_NUMBER_SITES = [
     ("basis-index", lambda v: QuantumState.basis(2, v), "index", _TWO_BITS, _integers(0, 3)),
     # 10**400 computed 2**(10**400) first
     ("basis-n-spins", lambda v: QuantumState.basis(v, 0), "n_spins",
-     functools.partial(model.integer, high=62), _integers(0, 62)),
+     functools.partial(model.integer, high=model.MAX_SPINS), _integers(0, 4)),
     # 1.5 gave 6.0
     ("register-x", lambda v: register_index(v, 0), "x", _TWO_BITS, _integers(0, 3)),
     ("register-y", lambda v: register_index(0, v), "y", _TWO_BITS, _integers(0, 3)),
@@ -409,6 +419,41 @@ _NON_NUMBER_CASES = [
 _NON_NUMBER_IDS = [
     f"{site}-{kind}" for site, *_, values in _NON_NUMBER_SITES for kind in values
 ]
+
+
+#: each count that sizes an allocation, far past the bound, and the name its refusal gives
+_OVERSIZED_COUNTS = {
+    "frequency-ladder-count": ("spinpulse.frequency_ladder(1.0, 0.1, 10**9)", "count: "),
+    "basis-n-spins": ("spinpulse.QuantumState.basis(40, 0)", "n_spins: "),
+    "system-n-spins": (
+        "spinpulse.SpinSystem(40, numpy.zeros(40), numpy.zeros((40, 40))).energies",
+        "n_spins must be at most 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name", _OVERSIZED_COUNTS.values(), ids=_OVERSIZED_COUNTS)
+def test_oversized_count_refused_before_allocating(call, name):
+    # in a fresh interpreter whose address space is capped at 1.5 GiB, so that
+    # an allocation sized by the count raises MemoryError there instead of
+    # filling the host's memory
+    script = (
+        "import resource, numpy, spinpulse\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))\n"
+        "try:\n"
+        f"    {call}\n"
+        "except spinpulse.ConfigurationError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(name)
 
 
 class TestPulseSpec:
