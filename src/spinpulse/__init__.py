@@ -30,7 +30,6 @@ from .dynamics import (
     TwoLevelAmplitudes,
     analytic_two_level,
     apply_sequence,
-    evolve_delay,
     evolve_pulse,
     integrate_lab_frame,
     lab_frame_propagator,
@@ -104,7 +103,6 @@ __all__ = [
     "TwoLevelAmplitudes",
     "analytic_two_level",
     "apply_sequence",
-    "evolve_delay",
     "evolve_pulse",
     "integrate_lab_frame",
     "lab_frame_propagator",

@@ -42,7 +42,9 @@ Three routes are provided and cross-checked against each other:
 Absolute-time bookkeeping: lab-frame amplitudes carry the free-evolution
 phases exp(-i E_n t), so every evolution function accepts the absolute
 start time ``t_start`` and the sequence driver ``apply_sequence`` advances
-a global clock.  States themselves stay pure value objects.
+a global clock.  A delay is a ``DelaySpec`` event of that driver, which
+multiplies the amplitudes by ``free_evolution_phases``.  States themselves
+stay pure value objects.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .model import (
     SpinSystem,
     _checked,
     _finite_complex,
+    _free_phases,
     _non_negative_real,
     _norm_drift,
     _positive_real,
@@ -291,20 +294,6 @@ def evolve_pulse(
     return QuantumState(_apply_factors(vecs, phases, left, right * state.amplitudes), check=False)
 
 
-def evolve_delay(
-    state: QuantumState, system: SpinSystem, delay: DelaySpec | float
-) -> QuantumState:
-    """Free evolution: multiply each amplitude by exp(-i E_n tau).
-
-    Probabilities are untouched; only relative phases advance.  Composes
-    exactly: tau_1 then tau_2 equals tau_1 + tau_2.
-    """
-    _require_dim(state, system)
-    _require_normalized(state)
-    tau = (delay if isinstance(delay, DelaySpec) else DelaySpec(delay)).duration
-    return QuantumState(free_evolution_phases(system, tau) * state.amplitudes, check=False)
-
-
 def free_evolution_phases(system: SpinSystem, t: float) -> np.ndarray:
     """The phase factors exp(-i E_n t) of free evolution for a time t.
 
@@ -314,7 +303,7 @@ def free_evolution_phases(system: SpinSystem, t: float) -> np.ndarray:
     t = _checked("t", finite_real, t)
     energies = system.energies
     require_finite(abs(t) * max_abs(energies), "free-evolution phases")
-    return np.exp(-1j * (energies * t))
+    return _free_phases(energies, t)
 
 
 def to_interaction_picture(state: QuantumState, system: SpinSystem, t: float) -> QuantumState:

@@ -332,9 +332,14 @@ class DelaySpec:
         object.__setattr__(self, "duration", duration)
 
 
+def _norm(amplitudes: np.ndarray) -> float:
+    """||psi|| as a Python float, by np.vdot: inf on overflow, NaN for NaN, no warning."""
+    return math.sqrt(np.vdot(amplitudes, amplitudes).real)
+
+
 def _norm_drift(amplitudes: np.ndarray) -> float:
-    """| ||psi|| - 1 | as a Python float, by np.vdot: inf on overflow, NaN for NaN, no warning."""
-    return abs(math.sqrt(np.vdot(amplitudes, amplitudes).real) - 1.0)
+    """| ||psi|| - 1 |, from ``_norm``."""
+    return abs(_norm(amplitudes) - 1.0)
 
 
 class QuantumState:
@@ -365,7 +370,7 @@ class QuantumState:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return _norm(self.amplitudes)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -407,6 +412,11 @@ def ising_diagonal(larmor: np.ndarray, couplings: np.ndarray) -> np.ndarray:
     """
     s = spin_z_values(np.shape(larmor)[-1])
     return -(larmor @ s.T) - np.einsum("nk,...km,nm->...n", s, couplings, s)
+
+
+def _free_phases(energies: np.ndarray, t) -> np.ndarray:
+    """exp(-i E_n t), unchecked; energies (..., dim) and times t broadcast over stacks."""
+    return np.exp(-1j * (energies * t))
 
 
 def diagonal_energies(system: SpinSystem) -> np.ndarray:

@@ -48,6 +48,7 @@ from .model import (
     QuantumState,
     SpinSystem,
     _checked,
+    _free_phases,
     _non_negative_real,
     _numeric,
     finite_reals,
@@ -102,9 +103,6 @@ class EnergyTable:
             raise ConfigurationError(f"energy table must hold {DIM} values")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    def energy(self, x: int, y: int) -> float:
-        return float(self.values[4 * x + y])
 
     @classmethod
     def from_xy_table(cls, table) -> "EnergyTable":
@@ -239,7 +237,7 @@ def _delay_phases(
         raise ConfigurationError(f"mode {mode!r} requires an energy table")
     # max(tau) max|E| bounds every angle tau E
     require_finite(max(tau1, tau2) * max_abs(energies.values), "delay phases")
-    p1, p2 = np.exp(-1j * np.multiply.outer(delays, energies.values))
+    p1, p2 = _free_phases(energies.values, np.array(delays)[:, None])
     return delays, p1, p2
 
 

@@ -24,6 +24,7 @@ same fields (``SWEEP_FIELDS``), and writes the cells as CSV.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Sequence
 
@@ -34,6 +35,7 @@ from .model import (
     ConfigurationError,
     QuantumState,
     SpinSystem,
+    _free_phases,
     _positive_real,
     finite_real,
     finite_reals,
@@ -60,11 +62,20 @@ class SweepCell(NamedTuple):
     error: str | None = None
 
 
+#: a row of four as a SweepCell, without ``SweepCell._make``'s length check
+_new_cell = functools.partial(tuple.__new__, SweepCell)
+#: most values of one sweep axis, so a grid has at most 2^20 cells: a larger
+#: one is refused before its cells are allocated
+_MAX_AXIS_VALUES = 1024
+
+
 def axis(values) -> list[float]:
-    """A sweep axis as floats: a non-empty list, strictly positive, sorted ascending."""
+    """A sweep axis as floats: 1 to ``_MAX_AXIS_VALUES`` values, strictly positive, ascending."""
     values = finite_reals(values)
     if values.ndim != 1:
         raise ValueError("axis must be a list of numbers")
+    if values.size > _MAX_AXIS_VALUES:
+        raise ValueError(f"axis must have at most {_MAX_AXIS_VALUES} values, got {values.size}")
     if not values.size or values.min() <= 0:
         raise ValueError("axis values must be strictly positive and finite")
     if (values[1:] < values[:-1]).any():
@@ -128,7 +139,7 @@ def _block_deviations(
             psi = pulse_states(SWEEP_INITIAL, energies, carrier, rabis[:, None, :], duration)
             # the interaction picture, as to_interaction_picture takes it: phase
             # times state, since a complex product's rounding depends on the order
-            psi = np.exp(1j * energies * duration) * psi
+            psi = _free_phases(energies, -duration) * psi
             rho = psi[..., :, None] * psi.conj()[..., None, :]
             # a non-finite system, carrier, state or phase makes the deviation NaN
             deviation = deviation_metric(rho[0], rho[1])
@@ -156,12 +167,13 @@ def run_sweep(
     """Evaluate every grid cell; cells are independent and order-insensitive.
 
     The arguments are read as a ``sweep`` config's fields (``SWEEP_FIELDS``:
-    axes strictly positive and sorted ascending, rabi > 0, default 0.1,
-    base_larmor default 100); a bad one raises ConfigurationError, and None
-    takes the default.  The cells are evaluated block by block; a cell's
-    failure is recorded in its row and does not stop the sweep.  The
-    ``sweep`` command, which has read these fields from its config, skips
-    this reading and evaluates the grid directly.
+    axes of at most 1024 values, strictly positive and sorted ascending,
+    rabi > 0, default 0.1, base_larmor default 100); a bad one raises
+    ConfigurationError before any cell is allocated, and None takes the
+    default.  The cells are evaluated block by block; a cell's failure is
+    recorded in its row and does not stop the sweep.  The ``sweep``
+    command, which has read these fields from its config, skips this
+    reading and evaluates the grid directly.
     """
     fields = {"delta_ratios": delta_ratios, "j_ratios": j_ratios, "rabi": rabi,
               "base_larmor": base_larmor}
@@ -187,4 +199,4 @@ def _grid_cells(
         deviations += d
         errors += e
     rows = zip(delta_ratio.tolist(), j_ratio.tolist(), deviations, errors)
-    return list(map(SweepCell._make, rows))
+    return list(map(_new_cell, rows))

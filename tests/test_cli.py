@@ -12,6 +12,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -47,11 +50,12 @@ from spinpulse.cli import (
     main,
     parse_config,
 )
-from spinpulse.sweep import _SWEEP_BLOCK, SWEEP_FIELDS, SWEEP_INITIAL
+from spinpulse.sweep import _MAX_AXIS_VALUES, _SWEEP_BLOCK, SWEEP_FIELDS, SWEEP_INITIAL
 
 from conftest import GATE_FINAL, GATE_INITIAL, loop_trace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 SWEEP_CONFIG = str(CONFIGS / "sweep.json")
 ENSEMBLE_CONFIG = str(CONFIGS / "ensemble.json")
 SHOR_ENERGIES = str(CONFIGS / "shor_energies.json")
@@ -144,6 +148,13 @@ class TestParseConfig:
         doc = {"kind": "sweep", "delta_ratios": [0.0, 30.0], "j_ratios": [5.0]}
         with pytest.raises(ConfigurationError, match="positive"):
             parse_config(doc)
+
+    def test_sweep_axis_length_is_bounded(self):
+        axis = np.arange(1.0, _MAX_AXIS_VALUES + 2).tolist()
+        parse_config({"kind": "sweep", "delta_ratios": axis[:-1], "j_ratios": [5.0]})
+        message = f"^j_ratios: axis must have at most {_MAX_AXIS_VALUES} values, got {len(axis)}$"
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config({"kind": "sweep", "delta_ratios": [30.0], "j_ratios": axis})
 
     def test_shor_delay_mode_needs_energies(self):
         with pytest.raises(ConfigurationError, match="energies"):
@@ -679,6 +690,37 @@ class TestBatchedSweep:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_oversized_grid_refused_before_allocating(self, tmp_path):
+        # two 20000-value axes ask for a (2, 20000, 20000) grid, ~6 GiB: in a
+        # fresh interpreter whose address space is capped at 1.5 GiB that was a
+        # MemoryError traceback, and without the cap it could fill the host's memory
+        config = tmp_path / "sweep.json"
+        axis = np.arange(1.0, 20001.0).tolist()
+        config.write_text(json.dumps({"kind": "sweep", "delta_ratios": axis, "j_ratios": axis}))
+        script = (
+            "import resource, sys, spinpulse\n"
+            "from spinpulse.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 * 2**29, 3 * 2**29))\n"
+            "axis = [float(v) for v in range(1, 20001)]\n"
+            "try:\n"
+            "    spinpulse.run_sweep(axis, axis)\n"
+            "except spinpulse.ConfigurationError as exc:\n"
+            "    print(exc)\n"
+            f"sys.exit(main(['sweep', '--config', {str(config)!r}]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        problem = f"axis must have at most {_MAX_AXIS_VALUES} values, got 20000"
+        assert result.stdout == f"delta_ratios: {problem}; j_ratios: {problem}\n"
+        assert result.returncode == EXIT_VALIDATION
+        assert result.stderr.splitlines() == [
+            f"config error: delta_ratios: {problem}", f"config error: j_ratios: {problem}"
+        ]
 
 
 class TestMainEntryPoint:

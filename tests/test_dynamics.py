@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from spinpulse import (
     ConfigurationError,
     DelaySpec,
+    EnergyTable,
     PulseSpec,
     QuantumState,
     SpinSystem,
@@ -35,7 +36,6 @@ from spinpulse import (
     build_rotating_hamiltonian,
     cn_pulse,
     diagonal_energies,
-    evolve_delay,
     evolve_deviation,
     evolve_pulse,
     fidelity,
@@ -52,10 +52,12 @@ from spinpulse.dynamics import (
     MAX_STEP_DIVISOR,
     _lab_steps,
     _magnus_propagator,
+    free_evolution_phases,
     pulse_states,
 )
 from spinpulse.ensemble import init_deviation, to_interaction_picture as density_to_interaction_picture
-from spinpulse.model import rotating_hamiltonian, spin_z_values, total_spin_z
+from spinpulse.model import _free_phases, rotating_hamiltonian, spin_z_values, total_spin_z
+from spinpulse.shor import _delay_phases
 
 from conftest import (
     GATE_FINAL,
@@ -238,22 +240,42 @@ class TestAnalyticTwoLevel:
             analytic_two_level(**args)
 
 
-class TestEvolveDelay:
+@st.composite
+def system_stacks(draw, n_spins=st.integers(1, 4), count=st.integers(1, 5)):
+    """A list of random systems of one size: 1 to 5 of 1 to 4 spins by default."""
+    n = draw(n_spins)
+
+    def system():
+        larmor = draw(st.lists(st.floats(-1e4, 1e4), min_size=n, max_size=n))
+        j = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * n, max_size=n * n)))
+        j = j.reshape(n, n) + j.reshape(n, n).T
+        np.fill_diagonal(j, 0.0)
+        return SpinSystem(n, larmor, j)
+
+    return [system() for _ in range(draw(count))]
+
+
+def delayed(state: QuantumState, system: SpinSystem, t: float) -> QuantumState:
+    """The state after a free evolution of t, by the delay route: a ``DelaySpec`` event."""
+    return apply_sequence(state, system, [DelaySpec(t)]).final_state
+
+
+class TestDelay:
     def test_zero_delay_identity(self, gate_system):
         state = QuantumState(GATE_INITIAL)
-        out = evolve_delay(state, gate_system, DelaySpec(0.0))
+        out = delayed(state, gate_system, 0.0)
         np.testing.assert_allclose(out.amplitudes, state.amplitudes, atol=0)
 
     def test_probabilities_unchanged(self, gate_system, rng):
         state = QuantumState(random_state(rng, 4))
-        out = evolve_delay(state, gate_system, DelaySpec(rng.uniform(0, 10)))
+        out = delayed(state, gate_system, rng.uniform(0, 10))
         np.testing.assert_allclose(out.probabilities, state.probabilities, atol=1e-15)
 
     def test_single_spin_relative_phase(self):
         # omega = 100, tau = 0.01: |1> advances by -(E_1 - E_0) tau = -1 rad
         system = SpinSystem(1, [100.0], [[0.0]])
         state = QuantumState(np.array([1.0, 1.0]) / np.sqrt(2))
-        out = evolve_delay(state, system, DelaySpec(0.01))
+        out = delayed(state, system, 0.01)
         relative = np.angle(out.amplitudes[1] / out.amplitudes[0])
         assert relative == pytest.approx(-1.0, abs=1e-12)
 
@@ -262,7 +284,7 @@ class TestEvolveDelay:
         state = QuantumState(np.array([0.6, 0.8], dtype=complex))
         tau = 0.01
         pulse = PulseSpec(carrier=100.0, phase=0.0, rabi=[0.0], duration=tau)
-        by_delay = evolve_delay(state, system, DelaySpec(tau))
+        by_delay = delayed(state, system, tau)
         by_integrator = integrate_lab_frame(state, system, pulse)
         np.testing.assert_allclose(
             by_delay.amplitudes, by_integrator.amplitudes, atol=1e-9
@@ -271,20 +293,38 @@ class TestEvolveDelay:
     def test_composition_exact(self, gate_system, rng):
         state = QuantumState(random_state(rng, 4))
         t1, t2 = rng.uniform(0, 5, size=2)
-        split = evolve_delay(evolve_delay(state, gate_system, t1), gate_system, t2)
-        joined = evolve_delay(state, gate_system, t1 + t2)
+        split = apply_sequence(state, gate_system, [DelaySpec(t1), DelaySpec(t2)]).final_state
+        joined = delayed(state, gate_system, t1 + t2)
         np.testing.assert_allclose(split.amplitudes, joined.amplitudes, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        systems=system_stacks(),
+        register=system_stacks(st.just(4), st.just(1)),
+        t=st.floats(-1e3, 1e3),
+        tau2=st.floats(0.0, 1e3),
+    )
+    def test_one_phase_formula_for_a_system_and_a_stack(self, systems, register, t, tau2):
+        # the sweep's stacked phases, the register's delay phases and the
+        # checked single-system ones share one rounding
+        stack = np.array([system.energies for system in systems])
+        for row, system in zip(_free_phases(stack, t), systems):
+            assert np.array_equal(row, free_evolution_phases(system, t))
+        [system], tau1 = register, abs(t)
+        _, p1, p2 = _delay_phases("bare-delay", (tau1, tau2), EnergyTable(system.energies))
+        assert np.array_equal(p1, free_evolution_phases(system, tau1))
+        assert np.array_equal(p2, free_evolution_phases(system, tau2))
 
     @pytest.mark.parametrize(
         "evolve",
         [
-            lambda state, system, t: evolve_delay(state, system, t),
+            lambda state, system, t: delayed(state, system, t),
             lambda state, system, t: to_interaction_picture(state, system, t),
             lambda state, system, t: density_to_interaction_picture(
                 init_deviation([1.0, 0.0, 0.0, 0.0]), SpinSystem.uniform([1e300] * 4, 1.0), t
             ),
         ],
-        ids=["evolve-delay", "interaction-picture", "density-interaction-picture"],
+        ids=["delay", "interaction-picture", "density-interaction-picture"],
     )
     def test_overflowing_phases_are_a_configuration_error(self, evolve):
         # finite energies of ~1e300 times t = 1e10 overflow; this returned
@@ -327,7 +367,7 @@ class TestEvolvePulse:
         pulse = PulseSpec(carrier=95.0, phase=0.0, rabi=[0.0, 0.0], duration=tau)
         np.testing.assert_allclose(
             evolve_pulse(state, gate_system, pulse, t_start=2.0).amplitudes,
-            evolve_delay(state, gate_system, tau).amplitudes,
+            delayed(state, gate_system, tau).amplitudes,
             atol=1e-12,
         )
 
@@ -935,7 +975,7 @@ class TestFrameConsistency:
         pulse = PulseSpec(carrier=9.0, phase=0.3, rabi=[0.2, 0.2], duration=4.0)
         delay = DelaySpec(2.5)
         state = QuantumState(random_state(rng, 4))
-        exact = evolve_delay(evolve_pulse(state, system, pulse), system, delay)
+        exact = apply_sequence(state, system, [pulse, delay]).final_state
         idle = PulseSpec(carrier=9.0, phase=0.3, rabi=[0.0, 0.0], duration=delay.duration)
         numeric = integrate_lab_frame(state, system, pulse, step=1e-4)
         numeric = integrate_lab_frame(
@@ -982,13 +1022,14 @@ def random_sequence(rng, system, n_events) -> list:
 
 
 def evolve_chain(state, system, events, t_start):
-    """``apply_sequence``'s exact route as a chain of ``evolve_pulse`` and ``evolve_delay``."""
+    """``apply_sequence``'s exact route as a chain of ``evolve_pulse`` and delay phases."""
     t = t_start
     for event in events:
         if isinstance(event, PulseSpec):
             state = evolve_pulse(state, system, event, t)
         else:
-            state = evolve_delay(state, system, event)
+            phases = free_evolution_phases(system, event.duration)
+            state = QuantumState(phases * state.amplitudes, check=False)
         t += event.duration
     return state
 
@@ -1061,7 +1102,7 @@ class TestApplySequence:
 
     def test_sequence_matches_manual_composition(self, gate_system, gate_pulse):
         state = QuantumState(GATE_INITIAL)
-        manual = evolve_delay(state, gate_system, 1.0)
+        manual = QuantumState(free_evolution_phases(gate_system, 1.0) * state.amplitudes)
         manual = evolve_pulse(manual, gate_system, gate_pulse, t_start=1.0)
         report = apply_sequence(state, gate_system, [DelaySpec(1.0), gate_pulse])
         np.testing.assert_allclose(
@@ -1182,8 +1223,7 @@ class TestInteractionPicture:
     def test_strips_free_evolution(self, gate_system, rng):
         state = QuantumState(random_state(rng, 4))
         t = rng.uniform(0, 20)
-        delayed = evolve_delay(state, gate_system, t)
-        stripped = to_interaction_picture(delayed, gate_system, t)
+        stripped = to_interaction_picture(delayed(state, gate_system, t), gate_system, t)
         np.testing.assert_allclose(stripped.amplitudes, state.amplitudes, atol=1e-12)
 
 
@@ -1193,13 +1233,13 @@ class TestInteractionPicture:
     [
         lambda state, system, pulse: evolve_pulse(state, system, pulse),
         lambda state, system, pulse: integrate_lab_frame(state, system, pulse),
-        lambda state, system, pulse: evolve_delay(state, system, 1.0),
+        lambda state, system, pulse: delayed(state, system, 1.0),
         lambda state, system, pulse: to_interaction_picture(state, system, 1.0),
         lambda state, system, pulse: apply_sequence(
             state, system, [pulse], method="lab-integrator"
         ),
     ],
-    ids=["evolve_pulse", "integrate_lab_frame", "evolve_delay", "to_interaction_picture",
+    ids=["evolve_pulse", "integrate_lab_frame", "apply_sequence_delay", "to_interaction_picture",
          "apply_sequence"],
 )
 def test_state_of_the_wrong_size_is_refused(size, evolve):
@@ -1222,11 +1262,11 @@ def test_state_of_the_wrong_size_is_refused(size, evolve):
     [
         lambda state, system, pulse: evolve_pulse(state, system, pulse),
         lambda state, system, pulse: integrate_lab_frame(state, system, pulse),
-        lambda state, system, pulse: evolve_delay(state, system, 1.0),
+        lambda state, system, pulse: delayed(state, system, 1.0),
         # checked once, where the sequence starts: with no events as well
         lambda state, system, pulse: apply_sequence(state, system, []),
     ],
-    ids=["evolve_pulse", "integrate_lab_frame", "evolve_delay", "apply_sequence"],
+    ids=["evolve_pulse", "integrate_lab_frame", "apply_sequence_delay", "apply_sequence"],
 )
 def test_unnormalized_state_is_refused(gate_system, gate_pulse, amplitudes, evolve):
     state = QuantumState(amplitudes, check=False)

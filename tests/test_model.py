@@ -37,7 +37,6 @@ from spinpulse import (
     deviation_metric,
     diagonal_energies,
     dynamics,
-    evolve_delay,
     evolve_deviation,
     evolve_pulse,
     extract_period,
@@ -643,7 +642,7 @@ class TestDiagonalEnergies:
         system = ensemble_system
         pulse = cn_pulse(system, 0, 1, rabi=[0.1] * 4)
         state = evolve_pulse(QuantumState.basis(4, 0), system, pulse)
-        evolve_delay(state, system, 1.0)
+        apply_sequence(state, system, [DelaySpec(1.0)])
         to_interaction_picture(state, system, 1.0)
         density_to_interaction_picture(init_deviation([1.0, 0, 0, 0]), system, 1.0)
         lab_frame_propagator(system, PulseSpec(pulse.carrier, 0.0, pulse.rabi, 0.05))

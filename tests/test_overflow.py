@@ -31,7 +31,6 @@ from spinpulse import (
     cn_pulse,
     design_2pik,
     deviation_metric,
-    evolve_delay,
     evolve_deviation,
     evolve_pulse,
     frequency_ladder,
@@ -400,7 +399,6 @@ def test_every_entry_returns_finite_numbers_or_refuses(
         "build_rotating_hamiltonian": lambda: build_rotating_hamiltonian(two(), pulse(2)),
         "pulse_propagator": lambda: pulse_propagator(two(), pulse(2), spec_t),
         "evolve_pulse": lambda: evolve_pulse(state, two(), pulse(2), spec_t),
-        "evolve_delay": lambda: evolve_delay(state, two(), spec_delay),
         "to_interaction_picture": lambda: to_interaction_picture(state, two(), spec_t),
         "lab_hamiltonian": lambda: lab_hamiltonian(two(), pulse(2), spec_t),
         "integrate_lab_frame": lambda: integrate_lab_frame(state, two(), pulse(2), t_start=spec_t),

@@ -124,9 +124,9 @@ class TestRunShor:
         energies = EnergyTable(rng.uniform(-5, 5, size=16))
         tau1, tau2 = rng.uniform(0, 3, size=2)
         run = run_shor("bare-delay", delays=(tau1, tau2), energies=energies)
-        e = energies.energy
-        phase_a = np.exp(-1j * (e(0, 0) * tau1 + e(0, 1) * tau2))
-        phase_b = np.exp(-1j * (e(2, 0) * tau1 + e(2, 1) * tau2))
+        e = energies.values.reshape(4, 4)  # e[x, y] = E_xy
+        phase_a = np.exp(-1j * (e[0, 0] * tau1 + e[0, 1] * tau2))
+        phase_b = np.exp(-1j * (e[2, 0] * tau1 + e[2, 1] * tau2))
         expected_00 = 0.25 * (phase_a + phase_b)
         expected_01 = 0.25 * (phase_a - phase_b)
         assert run.final_state.amplitudes[index_of(0, 1)] == pytest.approx(
@@ -152,8 +152,8 @@ class TestRunShor:
             energies = EnergyTable(rng.uniform(-4, 4, size=16))
             tau1, tau2 = rng.uniform(0, 5, size=2)
             run = run_shor("bare-delay", delays=(tau1, tau2), energies=energies)
-            e = energies.energy
-            dphi = (e(2, 0) - e(0, 0)) * tau1 + (e(2, 1) - e(0, 1)) * tau2
+            e = energies.values.reshape(4, 4)  # e[x, y] = E_xy
+            dphi = (e[2, 0] - e[0, 0]) * tau1 + (e[2, 1] - e[0, 1]) * tau2
             expected = (1 - np.cos(dphi)) / 8
             assert run.final_state.probabilities[index_of(1, 1)] == pytest.approx(
                 expected, abs=1e-12
@@ -230,7 +230,7 @@ class TestEnergyTable:
 
     def test_xy_indexing(self):
         table = EnergyTable.from_xy_table(np.arange(16.0).reshape(4, 4))
-        assert table.energy(2, 1) == 9.0
+        assert table.values[register_index(2, 1)] == 9.0
 
     def test_wrong_size(self):
         with pytest.raises(ConfigurationError):
