@@ -76,11 +76,13 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # the command line (argparse, csv) loads only when one of its names is used
+    # the command line (argparse, csv) loads only when one of its names is used;
+    # the name is then bound here, so later uses do not come back to this hook
     if name in ("run_config", "sweep_to_csv"):
         from . import cli
 
-        return getattr(cli, name)
+        value = globals()[name] = getattr(cli, name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -211,16 +211,21 @@ def pulse_states(
     never raises here, whatever numpy's error state, so one pulse cannot stop
     the others: callers check the rows (or what they compute from them).
     """
-    n, dim = energies.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
-        if not ok.all():
-            energies, carrier = energies[ok], carrier[ok]
-            rabi = rabi if rabi.shape[-2] == 1 else rabi[..., ok, :]
-        turn = 1j * (carrier * duration)
-        vals, vecs, (left,) = _eigen_factors(energies, carrier[:, None], rabi, turn)
-        psi = np.ascontiguousarray(amplitudes, dtype=complex)
-        psi = _apply_factors(vecs, np.exp(vals * (-1j * duration)), left, psi)
+        return _pulse_states(amplitudes, energies, carrier, rabi, duration)
+
+
+def _pulse_states(amplitudes, energies, carrier, rabi, duration: float) -> np.ndarray:
+    """``pulse_states`` under its caller's numpy error state, which must let overflow pass."""
+    n, dim = energies.shape
+    ok = np.isfinite(energies).all(1) & np.isfinite(carrier)
+    if not ok.all():
+        energies, carrier = energies[ok], carrier[ok]
+        rabi = rabi if rabi.shape[-2] == 1 else rabi[..., ok, :]
+    turn = 1j * (carrier * duration)
+    vals, vecs, (left,) = _eigen_factors(energies, carrier[:, None], rabi, turn)
+    psi = np.ascontiguousarray(amplitudes, dtype=complex)
+    psi = _apply_factors(vecs, np.exp(vals * (-1j * duration)), left, psi)
     if psi.shape[-2] < n:
         psi_ok, psi = psi, np.full((*psi.shape[:-2], n, dim), np.nan, dtype=complex)
         psi[..., ok, :] = psi_ok

@@ -141,6 +141,11 @@ def to_interaction_picture(
     return DeviationDensityMatrix._built(entries)
 
 
+def _metric(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``deviation_metric``'s formula on blocks (..., m, m), unchecked: inf and NaN pass."""
+    return (np.abs(a - b) / np.maximum(np.abs(b), METRIC_FLOOR)).max(axis=(-2, -1))
+
+
 def deviation_metric(r_obtained, r_reference):
     """Worst-case relative entry deviation between two complex blocks.
 
@@ -152,13 +157,16 @@ def deviation_metric(r_obtained, r_reference):
     is not finite, and if the metric of finite blocks overflows double
     precision.  Stacks of blocks (..., m, m) give an array with one metric
     per block, inf or NaN included, so that each block's caller reports it.
+    Blocks of two shapes, or that are not matrices, raise ValueError naming the shapes.
     """
     a = _checked("r_obtained", _complex_numeric, r_obtained)
     b = _checked("r_reference", _complex_numeric, r_reference)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.ndim < 2:
+        raise ValueError(f"blocks must be matrices or stacks of them, got shape {a.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        metric = np.max(np.abs(a - b) / np.maximum(np.abs(b), METRIC_FLOOR), axis=(-2, -1))
+        metric = _metric(a, b)
     if metric.ndim == 0 and not np.isfinite(metric):  # only then read the blocks' finiteness
         _checked("r_obtained", _finite_complexes, a)
         _checked("r_reference", _finite_complexes, b)

@@ -24,8 +24,8 @@ import json
 import math
 import numbers
 import reprlib
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -392,7 +392,9 @@ class QuantumState:
 
 
 def fidelity(a: QuantumState, b: QuantumState) -> float:
-    """Overlap fidelity |<a|b>|^2 between two pure states."""
+    """Overlap fidelity |<a|b>|^2 between two pure states of one size (ValueError otherwise)."""
+    if len(a) != len(b):
+        raise ValueError(f"states of {len(a)} and {len(b)} amplitudes have no overlap")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
@@ -460,7 +462,7 @@ def rotating_hamiltonian(energies: np.ndarray, carrier, rabi: np.ndarray, angle=
         below = above.conj()
     batch = above.shape[:-1]
     if energies.ndim > 1:  # a stack: only here, as it costs a single pulse microseconds
-        batch = np.broadcast_shapes(batch, energies.shape[:-1])
+        batch = np.broadcast(above[..., 0], energies[..., 0]).shape
     h = np.zeros((*batch, dim * dim), dtype=above.dtype)
     h.T[upper] = above.T
     h.T[lower] = below.T

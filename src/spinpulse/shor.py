@@ -107,7 +107,11 @@ class EnergyTable:
     @classmethod
     def from_xy_table(cls, table) -> "EnergyTable":
         """Table given as rows over x, columns over y."""
-        if np.shape(table) != (X_VALUES, X_VALUES):
+        try:
+            square = np.shape(table) == (X_VALUES, X_VALUES)
+        except ValueError:  # rows of unequal lengths, which numpy cannot shape
+            square = False
+        if not square:
             raise ConfigurationError("x/y energy table must be 4x4")
         return cls([value for row in table for value in row])
 
@@ -351,21 +355,31 @@ def _gather_paths(
     return ShorTrace(terms={final: terms[first:end] for final, first, end in _PATH_GROUPS})
 
 
+def _distribution(value) -> list[float]:
+    """The X_VALUES entries of an x distribution as Python floats, of numbers by the
+    JSON reader's rule, each finite and >= 0; raises ValueError otherwise."""
+    values = _numeric(value)
+    if values.shape != (X_VALUES,):
+        raise ValueError(f"must have {X_VALUES} entries")
+    values = values.tolist()
+    if not all(0.0 <= p < math.inf for p in values):  # NaN fails too
+        raise ValueError("entries must be >= 0 and finite, to be normalized")
+    return values
+
+
 def extract_period(distribution) -> PeriodResult:
     """Read the function period and a factor off the measured x distribution.
 
     Takes the smallest nonzero x with nonzero probability as x2, sets
     T = D / x2 with D the number of x values, computes z = 3^(T/2), and
     returns GCD(z - 1, 4) as the factor.  An x has nonzero probability above
-    1e-12, and the probabilities must sum to 1 within 1e-6 (ValueError
+    1e-12.  The D entries must each be finite and >= 0 (ConfigurationError
+    naming ``distribution`` otherwise) and sum to 1 within 1e-6 (ValueError
     otherwise).  A distribution confined to x = 0 (or yielding a fractional
     period) carries no period information and raises PeriodExtractionError.
     """
-    probs = _checked("distribution", _numeric, distribution)
-    if probs.shape != (X_VALUES,):
-        raise ValueError(f"distribution must have {X_VALUES} entries")
-    values = probs.tolist()
-    if not abs(sum(values) - 1.0) <= 1e-6:  # NaN fails too
+    values = _checked("distribution", _distribution, distribution)
+    if not abs(sum(values) - 1.0) <= 1e-6:
         raise ValueError("distribution must be normalized")
     x2 = next((x for x in range(1, X_VALUES) if values[x] > _SUPPORT_TOL), None)
     if x2 is None:
@@ -386,13 +400,20 @@ def sample_x(
 ) -> dict[int, int]:
     """Draw x-measurement counts from an exact distribution (demo output).
 
-    The normalized probabilities are snapped to multiples of 1e-12, the
-    support threshold of ``extract_period``, and normalized again before
-    the draw, so a seeded sample does not turn on the last bits that
-    rounding moves.  ``shots`` that is not an integer >= 0 is named in a ConfigurationError.
+    The probabilities are the entries normalized, so weights that do not sum
+    to 1 serve as well: entries finite and >= 0, with a sum > 0 that does not
+    overflow.  They are snapped to multiples of 1e-12, the support threshold
+    of ``extract_period``, and normalized again before the draw, so a seeded
+    sample does not turn on the last bits that rounding moves.  An argument
+    that breaks its rule, ``shots`` included (an integer >= 0), is named in a
+    ConfigurationError.
     """
     shots = _checked("shots", integer, shots)
-    probs = _checked("distribution", _numeric, distribution)
-    grid = np.rint(probs / probs.sum() / _SUPPORT_TOL)
+    probs = np.array(_checked("distribution", _distribution, distribution))
+    with np.errstate(over="ignore"):  # a sum too large is inf, refused
+        total = require_finite(float(probs.sum()), "distribution sum")
+    if not total:
+        raise ConfigurationError("distribution: entries must not all be 0")
+    grid = np.rint(probs / total / _SUPPORT_TOL)
     counts = np.random.default_rng(seed).multinomial(shots, grid / grid.sum())
     return {x: int(c) for x, c in enumerate(counts) if c}

@@ -43,9 +43,9 @@ from .model import (
     read_fields,
     too_large,
 )
-from .dynamics import pulse_states
+from .dynamics import _pulse_states
 from .design import _pi_duration
-from .ensemble import deviation_metric
+from .ensemble import _metric
 
 #: test superposition used by the sweep cells (read-only)
 SWEEP_INITIAL = QuantumState(
@@ -70,7 +70,30 @@ _MAX_AXIS_VALUES = 1024
 
 
 def axis(values) -> list[float]:
-    """A sweep axis as floats: 1 to ``_MAX_AXIS_VALUES`` values, strictly positive, ascending."""
+    """A sweep axis as floats: 1 to ``_MAX_AXIS_VALUES`` values, strictly positive, ascending.
+
+    A list of Python floats and ints below 2^63 (the ints an array reads as
+    int64) is read in one Python pass; any other value, and a list that
+    breaks the rule, is read as an array, which names what is wrong.
+    """
+    if type(values) is list and 0 < len(values) <= _MAX_AXIS_VALUES:
+        floats, last = [], 0.0
+        for value in values:
+            if type(value) is int and 0 < value < 2**63:
+                value = float(value)  # rounds as the int64 array's conversion does
+            elif type(value) is not float:
+                break
+            if not (0.0 < value < math.inf and last <= value):  # NaN fails too
+                break
+            floats.append(value)
+            last = value
+        else:
+            return floats
+    return _array_axis(values)
+
+
+def _array_axis(values) -> list[float]:
+    """``axis`` read by the array rule, which takes any value and names what is wrong."""
     values = finite_reals(values)
     if values.ndim != 1:
         raise ValueError("axis must be a list of numbers")
@@ -135,14 +158,16 @@ def _block_deviations(
             energies = ising_diagonal(larmor, coupling[:, None, None] * _UNIT_COUPLING)
             # the target (spin 1) flips with the control (spin 0) excited: |10> -> |11>
             carrier = energies[:, 3] - energies[:, 2]
-            # (2, n, 4): every cell under the driven, then the undriven setting
-            psi = pulse_states(SWEEP_INITIAL, energies, carrier, rabis[:, None, :], duration)
+            # (2, n, 4): every cell under the driven, then the undriven setting, by
+            # pulse_states' core under this block's error state
+            psi = _pulse_states(SWEEP_INITIAL, energies, carrier, rabis[:, None, :], duration)
             # the interaction picture, as to_interaction_picture takes it: phase
             # times state, since a complex product's rounding depends on the order
             psi = _free_phases(energies, -duration) * psi
             rho = psi[..., :, None] * psi.conj()[..., None, :]
-            # a non-finite system, carrier, state or phase makes the deviation NaN
-            deviation = deviation_metric(rho[0], rho[1])
+            # a non-finite system, carrier, state or phase makes the deviation NaN;
+            # the blocks are the sweep's own arrays, so deviation_metric's reads are skipped
+            deviation = _metric(rho[0], rho[1])
     deviations, errors = deviation.tolist(), [None] * len(deviation)
     if np.isfinite(deviation).all():  # the common case: no cell failed
         return deviations, errors
@@ -198,5 +223,6 @@ def _grid_cells(
         d, e = _block_deviations(delta_ratio[block], j_ratio[block], rabi, base_larmor, pulse)
         deviations += d
         errors += e
-    rows = zip(delta_ratio.tolist(), j_ratio.tolist(), deviations, errors)
-    return list(map(_new_cell, rows))
+    # the rows' axis values are the axes' own floats: no tolist of the grid
+    deltas = [d for d in delta_ratios for _ in j_ratios]
+    return list(map(_new_cell, zip(deltas, j_ratios * len(delta_ratios), deviations, errors)))

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinpulse import (
     BACKGROUND_DIAGONAL,
@@ -39,7 +40,7 @@ from spinpulse import (
     to_interaction_picture,
     total_spin_z,
 )
-from spinpulse import cli, shor
+from spinpulse import cli, shor, sweep
 from spinpulse.cli import (
     EXIT_OK,
     EXIT_TOLERANCE,
@@ -50,6 +51,7 @@ from spinpulse.cli import (
     main,
     parse_config,
 )
+from spinpulse.model import REQUIRED, read_fields
 from spinpulse.sweep import _MAX_AXIS_VALUES, _SWEEP_BLOCK, SWEEP_FIELDS, SWEEP_INITIAL
 
 from conftest import GATE_FINAL, GATE_INITIAL, loop_trace
@@ -449,6 +451,80 @@ class TestDesignPulse:
     def test_zero_detuning_invalid(self):
         with pytest.raises(ConfigurationError, match="delta_omega"):
             parse_config({"kind": "design", "delta_omega": 0.0})
+
+
+#: entries of a sweep axis: floats of every kind (NaN, inf, 0, -0.0 and negatives
+#: included), ints inside and past int64, and entries the rule refuses
+_AXIS_ENTRY = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=-3, max_value=2**64 + 3),
+    st.sampled_from([True, False, "1", None, 1j, [1.0], [[2.0]], 2**63 - 1, 2**63, 2**62 + 1,
+                     10**400]),
+)
+#: entries of a valid axis, the ints among them up to just past int64
+_POSITIVE_ENTRY = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+    st.integers(min_value=1, max_value=2**63 + 2),
+)
+
+
+@st.composite
+def axis_values(draw):
+    """A list of any entries; a sorted list of positive ones, with a duplicate or one entry
+    replaced by any other, reversed or nested; or 1024 or 1025 values, one of them perhaps
+    replaced; as a list, a tuple or (of numbers) an array."""
+    kind = draw(st.sampled_from(["mixed", "sorted", "long"]))
+    containers = [list, tuple]
+    if kind == "mixed":
+        values = draw(st.lists(_AXIS_ENTRY, max_size=6))
+    elif kind == "sorted":
+        values = sorted(draw(st.lists(_POSITIVE_ENTRY, min_size=1, max_size=8)))
+        i = draw(st.integers(0, len(values) - 1))
+        change = draw(st.sampled_from(["none", "duplicate", "replace"]))
+        if change == "duplicate":
+            values.insert(i, values[i])
+        elif change == "replace":
+            values[i] = draw(_AXIS_ENTRY)
+        values = draw(st.sampled_from([values, values[::-1], [values]]))
+        if change != "replace":
+            containers.append(np.array)
+    else:
+        values = [float(i) for i in range(1, draw(st.sampled_from([1024, 1025])) + 1)]
+        if draw(st.booleans()):
+            values[draw(st.integers(0, len(values) - 1))] = draw(_AXIS_ENTRY)
+    return draw(st.sampled_from(containers))(values)
+
+
+def _outcome(read, value):
+    """What ``read(value)`` returns, or the type and text of its ValueError."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestSweepAxis:
+    @settings(max_examples=300, deadline=None)
+    @given(axis_values())
+    @example([True]).via("a bool, refused")
+    @example([1.0, 2**63]).via("an int past int64 after a float")
+    @example([2**62 + 1, 2.0**62]).via("ints that round to an equal float")
+    @example([1, 2.5, 2.5, 3, 2**63 - 1]).via("ints and floats, a duplicate")
+    def test_axis_reads_as_the_array_rule(self, values):
+        # a list of Python numbers takes a one-pass read; whatever the value,
+        # the axis and every refusal are the array rule's, bit for bit and word for word
+        expected = _outcome(sweep._array_axis, values)
+        read = _outcome(sweep.axis, values)
+        assert read == expected
+        if isinstance(expected, list):
+            assert [type(v) for v in read] == [float] * len(expected)
+            assert [v.hex() for v in read] == [v.hex() for v in expected]
+        doc = {"delta_ratios": values, "j_ratios": [5.0]}
+        array_fields = {**SWEEP_FIELDS, "delta_ratios": (sweep._array_axis, REQUIRED)}
+        assert _outcome(lambda d: read_fields(d, SWEEP_FIELDS), doc) == _outcome(
+            lambda d: read_fields(d, array_fields), doc
+        )
 
 
 class TestSweep:
@@ -853,6 +929,9 @@ class TestMainEntryPoint:
             ({"table": [[1, 2, 3, 4]] * 4, "tabel": 1}, ["tabel: unknown field"]),
             ({"tabel": [[1, 2, 3, 4]] * 4},
              ["tabel: unknown field", "table: required field missing"]),
+            # numpy's "setting an array element with a sequence ..." was printed
+            ({"table": [[1, 2, 3, 4], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4]]},
+             ["table: x/y energy table must be 4x4"]),
         ],
     )
     def test_bad_energies_file_exits_2_naming_it(self, tmp_path, capsys, energies, problems):

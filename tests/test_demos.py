@@ -59,6 +59,22 @@ print(hasattr(spinpulse, "no_such_name"))
     assert result.stdout.splitlines() == ["[]", "spinpulse.cli spinpulse.cli", "False"]
 
 
+def test_command_line_names_are_bound_on_first_use():
+    # the first use loads the command line and binds the name in the package,
+    # so later uses read it as a plain attribute, the command line's own object
+    script = """
+import sys, spinpulse
+print("spinpulse.cli" in sys.modules, "run_config" in vars(spinpulse))
+first = spinpulse.run_config
+print("run_config" in vars(spinpulse), "sweep_to_csv" in vars(spinpulse))
+print(spinpulse.run_config is spinpulse.cli.run_config is first)
+print(spinpulse.sweep_to_csv is spinpulse.cli.sweep_to_csv, "sweep_to_csv" in vars(spinpulse))
+"""
+    result = run("-c", script)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == ["False False", "True False", "True", "True True"]
+
+
 def test_star_import_binds_every_public_name():
     # __all__ is the public surface: each name once, each one bound, the
     # names the command line provides included

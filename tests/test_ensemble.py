@@ -190,6 +190,15 @@ class TestDeviationMetric:
         with pytest.raises(ValueError, match="shape"):
             deviation_metric(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("a, b", [(1.0, 2.0), ([1.0, 2.0], [2.0, 1.0])])
+    def test_blocks_that_are_not_matrices_named(self, a, b):
+        # numpy's AxisError reached the caller
+        shape = np.shape(a)
+        with pytest.raises(ValueError) as refused:
+            deviation_metric(a, b)
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == f"blocks must be matrices or stacks of them, got shape {shape}"
+
     def test_stack_gives_one_metric_per_block(self):
         a = np.stack([R_BEFORE, R_AFTER, R_AFTER * np.exp(1j * 0.3)])
         b = np.stack([R_AFTER] * 3)

@@ -256,6 +256,10 @@ _NOT_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 _REAL = {**_NOT_REAL, **_NOT_FINITE, "sequence": [1.0, 2.0]}
 _NON_NEGATIVE = {**_REAL, "negative": -1.0}
 _POSITIVE = {**_REAL, "zero": 0.0}
+#: what the reader of an x distribution refuses besides: four entries, each finite and >= 0
+_NOT_DISTRIBUTIONS = {**_NOT_REALS, "negative": [0.5, -0.1, 0.6, 0.0],
+                      "nan": [np.nan, 0.0, 0.0, 1.0], "inf": [0.0, np.inf, 0.0, 1.0],
+                      "two-entries": [0.5, 0.5], "matrix": [[0.5, 0.5]]}
 _NOT_FINITE_BLOCKS = {kind: np.full((2, 2), v) for kind, v in
                       {**_NOT_FINITE, "complex-inf": complex(0.0, np.inf)}.items()}
 
@@ -290,9 +294,10 @@ _NON_NUMBER_SITES = [
      model.finite_reals, _NOT_NUMBERS),
     ("metric-reference", lambda v: deviation_metric(np.eye(2), v), "r_reference",
      model.finite_reals, _NOT_NUMBERS),
-    ("extract-period", extract_period, "distribution", model.finite_reals, _NOT_REALS),
+    # a negative entry gave a period, and sample_x passed numpy's refusals on
+    ("extract-period", extract_period, "distribution", shor._distribution, _NOT_DISTRIBUTIONS),
     ("sample-x", lambda v: sample_x(v, 10, seed=1), "distribution",
-     model.finite_reals, _NOT_REALS),
+     shor._distribution, _NOT_DISTRIBUTIONS),
     # a start time; a string raised a bare TypeError
     ("propagator-start", lambda v: pulse_propagator(_GATE, _PULSE, v), "t_start",
      model.finite_real, _REAL),
@@ -526,6 +531,11 @@ class TestQuantumState:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             QuantumState([1.0, 0.0, 0.0])
+
+    def test_fidelity_of_states_of_two_sizes_names_them(self):
+        # numpy's "cannot reshape array of size 2 into shape (4,)" reached the caller
+        with pytest.raises(ValueError, match=r"^states of 4 and 2 amplitudes have no overlap$"):
+            spinpulse.fidelity(QuantumState.basis(2, 0), QuantumState.basis(1, 0))
 
 
 class TestBasisConventions:

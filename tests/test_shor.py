@@ -244,7 +244,13 @@ class TestEnergyTable:
         with pytest.raises(ConfigurationError):
             EnergyTable(values)
 
-    @pytest.mark.parametrize("table", [np.zeros((2, 8)), np.zeros(16), np.zeros((4, 4, 1))])
+    @pytest.mark.parametrize(
+        "table",
+        [np.zeros((2, 8)), np.zeros(16), np.zeros((4, 4, 1)),
+         # ragged rows raised numpy's "inhomogeneous shape" error
+         [[1, 2, 3, 4], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4]],
+         [[1, 2, 3, 4]] * 3 + [[1, 2, 3, [4]]]],
+    )
     def test_xy_table_not_4x4_rejected(self, table):
         with pytest.raises(ConfigurationError, match="^x/y energy table must be 4x4$"):
             EnergyTable.from_xy_table(table)
@@ -425,6 +431,14 @@ class TestExtractPeriod:
         result = extract_period([1 - 1e-9, 1e-9, 0.0, 0.0])
         assert (result.x_measured, result.period, result.factor) == (1, 4, 4)
 
+    def test_negative_entry_rejected(self):
+        # its sum is 1, and it used to read period 2, factor 2
+        with pytest.raises(ConfigurationError) as refused, warnings_are_errors("raise"):
+            extract_period([0.6, -0.1, 0.5, 0.0])
+        assert str(refused.value) == (
+            "distribution: entries must be >= 0 and finite, to be normalized"
+        )
+
     @pytest.mark.parametrize("excess", [1e-4, -1e-4])
     def test_sum_off_by_more_than_tol_rejected(self, excess):
         # the documented tolerance on the sum is 1e-6
@@ -467,6 +481,31 @@ class TestSampling:
         # the grid is laid over the normalized probabilities, at any scale
         with warnings_are_errors("raise"):
             assert sample_x([1e300, 0.0, 1e300, 0.0], 50, seed=3) == counts
+
+    @pytest.mark.parametrize(
+        "distribution, problem",
+        [
+            # numpy refused the first two as "pvals < 0, pvals > 1 or pvals contains NaNs"
+            ([0.5, -0.1, 0.6, 0.0], "entries must be >= 0 and finite, to be normalized"),
+            ([np.nan, 0.0, 0.0, 1.0], "entries must be >= 0 and finite, to be normalized"),
+            ([np.inf, 0.0, 0.0, 1.0], "entries must be >= 0 and finite, to be normalized"),
+            # numpy's "truth value of an array ... is ambiguous"
+            ([[0.5, 0.5]], "must have 4 entries"),
+            # a RuntimeWarning "invalid value encountered in divide"
+            ([0, 0, 0, 0], "entries must not all be 0"),
+        ],
+    )
+    def test_bad_distribution_refused_by_name(self, distribution, problem):
+        with pytest.raises(ConfigurationError) as refused, warnings_are_errors("raise"):
+            sample_x(distribution, 10, seed=1)
+        assert str(refused.value) == f"distribution: {problem}"
+
+    def test_weights_whose_sum_overflows_refused(self):
+        with pytest.raises(ConfigurationError) as refused, warnings_are_errors("raise"):
+            sample_x([1e308, 1e308, 0.0, 0.0], 10, seed=1)
+        assert str(refused.value) == (
+            "values too large for double precision (distribution sum not finite)"
+        )
 
     def test_shot_count_does_not_set_memory(self):
         # one draw per outcome, not per shot: 10^12 shots must not allocate 8 TB
